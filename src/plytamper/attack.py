@@ -25,7 +25,6 @@ critical force directly in N/m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +33,7 @@ from plytamper.failure import (
     FailureLadder,
     first_ply_failure,
     simulate_progressive_failure,
+    ties_at_minimum,
 )
 
 #: A ply counts as load-critical when its strength ratio is within this
@@ -181,14 +181,6 @@ def dominant_load_component(load: LoadCase) -> float:
     return load.m[m_abs.index(max(m_abs))]
 
 
-def _critical_plies(sr, rel_tol: float) -> list[int]:
-    """Indices in the first-failure group: SR within rel_tol of the min."""
-    finite = [v for v in sr if math.isfinite(v)]
-    low = min(finite)
-    return [i for i, v in enumerate(sr)
-            if math.isfinite(v) and v - low <= rel_tol * low]
-
-
 def _result(attack_type: int, status: AttackStatus, lam: Laminate,
             spec: AttackSpec, original_angles, angles, deltas,
             original_mult: float, target_mult: float, achieved_mult: float,
@@ -269,7 +261,7 @@ def spread_attack(lam: Laminate, spec: AttackSpec, *,
     best_deltas = tuple(deltas)
 
     for sweep in range(1, spec.max_sweeps + 1):
-        critical = set(_critical_plies(sr, spec.critical_rel_tol))
+        critical = ties_at_minimum(sr, spec.critical_rel_tol)
         for ply in order:
             if ply not in critical:
                 continue
@@ -277,7 +269,7 @@ def spread_attack(lam: Laminate, spec: AttackSpec, *,
             angles[ply] = normalize_angle(original_angles[ply] + deltas[ply])
             mult, sr = first_ply_failure(lam.with_angles(angles), spec.load)
             evaluations += 1
-            critical = set(_critical_plies(sr, spec.critical_rel_tol))
+            critical = ties_at_minimum(sr, spec.critical_rel_tol)
             if mult < best_mult:
                 best_mult = mult
                 best_angles = tuple(angles)
@@ -337,9 +329,9 @@ def focused_attack(lam: Laminate, spec: AttackSpec, *,
         return first_ply_failure(lam.with_angles(trial), spec.load), trial
 
     while True:
-        critical = _critical_plies(sr, spec.critical_rel_tol)
+        critical = ties_at_minimum(sr, spec.critical_rel_tol)
         ply = next((p for p in order
-                    if p not in processed and p in set(critical)), None)
+                    if p not in processed and p in critical), None)
         if ply is None:
             return _result(2, AttackStatus.NO_SOLUTION, lam, spec,
                            original_angles, angles, deltas, original_mult,

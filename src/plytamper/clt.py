@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,6 +108,11 @@ class MaterialProperties:
         """Minor Poisson's ratio, from the reciprocity relation."""
         return self.nu12 * self.e2 / self.e1
 
+    @cached_property
+    def _qbar_by_angle(self) -> dict:
+        """This material's [Qbar] by angle; see :func:`ply_stiffness`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Ply:
@@ -144,14 +149,30 @@ class Laminate:
         return cls(tuple(Ply(a, thickness, material) for a in angles_deg))
 
     def with_angles(self, angles_deg) -> "Laminate":
-        """Copy of this laminate with new ply angles, all else unchanged."""
+        """Copy of this laminate with new ply angles, all else unchanged.
+
+        A ply whose angle is unchanged (sign of zero included) is reused,
+        and the copy shares this laminate's :attr:`prepared` arrays, which
+        depend only on thicknesses and materials.
+        """
         angles = tuple(angles_deg)
         if len(angles) != len(self.plies):
             raise ValueError("angle count does not match ply count")
-        return Laminate(tuple(
-            Ply(a, p.thickness, p.material)
+        copy = Laminate(tuple(
+            p if a == p.angle and (a != 0.0 or math.copysign(1.0, a)
+                                   == math.copysign(1.0, p.angle))
+            else Ply(a, p.thickness, p.material)
             for a, p in zip(angles, self.plies)
         ))
+        # Seeds the copy's cached property; the instance __dict__ of a
+        # frozen dataclass stays writable.
+        copy.__dict__["prepared"] = self.prepared
+        return copy
+
+    @cached_property
+    def prepared(self) -> "PreparedStack":
+        """The stack's angle-independent arrays, computed once."""
+        return PreparedStack.of(self)
 
     @property
     def n_plies(self) -> int:
@@ -169,6 +190,46 @@ class Laminate:
     def is_symmetric(self) -> bool:
         """True when (angle, thickness, material) mirror about the mid-plane."""
         return self.plies == self.plies[::-1]
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedStack:
+    """Angle-independent arrays of a stack, shared by its rotated copies.
+
+    ``h`` holds the end-plane z coordinates h_0..h_n (see
+    :func:`ply_z_planes`), ``z_mid`` the ply mid-planes, ``w1``, ``w2``
+    and ``w3`` the A, B and D weights h_k^p - h_{k-1}^p for p = 1, 2, 3,
+    and ``tsai_wu`` the per-ply Tsai-Wu coefficients as a (6, n) array
+    with rows h1, h2, h11, h22, h66, h12. All arrays are read-only.
+    """
+
+    h: np.ndarray
+    z_mid: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    w3: np.ndarray
+    tsai_wu: np.ndarray
+
+    @classmethod
+    def of(cls, lam: "Laminate") -> "PreparedStack":
+        thicknesses = np.array([p.thickness for p in lam.plies])
+        h = np.concatenate([[0.0], np.cumsum(thicknesses)])
+        h = h - h[-1] / 2.0
+        rows = []
+        for ply in lam.plies:
+            tw = tsai_wu_params(ply.material)
+            rows.append((tw.h1, tw.h2, tw.h11, tw.h22, tw.h66, tw.h12))
+        arrays = cls(
+            h=h,
+            z_mid=(h[:-1] + h[1:]) / 2.0,
+            w1=h[1:] - h[:-1],
+            w2=h[1:] ** 2 - h[:-1] ** 2,
+            w3=h[1:] ** 3 - h[:-1] ** 3,
+            tsai_wu=np.array(rows).T.copy(),
+        )
+        for array in vars(arrays).values():
+            array.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -331,16 +392,21 @@ def transform_stiffness(q: np.ndarray, angle_deg: float) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=None)
 def ply_stiffness(mat: MaterialProperties, angle_deg: float) -> np.ndarray:
     """Cached [Qbar] for a (material, angle) pair.
 
     The returned array is marked read-only; callers that need to modify it
-    must copy. The cache makes repeated re-assembly over rotated stacks
+    must copy. Each material keeps its own table keyed by angle, so the
+    table lives only as long as the material and a lookup never hashes the
+    material. The cache makes repeated re-assembly over rotated stacks
     (failure iteration, tamper searches) cheap.
     """
-    qbar = transform_stiffness(reduced_stiffness(mat), angle_deg)
-    qbar.setflags(write=False)
+    table = mat._qbar_by_angle
+    qbar = table.get(angle_deg)
+    if qbar is None:
+        qbar = transform_stiffness(reduced_stiffness(mat), angle_deg)
+        qbar.setflags(write=False)
+        table[angle_deg] = qbar
     return qbar
 
 
@@ -352,11 +418,9 @@ def ply_z_planes(lam: Laminate) -> np.ndarray:
     """End-plane z coordinates h_0..h_n of the stack, top to bottom.
 
     Strictly increasing from -H/2 to +H/2 (z positive downward). The k-th
-    ply occupies [h_{k-1}, h_k].
+    ply occupies [h_{k-1}, h_k]. The array is read-only.
     """
-    thicknesses = np.array([p.thickness for p in lam.plies])
-    h = np.concatenate([[0.0], np.cumsum(thicknesses)])
-    return h - h[-1] / 2.0
+    return lam.prepared.h
 
 
 def stiffness_stack(lam: Laminate, active=None) -> np.ndarray:
@@ -365,7 +429,7 @@ def stiffness_stack(lam: Laminate, active=None) -> np.ndarray:
     A ply with ``active[k] == False`` has failed: it contributes nothing to
     the stiffness but still occupies its z band (geometry never changes).
     """
-    stack = np.stack([ply_stiffness(p.material, p.angle) for p in lam.plies])
+    stack = np.array([ply_stiffness(p.material, p.angle) for p in lam.plies])
     if active is not None:
         active = np.asarray(active, dtype=bool)
         if active.shape != (lam.n_plies,):
@@ -392,15 +456,16 @@ def assemble_abd(lam: Laminate, active=None) -> AbdMatrices:
         B = 1/2 sum Qbar_k (h_k^2 - h_{k-1}^2),
         D = 1/3 sum Qbar_k (h_k^3 - h_{k-1}^3).
     """
-    stack = stiffness_stack(lam, active)
-    h = ply_z_planes(lam)
-    w1 = h[1:] - h[:-1]
-    w2 = h[1:] ** 2 - h[:-1] ** 2
-    w3 = h[1:] ** 3 - h[:-1] ** 3
-    a = np.einsum("kij,k->ij", stack, w1)
-    b = 0.5 * np.einsum("kij,k->ij", stack, w2)
-    d = np.einsum("kij,k->ij", stack, w3) / 3.0
-    return AbdMatrices(a=a, b=b, d=d)
+    return AbdMatrices(*abd_blocks(stiffness_stack(lam, active),
+                                   lam.prepared))
+
+
+def abd_blocks(stack: np.ndarray, prep: PreparedStack):
+    """A, B and D of an (n, 3, 3) [Qbar] stack over ``prep``'s z weights."""
+    a = np.einsum("kij,k->ij", stack, prep.w1)
+    b = 0.5 * np.einsum("kij,k->ij", stack, prep.w2)
+    d = np.einsum("kij,k->ij", stack, prep.w3) / 3.0
+    return a, b, d
 
 
 #: Reciprocal-condition threshold below which the 6x6 laminate system is

@@ -138,7 +138,21 @@ def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise DesignError(f"{path}: expected a number, got "
                           f"{type(node).__name__}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise DesignError(f"{path}: expected a finite number, got {node!r}")
+    return value
+
+
+def _scaled(node, factor: float, path: str) -> float:
+    """A finite number converted to SI by ``factor``."""
+    value = _number(node, path) * factor
+    if not math.isfinite(value):
+        raise DesignError(f"{path}: {node!r} is out of range in SI units")
+    return value
 
 
 def _unit_factor(node, units: dict, path: str) -> float:
@@ -161,8 +175,8 @@ def _quantity(node, units: dict, path: str) -> float:
                           f"{', '.join(sorted(extra))}")
     if "value" not in node:
         raise DesignError(f"{path}.value: missing")
-    return _number(node["value"], f"{path}.value") * _unit_factor(
-        node, units, path)
+    return _scaled(node["value"], _unit_factor(node, units, path),
+                   f"{path}.value")
 
 
 def _vector_quantity(node, units: dict, path: str) -> tuple[float, ...]:
@@ -176,7 +190,7 @@ def _vector_quantity(node, units: dict, path: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise DesignError(f"{path}.value: expected a list of 3 numbers")
     factor = _unit_factor(node, units, path)
-    return tuple(_number(v, f"{path}.value[{i}]") * factor
+    return tuple(_scaled(v, factor, f"{path}.value[{i}]")
                  for i, v in enumerate(value))
 
 
@@ -299,11 +313,15 @@ def load_design(path) -> DesignFile:
 
     YAML syntax errors are re-raised as :class:`DesignError` with the
     parser's line/column diagnostics; missing files raise ``OSError``.
+    The libyaml-backed loader is used when PyYAML was built with it; it
+    shares the pure-Python loader's resolver and constructor, so both
+    give the same values.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise DesignError(f"{path}: invalid YAML: {exc}") from exc
     return parse_design(doc)

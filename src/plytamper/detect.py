@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plytamper.clt import Laminate, LaminateSingularError, assemble_abd
+from plytamper.clt import (
+    Laminate,
+    LaminateSingularError,
+    RCOND_COLLAPSED,
+    assemble_abd,
+)
 
 #: Relative size below which the coupling block counts as zero.
 COUPLING_REL_TOL = 1e-9
@@ -76,7 +81,7 @@ def engineering_constants(lam: Laminate) -> EngineeringConstants:
     """
     abd = assemble_abd(lam)
     sv = np.linalg.svd(abd.a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-12:
+    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED:
         raise LaminateSingularError(
             "degenerate laminate: extensional stiffness is singular")
     a_star = np.linalg.inv(abd.a)

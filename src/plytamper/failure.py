@@ -16,7 +16,6 @@ multiplier than the one before it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,11 +25,11 @@ from plytamper.clt import (
     Laminate,
     LaminateSingularError,
     LoadCase,
+    PreparedStack,
     RCOND_COLLAPSED,
     StrengthRatioRootError,
-    ply_z_planes,
+    abd_blocks,
     stiffness_stack,
-    tsai_wu_params,
 )
 
 #: Relative tolerance for "tied at the minimum strength ratio". Symmetric
@@ -92,18 +91,17 @@ class FailureLadder:
 def ties_at_minimum(sr_values, rel_tol: float = TIE_REL_TOL) -> set[int]:
     """Indices whose strength ratio ties the minimum within ``rel_tol``.
 
-    Infinite entries (unloaded or failed plies) are skipped. Raises
-    ValueError when every entry is infinite — nothing carries load.
+    An entry ties when ``v - low <= rel_tol * low`` for the finite minimum
+    ``low``. Infinite entries (unloaded or failed plies) are skipped.
+    Raises ValueError when every entry is infinite — nothing carries load.
     """
-    values = [float(v) for v in sr_values]
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
+    values = np.asarray(sr_values, dtype=float)
+    finite = np.isfinite(values)
+    low = values.min(where=finite, initial=np.inf)
+    if low == np.inf:
         raise ValueError("no loaded ply: all strength ratios are infinite")
-    low = min(finite)
-    return {
-        i for i, v in enumerate(values)
-        if math.isfinite(v) and v - low <= rel_tol * low
-    }
+    ties = finite & (values - low <= rel_tol * low)
+    return set(np.flatnonzero(ties).tolist())
 
 
 def classify_failure_mode(
@@ -129,16 +127,15 @@ def classify_failure_mode(
 # Vectorized per-iteration core
 # =============================================================================
 
-def _solve_system(stack: np.ndarray, h: np.ndarray, load_vec: np.ndarray,
-                  rcond_threshold: float):
+def _solve_system(stack: np.ndarray, prep: PreparedStack,
+                  load_vec: np.ndarray, rcond_threshold: float):
     """Assemble and solve the 6x6 laminate system for one iteration."""
-    w1 = h[1:] - h[:-1]
-    w2 = h[1:] ** 2 - h[:-1] ** 2
-    w3 = h[1:] ** 3 - h[:-1] ** 3
-    a = np.einsum("kij,k->ij", stack, w1)
-    b = 0.5 * np.einsum("kij,k->ij", stack, w2)
-    d = np.einsum("kij,k->ij", stack, w3) / 3.0
-    k6 = np.block([[a, b], [b, d]])
+    a, b, d = abd_blocks(stack, prep)
+    k6 = np.empty((6, 6))
+    k6[:3, :3] = a
+    k6[:3, 3:] = b
+    k6[3:, :3] = b
+    k6[3:, 3:] = d
     sv = np.linalg.svd(k6, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < rcond_threshold:
         raise LaminateSingularError("laminate system is numerically singular")
@@ -166,14 +163,18 @@ def _stress_transform_stack(angles_deg: np.ndarray) -> np.ndarray:
 def _strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
     """Vectorized positive-root strength ratios; exact-zero rows get +inf.
 
-    ``tw`` is an (n, 6) array of per-ply (h1, h2, h11, h22, h66, h12).
+    ``tw`` is a (6, n) array with rows h1, h2, h11, h22, h66, h12.
     """
     s1, s2, t12 = local_stress[:, 0], local_stress[:, 1], local_stress[:, 2]
-    h1, h2, h11, h22, h66, h12 = (tw[:, i] for i in range(6))
+    h1, h2, h11, h22, h66, h12 = tw
     a = h1 * s1 + h2 * s2
     b = h11 * s1 * s1 + h22 * s2 * s2 + h66 * t12 * t12 + 2.0 * h12 * s1 * s2
-    zero = (s1 == 0.0) & (s2 == 0.0) & (t12 == 0.0)
     disc = a * a + 4.0 * b
+    if (b > 0.0).all():
+        # No zero-stress row (its b is exactly 0) and no bad root (b > 0
+        # makes disc positive or NaN): the common case needs no masks.
+        return (-a + np.sqrt(disc)) / (2.0 * b)
+    zero = (s1 == 0.0) & (s2 == 0.0) & (t12 == 0.0)
     bad = ~zero & ((b <= 0.0) | (disc < 0.0))
     if np.any(bad):
         raise StrengthRatioRootError(
@@ -184,28 +185,19 @@ def _strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
     return np.where(zero, np.inf, sr)
 
 
-def _tw_array(lam: Laminate) -> np.ndarray:
-    rows = []
-    for ply in lam.plies:
-        h = tsai_wu_params(ply.material)
-        rows.append((h.h1, h.h2, h.h11, h.h22, h.h66, h.h12))
-    return np.array(rows)
-
-
-def _iteration_sr(lam: Laminate, load_vec: np.ndarray, active: np.ndarray,
-                  tw: np.ndarray, t_stack: np.ndarray, h: np.ndarray,
-                  z_mid: np.ndarray, rcond_threshold: float) -> np.ndarray:
+def _iteration_sr(stack: np.ndarray, prep: PreparedStack,
+                  load_vec: np.ndarray, t_stack: np.ndarray,
+                  rcond_threshold: float) -> np.ndarray:
     """Strength ratios of every ply for one knockout iteration.
 
     Failed plies have a zeroed stiffness, so their recovered stress is
     exactly zero and they come back as +inf — which the tie search skips.
     """
-    stack = stiffness_stack(lam, active)
-    eps0, kappa = _solve_system(stack, h, load_vec, rcond_threshold)
-    global_strain = eps0[None, :] + z_mid[:, None] * kappa[None, :]
+    eps0, kappa = _solve_system(stack, prep, load_vec, rcond_threshold)
+    global_strain = eps0[None, :] + prep.z_mid[:, None] * kappa[None, :]
     global_stress = np.einsum("kij,kj->ki", stack, global_strain)
     local_stress = np.einsum("kij,kj->ki", t_stack, global_stress)
-    return _strength_ratios(local_stress, tw)
+    return _strength_ratios(local_stress, prep.tsai_wu)
 
 
 def first_ply_failure(lam: Laminate, load: LoadCase,
@@ -223,17 +215,9 @@ def first_ply_failure(lam: Laminate, load: LoadCase,
     """
     if load.is_zero:
         raise ValueError("failure analysis needs a nonzero load")
-    h = ply_z_planes(lam)
-    sr = _iteration_sr(
-        lam,
-        load.as_vector(),
-        np.ones(lam.n_plies, dtype=bool),
-        _tw_array(lam),
-        _stress_transform_stack(np.array(lam.angles)),
-        h,
-        (h[:-1] + h[1:]) / 2.0,
-        rcond_threshold,
-    )
+    sr = _iteration_sr(stiffness_stack(lam), lam.prepared, load.as_vector(),
+                       _stress_transform_stack(np.array(lam.angles)),
+                       rcond_threshold)
     finite = sr[np.isfinite(sr)]
     if finite.size == 0:
         raise ValueError("no loaded ply: all strength ratios are infinite")
@@ -274,20 +258,19 @@ def simulate_progressive_failure(
     if load.is_zero:
         raise ValueError("failure analysis needs a nonzero load")
 
-    n = lam.n_plies
+    prep = lam.prepared
     load_vec = load.as_vector()
-    tw = _tw_array(lam)
+    intact = stiffness_stack(lam)
     t_stack = _stress_transform_stack(np.array(lam.angles))
-    h = ply_z_planes(lam)
-    z_mid = (h[:-1] + h[1:]) / 2.0
 
-    active = np.ones(n, dtype=bool)
+    active = np.ones(lam.n_plies, dtype=bool)
     rungs: list[FailureRung] = []
     history: list[tuple[float, ...]] = []
 
     while active.any():
+        stack = np.where(active[:, None, None], intact, 0.0)
         try:
-            sr = _iteration_sr(lam, load_vec, active, tw, t_stack, h, z_mid,
+            sr = _iteration_sr(stack, prep, load_vec, t_stack,
                                rcond_threshold)
         except LaminateSingularError:
             if not rungs:
@@ -300,7 +283,7 @@ def simulate_progressive_failure(
             active[:] = False
             break
 
-        history.append(tuple(float(v) for v in sr))
+        history.append(tuple(sr.tolist()))
         group = ties_at_minimum(sr)
         multiplier = min(float(sr[i]) for i in group)
         rungs.append(FailureRung(

@@ -383,6 +383,26 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "schema_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("angle", float("inf"), "layup[1].angle.value"),
+        ("angle", float("nan"), "layup[1].angle.value"),
+        ("design_sf", float("inf"), "safety.design_sf"),
+    ])
+    def test_non_finite_number_is_a_usage_error(self, tmp_path, capsys,
+                                                field, value, path):
+        doc = crossply_doc()
+        if field == "angle":
+            doc["layup"][1]["angle"]["value"] = value
+        else:
+            doc["safety"]["design_sf"] = value
+        design = write_yaml(tmp_path / "bad.yaml", doc)
+        report = tmp_path / "report.json"
+        code = main(["analyze", str(design), "-o", str(report)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"{path}: expected a finite number" in err
+        assert not report.exists()
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()

@@ -270,6 +270,32 @@ class TestValidationErrors:
                            match=r"safety\.target_sf\[1\]: must be positive"):
             parse_design(doc)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_names_field(self, doc, value):
+        doc["layup"][2]["angle"]["value"] = value
+        with pytest.raises(DesignError, match=r"layup\[2\]\.angle\.value: "
+                                              r"expected a finite number"):
+            parse_design(doc)
+
+    def test_non_finite_load_component_names_index(self, doc):
+        doc["load"]["n"]["value"][1] = math.nan
+        with pytest.raises(DesignError, match=r"load\.n\.value\[1\]: "
+                                              r"expected a finite number"):
+            parse_design(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, 10 ** 400])
+    def test_non_finite_design_sf_names_field(self, doc, value):
+        doc["safety"]["design_sf"] = value
+        with pytest.raises(DesignError, match=r"safety\.design_sf: "
+                                              r"expected a finite number"):
+            parse_design(doc)
+
+    def test_overflow_in_unit_conversion_names_field(self, doc):
+        doc["materials"]["graphite_epoxy"]["e1"] = quantity(1e300, "GPa")
+        with pytest.raises(DesignError,
+                           match=r"e1\.value: 1e\+300 is out of range"):
+            parse_design(doc)
+
 
 # =============================================================================
 # Round-tripping
@@ -315,6 +341,12 @@ class TestLoadDesign:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_design(tmp_path / "nope.yaml")
+
+    def test_pure_python_loader_reads_the_same_design(self, monkeypatch):
+        """Without libyaml the fallback loader yields an equal design."""
+        default = load_bundled_design()
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_bundled_design() == default
 
     def test_top_level_list_file(self, tmp_path):
         path = tmp_path / "list.yaml"

@@ -21,6 +21,11 @@ from plytamper.clt import (
     LoadCase,
     MaterialProperties,
     Ply,
+    assemble_abd,
+    ply_stress_state,
+    solve_midplane,
+    strength_ratio,
+    tsai_wu_params,
 )
 from plytamper.failure import (
     FailureLadder,
@@ -294,6 +299,90 @@ class TestAgainstOracle:
                 assert rung.failed_plies == tuple(plies)
                 assert rung.flagged == flagged
                 assert rung.force_multiplier == pytest.approx(mult, rel=1e-6)
+
+
+# =============================================================================
+# Rotated copies share the stack's angle-independent arrays
+# =============================================================================
+
+GLASS_EPOXY = MaterialProperties(
+    e1=38.6e9, e2=8.27e9, g12=4.14e9, nu12=0.26,
+    sigma1t_ult=1062e6, sigma1c_ult=610e6,
+    sigma2t_ult=31e6, sigma2c_ult=118e6, tau12_ult=72e6,
+)
+
+
+class TestRotatedCopies:
+    """``with_angles`` must give exactly what a freshly built stack gives."""
+
+    ANGLES = (0.0, 45.0, -30.0, 90.0, -0.0, 15.0, 60.0)
+    THICKNESS = (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3, 0.15e-3)
+    LOAD = LoadCase(n=(1000.0, -300.0, 150.0), m=(0.05, 0.0, -0.02))
+
+    @pytest.fixture
+    def lam(self, graphite_epoxy):
+        g, e = graphite_epoxy, GLASS_EPOXY
+        materials = (g, g, e, g, e, e, g)
+        return Laminate(tuple(Ply(a, t, m) for a, t, m in
+                              zip(self.ANGLES, self.THICKNESS, materials)))
+
+    @staticmethod
+    def fresh(lam, angles):
+        return Laminate(tuple(Ply(a, p.thickness, p.material)
+                              for a, p in zip(angles, lam.plies)))
+
+    @staticmethod
+    def signs(lam):
+        return [math.copysign(1.0, a) for a in lam.angles]
+
+    def assert_bitwise_equal(self, got, want):
+        mult_got, sr_got = first_ply_failure(got, self.LOAD)
+        mult_want, sr_want = first_ply_failure(want, self.LOAD)
+        assert mult_got.hex() == mult_want.hex()
+        assert sr_got.tobytes() == sr_want.tobytes()
+        ladder_got = simulate_progressive_failure(got, self.LOAD)
+        ladder_want = simulate_progressive_failure(want, self.LOAD)
+        assert ladder_got.rungs == ladder_want.rungs
+        assert [r.force_multiplier.hex() for r in ladder_got.rungs] == \
+            [r.force_multiplier.hex() for r in ladder_want.rungs]
+        assert np.array(ladder_got.sr_history).tobytes() == \
+            np.array(ladder_want.sr_history).tobytes()
+
+    @pytest.mark.parametrize("angles", [
+        (-0.0, 45.0, -31.0, 90.0, 0.0, 15.0, 61.0),
+        (0.0, 225.0, -30.0, -90.0, -0.0, 14.5, 60.0),
+    ])
+    def test_copy_matches_fresh_stack(self, lam, angles):
+        first_ply_failure(lam, self.LOAD)
+        copy = lam.with_angles(angles)
+        fresh = self.fresh(lam, angles)
+        assert copy == fresh
+        assert self.signs(copy) == self.signs(fresh)
+        assert copy.prepared is lam.prepared
+        self.assert_bitwise_equal(copy, fresh)
+
+    def test_chained_copy_matches_fresh_stack(self, lam):
+        middle = (5.0, -45.0, -0.0, 90.0, 0.0, 20.0, 60.0)
+        final = (0.0, -45.0, 0.0, 89.0, -0.0, 20.0, -60.0)
+        chained = lam.with_angles(middle).with_angles(final)
+        fresh = self.fresh(lam, final)
+        assert chained == fresh
+        assert self.signs(chained) == self.signs(fresh)
+        self.assert_bitwise_equal(chained, fresh)
+
+    def test_mixed_stack_matches_scalar_chain(self, lam):
+        """Per-ply rows of the prepared arrays line up with their plies."""
+        _, sr = first_ply_failure(lam, self.LOAD)
+        state = solve_midplane(assemble_abd(lam), self.LOAD)
+        for k, ply in enumerate(lam.plies):
+            local = ply_stress_state(lam, k, state).local_stress
+            expected = strength_ratio(local, tsai_wu_params(ply.material))
+            assert sr[k] == pytest.approx(expected, rel=1e-9)
+
+    def test_unchanged_plies_are_reused_only_with_equal_zero_sign(self, lam):
+        copy = lam.with_angles((-0.0, 45.0, -30.0, 90.0, 0.0, 16.0, 60.0))
+        reused = [new is old for new, old in zip(copy.plies, lam.plies)]
+        assert reused == [False, True, True, True, False, False, True]
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from plytamper.attack import (
     focused_attack,
     middle_out_order,
     spread_attack,
-    summarize_attack,
     target_force,
 )
 from plytamper.clt import (
@@ -123,7 +122,6 @@ __all__ = [
     "solve_midplane",
     "spread_attack",
     "strength_ratio",
-    "summarize_attack",
     "target_force",
     "transform_stiffness",
     "tsai_wu_check",

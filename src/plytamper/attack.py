@@ -40,6 +40,9 @@ from plytamper.failure import (
 #: relative distance of the stack minimum (the first-failure group).
 CRITICAL_REL_TOL = 1e-6
 
+#: Rotation of one search step, in degrees.
+STEP_DEG = 1.0
+
 DEFAULT_MAX_SWEEPS = 90
 DEFAULT_MAX_ITERATIONS = 20000
 
@@ -68,8 +71,6 @@ class AttackSpec:
     design_sf: float = 1.5
     max_sweeps: int = DEFAULT_MAX_SWEEPS
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    step_deg: float = 1.0
-    critical_rel_tol: float = CRITICAL_REL_TOL
 
     def __post_init__(self) -> None:
         if not self.design_sf > 0.0:
@@ -83,19 +84,16 @@ class AttackSpec:
             raise ValueError("attack load must be nonzero")
         if self.max_sweeps < 1 or self.max_iterations < 1:
             raise ValueError("search budgets must be at least 1")
-        if not self.step_deg > 0.0:
-            raise ValueError("step_deg must be strictly positive")
 
 
 @dataclass(frozen=True)
 class AttackResult:
     """Outcome of a tamper search, always carrying a concrete design.
 
-    On success the fields describe the tampered design that met the
-    target; on ``BUDGET_EXHAUSTED`` the best (lowest critical force) state
-    seen; on ``NO_SOLUTION``/``NO_OP`` the state the search ended in.
-    Re-simulating ``new_angles`` under the same load reproduces
-    ``achieved_multiplier`` exactly.
+    Every status reports the best (lowest critical force) state the
+    search saw; on ``SUCCESS``, ``NO_OP`` and ``NO_SOLUTION`` that is also
+    the state it ended in. Re-simulating ``new_angles`` under the same
+    load reproduces ``achieved_multiplier`` exactly.
     """
 
     attack_type: int
@@ -167,43 +165,73 @@ def middle_out_order(n_plies: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def dominant_load_component(load: LoadCase) -> float:
-    """Signed value of the load's largest-magnitude component.
+class _Search:
+    """One search's state: the current design and the best one seen.
 
-    Force resultants take precedence; moment components are consulted only
-    for a pure bending load. Ties go to the earlier axis. This is the
-    scalar that converts multipliers into reported forces.
+    Makes the first evaluation, derives the target, counts evaluations and
+    builds the :class:`AttackResult`. The strategies only choose which
+    trial rotations to evaluate and which to move to.
     """
-    n_abs = [abs(v) for v in load.n]
-    if any(v > 0.0 for v in n_abs):
-        return load.n[n_abs.index(max(n_abs))]
-    m_abs = [abs(v) for v in load.m]
-    return load.m[m_abs.index(max(m_abs))]
 
+    def __init__(self, attack_type: int, lam: Laminate, spec: AttackSpec,
+                 target_multiplier: float | None):
+        self.attack_type = attack_type
+        self.lam = lam
+        self.spec = spec
+        self.original_angles = lam.angles
+        self.mult, self.sr = first_ply_failure(lam, spec.load)
+        self.evaluations = 1
+        self.sweeps = 0
+        self.original_mult = self.mult
+        self.target_mult = (
+            target_multiplier if target_multiplier is not None
+            else self.mult * spec.target_sf / spec.design_sf)
+        self.angles = list(self.original_angles)
+        self.deltas = [0.0] * lam.n_plies
+        self.best = (self.mult, tuple(self.angles), tuple(self.deltas))
 
-def _result(attack_type: int, status: AttackStatus, lam: Laminate,
-            spec: AttackSpec, original_angles, angles, deltas,
-            original_mult: float, target_mult: float, achieved_mult: float,
-            evaluations: int, sweeps: int) -> AttackResult:
-    scalar = dominant_load_component(spec.load)
-    final = lam.with_angles(angles)
-    ladder = simulate_progressive_failure(final, spec.load)
-    return AttackResult(
-        attack_type=attack_type,
-        status=status,
-        original_angles=tuple(original_angles),
-        new_angles=final.angles,
-        deltas=tuple(deltas),
-        original_multiplier=original_mult,
-        target_multiplier=target_mult,
-        achieved_multiplier=achieved_mult,
-        original_critical_force=original_mult * scalar,
-        target_critical_force=target_mult * scalar,
-        achieved_critical_force=achieved_mult * scalar,
-        ladder=ladder,
-        evaluations=evaluations,
-        sweeps=sweeps,
-    )
+    def trial(self, ply: int, step: float):
+        """Evaluate the design with ``ply`` rotated ``step`` degrees further.
+
+        Returns the candidate's multiplier and the state :meth:`move` takes.
+        """
+        delta = self.deltas[ply] + step
+        angles = list(self.angles)
+        angles[ply] = normalize_angle(self.original_angles[ply] + delta)
+        mult, sr = first_ply_failure(self.lam.with_angles(angles),
+                                     self.spec.load)
+        self.evaluations += 1
+        return mult, (ply, delta, angles, sr)
+
+    def move(self, mult: float, state) -> None:
+        """Make a candidate from :meth:`trial` the current design."""
+        ply, delta, self.angles, self.sr = state
+        self.deltas[ply] = delta
+        self.mult = mult
+        if mult < self.best[0]:
+            self.best = (mult, tuple(self.angles), tuple(self.deltas))
+
+    def result(self, status: AttackStatus) -> AttackResult:
+        """The best state seen, with its ladder, as the search's result."""
+        mult, angles, deltas = self.best
+        _, scalar = self.spec.load.dominant_axis()
+        final = self.lam.with_angles(angles)
+        return AttackResult(
+            attack_type=self.attack_type,
+            status=status,
+            original_angles=self.original_angles,
+            new_angles=final.angles,
+            deltas=deltas,
+            original_multiplier=self.original_mult,
+            target_multiplier=self.target_mult,
+            achieved_multiplier=mult,
+            original_critical_force=self.original_mult * scalar,
+            target_critical_force=self.target_mult * scalar,
+            achieved_critical_force=mult * scalar,
+            ladder=simulate_progressive_failure(final, self.spec.load),
+            evaluations=self.evaluations,
+            sweeps=self.sweeps,
+        )
 
 
 def spread_attack(lam: Laminate, spec: AttackSpec, *,
@@ -237,52 +265,25 @@ def spread_attack(lam: Laminate, spec: AttackSpec, *,
         already meets the target, or ``BUDGET_EXHAUSTED`` carrying the
         best state found.
     """
-    n = lam.n_plies
-    original_angles = lam.angles
-    signs = tuple(-1.0 if a < 0.0 else 1.0 for a in original_angles)
-    order = middle_out_order(n)
-
-    mult, sr = first_ply_failure(lam, spec.load)
-    evaluations = 1
-    original_mult = mult
-    target_mult = (target_multiplier if target_multiplier is not None
-                   else original_mult * spec.target_sf / spec.design_sf)
-
-    deltas = [0.0] * n
-    angles = list(original_angles)
-
-    if mult <= target_mult:
-        return _result(1, AttackStatus.NO_OP, lam, spec, original_angles,
-                       angles, deltas, original_mult, target_mult, mult,
-                       evaluations, 0)
-
-    best_mult = mult
-    best_angles = tuple(angles)
-    best_deltas = tuple(deltas)
+    search = _Search(1, lam, spec, target_multiplier)
+    if search.mult <= search.target_mult:
+        return search.result(AttackStatus.NO_OP)
+    signs = tuple(-1.0 if a < 0.0 else 1.0 for a in search.original_angles)
+    order = middle_out_order(lam.n_plies)
 
     for sweep in range(1, spec.max_sweeps + 1):
-        critical = ties_at_minimum(sr, spec.critical_rel_tol)
+        search.sweeps = sweep
+        critical = ties_at_minimum(search.sr, CRITICAL_REL_TOL)
         for ply in order:
             if ply not in critical:
                 continue
-            deltas[ply] += spec.step_deg * signs[ply]
-            angles[ply] = normalize_angle(original_angles[ply] + deltas[ply])
-            mult, sr = first_ply_failure(lam.with_angles(angles), spec.load)
-            evaluations += 1
-            critical = ties_at_minimum(sr, spec.critical_rel_tol)
-            if mult < best_mult:
-                best_mult = mult
-                best_angles = tuple(angles)
-                best_deltas = tuple(deltas)
-            if mult <= target_mult:
-                return _result(1, AttackStatus.SUCCESS, lam, spec,
-                               original_angles, angles, deltas,
-                               original_mult, target_mult, mult,
-                               evaluations, sweep)
-
-    return _result(1, AttackStatus.BUDGET_EXHAUSTED, lam, spec,
-                   original_angles, best_angles, best_deltas, original_mult,
-                   target_mult, best_mult, evaluations, spec.max_sweeps)
+            search.move(*search.trial(ply, STEP_DEG * signs[ply]))
+            critical = ties_at_minimum(search.sr, CRITICAL_REL_TOL)
+            # Every earlier state was above the target, so this one is
+            # also the best.
+            if search.mult <= search.target_mult:
+                return search.result(AttackStatus.SUCCESS)
+    return search.result(AttackStatus.BUDGET_EXHAUSTED)
 
 
 def focused_attack(lam: Laminate, spec: AttackSpec, *,
@@ -299,105 +300,42 @@ def focused_attack(lam: Laminate, spec: AttackSpec, *,
     no workable ply remains the search reports ``NO_SOLUTION``.
 
     Every critical-force evaluation (probes included) counts against
-    ``spec.max_iterations``.
+    ``spec.max_iterations``. The search moves only on a strict
+    improvement, so its current state is always its best.
 
     Parameters are as for :func:`spread_attack`.
     """
-    n = lam.n_plies
-    original_angles = lam.angles
-    order = middle_out_order(n)
-
-    mult, sr = first_ply_failure(lam, spec.load)
-    evaluations = 1
-    original_mult = mult
-    target_mult = (target_multiplier if target_multiplier is not None
-                   else original_mult * spec.target_sf / spec.design_sf)
-
-    deltas = [0.0] * n
-    angles = list(original_angles)
-
-    if mult <= target_mult:
-        return _result(2, AttackStatus.NO_OP, lam, spec, original_angles,
-                       angles, deltas, original_mult, target_mult, mult,
-                       evaluations, 0)
-
+    search = _Search(2, lam, spec, target_multiplier)
+    if search.mult <= search.target_mult:
+        return search.result(AttackStatus.NO_OP)
+    order = middle_out_order(lam.n_plies)
     processed: set[int] = set()
 
-    def evaluate(ply: int, delta: float):
-        trial = list(angles)
-        trial[ply] = normalize_angle(original_angles[ply] + delta)
-        return first_ply_failure(lam.with_angles(trial), spec.load), trial
-
     while True:
-        critical = ties_at_minimum(sr, spec.critical_rel_tol)
+        critical = ties_at_minimum(search.sr, CRITICAL_REL_TOL)
         ply = next((p for p in order
                     if p not in processed and p in critical), None)
         if ply is None:
-            return _result(2, AttackStatus.NO_SOLUTION, lam, spec,
-                           original_angles, angles, deltas, original_mult,
-                           target_mult, mult, evaluations, 0)
+            return search.result(AttackStatus.NO_SOLUTION)
 
-        direction = 0.0
-        for trial_dir in (spec.step_deg, -spec.step_deg):
-            if evaluations >= spec.max_iterations:
-                return _result(2, AttackStatus.BUDGET_EXHAUSTED, lam, spec,
-                               original_angles, angles, deltas,
-                               original_mult, target_mult, mult,
-                               evaluations, 0)
-            (trial_mult, trial_sr), trial_angles = evaluate(
-                ply, deltas[ply] + trial_dir)
-            evaluations += 1
-            if trial_mult < mult:
-                direction = trial_dir
-                deltas[ply] += trial_dir
-                angles = trial_angles
-                mult, sr = trial_mult, trial_sr
+        for step in (STEP_DEG, -STEP_DEG):
+            moved = False
+            while True:
+                if search.evaluations >= spec.max_iterations:
+                    return search.result(AttackStatus.BUDGET_EXHAUSTED)
+                mult, state = search.trial(ply, step)
+                if not mult < search.mult:
+                    break
+                search.move(mult, state)
+                moved = True
+            if moved:
                 break
 
-        if direction != 0.0:
-            while True:
-                if evaluations >= spec.max_iterations:
-                    return _result(2, AttackStatus.BUDGET_EXHAUSTED, lam,
-                                   spec, original_angles, angles, deltas,
-                                   original_mult, target_mult, mult,
-                                   evaluations, 0)
-                (trial_mult, trial_sr), trial_angles = evaluate(
-                    ply, deltas[ply] + direction)
-                evaluations += 1
-                if trial_mult >= mult:
-                    break
-                deltas[ply] += direction
-                angles = trial_angles
-                mult, sr = trial_mult, trial_sr
-
         processed.add(ply)
-        if mult <= target_mult:
-            return _result(2, AttackStatus.SUCCESS, lam, spec,
-                           original_angles, angles, deltas, original_mult,
-                           target_mult, mult, evaluations, 0)
+        if search.mult <= search.target_mult:
+            return search.result(AttackStatus.SUCCESS)
 
 
 #: CLI-facing numbering of the two strategies.
 ATTACK_TYPES = {1: spread_attack, 2: focused_attack}
 
-
-def summarize_attack(original: Laminate, result: AttackResult) -> str:
-    """Render an attack result as a deterministic, re-parseable table."""
-    lines = [
-        f"attack type      : {result.attack_type}",
-        f"status           : {result.status.value}",
-        f"plies            : {len(result.deltas)}",
-        f"altered          : {result.altered_count}",
-        f"unaltered        : {len(result.deltas) - result.altered_count}",
-        f"max pos deviation: {result.max_pos_dev:.10g}",
-        f"max neg deviation: {result.max_neg_dev:.10g}",
-        f"original force   : {result.original_critical_force:.10g}",
-        f"target force     : {result.target_critical_force:.10g}",
-        f"achieved force   : {result.achieved_critical_force:.10g}",
-        "",
-        f"{'ply':>4} {'original':>12} {'new':>12} {'delta':>12}",
-    ]
-    for i, (old, new, d) in enumerate(zip(result.original_angles,
-                                          result.new_angles, result.deltas)):
-        lines.append(f"{i:>4} {old:>12.10g} {new:>12.10g} {d:>+12.10g}")
-    return "\n".join(lines)

@@ -27,7 +27,11 @@ from pathlib import Path
 
 from plytamper import __version__
 from plytamper.attack import ATTACK_TYPES, AttackSpec, AttackStatus
-from plytamper.clt import LaminateSingularError, StrengthRatioRootError
+from plytamper.clt import (
+    LaminateSingularError,
+    NoLoadedPlyError,
+    StrengthRatioRootError,
+)
 from plytamper.designfile import (
     DesignError,
     DesignFile,
@@ -233,7 +237,8 @@ def main(argv=None) -> int:
     except DesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LaminateSingularError, StrengthRatioRootError) as exc:
+    except (LaminateSingularError, NoLoadedPlyError,
+            StrengthRatioRootError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except json.JSONDecodeError as exc:

@@ -29,7 +29,7 @@ the strength parameters; ``H22`` is used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -37,6 +37,10 @@ import numpy as np
 
 class LaminateSingularError(ArithmeticError):
     """The assembled laminate system is singular (laminate has collapsed)."""
+
+
+class NoLoadedPlyError(ArithmeticError):
+    """No surviving ply carries stress: every strength ratio is infinite."""
 
 
 class StrengthRatioRootError(ArithmeticError):
@@ -93,10 +97,12 @@ class MaterialProperties:
     tau12_ult: float
 
     def __post_init__(self) -> None:
-        for name in ("e1", "e2", "g12", "sigma1t_ult", "sigma1c_ult",
-                     "sigma2t_ult", "sigma2c_ult", "tau12_ult"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+            if field.name != "nu12" and not value > 0.0:
+                raise ValueError(f"{field.name} must be strictly positive")
         if 1.0 - self.nu12 * self.nu21 <= 0.0:
             raise ValueError(
                 "unstable material: 1 - nu12*nu21 must be positive "
@@ -126,6 +132,11 @@ class Ply:
     material: MaterialProperties
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.angle):
+            raise ValueError(f"ply angle must be finite, got {self.angle!r}")
+        if not math.isfinite(self.thickness):
+            raise ValueError(
+                f"ply thickness must be finite, got {self.thickness!r}")
         if not self.thickness > 0.0:
             raise ValueError("ply thickness must be strictly positive")
         object.__setattr__(self, "angle", normalize_angle(self.angle))
@@ -249,10 +260,29 @@ class LoadCase:
         object.__setattr__(self, "m", tuple(float(v) for v in self.m))
         if len(self.n) != 3 or len(self.m) != 3:
             raise ValueError("n and m must each have three components")
+        for name in ("n", "m"):
+            values = getattr(self, name)
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"load {name} must be finite, got {values}")
 
     @property
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.n) and all(v == 0.0 for v in self.m)
+
+    def dominant_axis(self) -> tuple[str, float]:
+        """Label and signed value of the largest-magnitude component.
+
+        Force resultants take precedence; moments are consulted only for a
+        pure bending load. Ties go to the earlier axis. The value converts
+        search multipliers into reported forces.
+        """
+        if any(self.n):
+            labels, values = ("Nx", "Ny", "Nxy"), self.n
+        else:
+            labels, values = ("Mx", "My", "Mxy"), self.m
+        magnitudes = [abs(v) for v in values]
+        i = magnitudes.index(max(magnitudes))
+        return labels[i], values[i]
 
     def as_vector(self) -> np.ndarray:
         """The stacked (N, M) right-hand side of the laminate system."""

@@ -133,11 +133,27 @@ def _require_mapping(node, path: str) -> dict:
     return node
 
 
+def _exponent_hint(node) -> str:
+    """Advice for an exponent float that YAML 1.1 resolved as a string.
+
+    The resolver wants a dot in the mantissa and a sign in the exponent:
+    ``1.25e-4`` is a float, ``125e-6`` and ``1.0e3`` are strings.
+    """
+    if not isinstance(node, str) or "e" not in node.lower():
+        return ""
+    try:
+        float(node)
+    except ValueError:
+        return ""
+    return (f" ({node!r}); write exponent floats with a dot in the "
+            f"mantissa and a sign in the exponent, e.g. 1.25e-4")
+
+
 def _number(node, path: str) -> float:
     # bool is an int subclass; a bare "true" in a numeric slot is a typo
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise DesignError(f"{path}: expected a number, got "
-                          f"{type(node).__name__}")
+                          f"{type(node).__name__}{_exponent_hint(node)}")
     try:
         value = float(node)
     except OverflowError:  # an int beyond the float range

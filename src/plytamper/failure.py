@@ -25,6 +25,7 @@ from plytamper.clt import (
     Laminate,
     LaminateSingularError,
     LoadCase,
+    NoLoadedPlyError,
     PreparedStack,
     RCOND_COLLAPSED,
     StrengthRatioRootError,
@@ -93,13 +94,15 @@ def ties_at_minimum(sr_values, rel_tol: float = TIE_REL_TOL) -> set[int]:
 
     An entry ties when ``v - low <= rel_tol * low`` for the finite minimum
     ``low``. Infinite entries (unloaded or failed plies) are skipped.
-    Raises ValueError when every entry is infinite — nothing carries load.
+    Raises NoLoadedPlyError when every entry is infinite — nothing carries
+    load.
     """
     values = np.asarray(sr_values, dtype=float)
     finite = np.isfinite(values)
     low = values.min(where=finite, initial=np.inf)
     if low == np.inf:
-        raise ValueError("no loaded ply: all strength ratios are infinite")
+        raise NoLoadedPlyError(
+            "no loaded ply: all strength ratios are infinite")
     ties = finite & (values - low <= rel_tol * low)
     return set(np.flatnonzero(ties).tolist())
 
@@ -220,7 +223,8 @@ def first_ply_failure(lam: Laminate, load: LoadCase,
                        rcond_threshold)
     finite = sr[np.isfinite(sr)]
     if finite.size == 0:
-        raise ValueError("no loaded ply: all strength ratios are infinite")
+        raise NoLoadedPlyError(
+            "no loaded ply: all strength ratios are infinite")
     return float(finite.min()), sr
 
 
@@ -254,6 +258,8 @@ def simulate_progressive_failure(
         For an all-zero load.
     LaminateSingularError
         If the intact laminate is already singular.
+    NoLoadedPlyError
+        If an iteration leaves surviving plies that carry no stress.
     """
     if load.is_zero:
         raise ValueError("failure analysis needs a nonzero load")

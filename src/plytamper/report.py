@@ -26,24 +26,6 @@ from plytamper.failure import (
 
 REPORT_SCHEMA_VERSION = 1
 
-_N_LABELS = ("Nx", "Ny", "Nxy")
-_M_LABELS = ("Mx", "My", "Mxy")
-
-
-def dominant_axis(load) -> tuple[str, float]:
-    """Label and signed value of the load's largest-magnitude component.
-
-    Mirrors the force-reporting convention of the attack module: force
-    resultants win over moments, ties go to the earlier axis.
-    """
-    n_abs = [abs(v) for v in load.n]
-    if any(v > 0.0 for v in n_abs):
-        i = n_abs.index(max(n_abs))
-        return _N_LABELS[i], load.n[i]
-    m_abs = [abs(v) for v in load.m]
-    i = m_abs.index(max(m_abs))
-    return _M_LABELS[i], load.m[i]
-
 
 def _finite_or_none(value: float):
     return value if math.isfinite(value) else None
@@ -61,7 +43,7 @@ def ladder_block(ladder: FailureLadder,
     stress (and therefore an unbounded strength ratio) appear as null in
     ``initial_strength_ratios``.
     """
-    axis, scalar = dominant_axis(ladder.load)
+    axis, scalar = ladder.load.dominant_axis()
     mode = classify_failure_mode(ladder, gap_ratio_threshold)
     rungs = []
     cumulative = 0
@@ -264,7 +246,7 @@ def render_report_text(report: dict) -> str:
                                       "original laminate"))
         lines.extend(_constants_lines(block["attacked_constants"],
                                       "attacked laminate"))
-        lines.append(f"effective flexural modulus : "
+        lines.append(f"effective membrane modulus : "
                      f"{block['e_effective_original']:.10g} -> "
                      f"{block['e_effective_attacked']:.10g} Pa")
         lines.append(f"frequency ratio (orig/attacked) : "

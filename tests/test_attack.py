@@ -22,14 +22,14 @@ from plytamper.attack import (
     AttackResult,
     AttackSpec,
     AttackStatus,
-    dominant_load_component,
     focused_attack,
     middle_out_order,
     spread_attack,
-    summarize_attack,
     target_force,
 )
+from plytamper.designfile import load_bundled_design
 from plytamper.failure import first_ply_failure
+from plytamper.report import attack_block, render_report_text
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +212,12 @@ class TestAttackSpec:
         with pytest.raises(ValueError):
             make_spec(1.0, max_iterations=0)
 
+    @pytest.mark.parametrize("knob", ["step_deg", "critical_rel_tol"])
+    def test_step_and_tolerance_are_not_settable(self, knob):
+        """Both searches step one degree and share one critical tolerance."""
+        with pytest.raises(TypeError, match=knob):
+            make_spec(1.0, **{knob: 1.0})
+
 
 class TestTargetForce:
 
@@ -234,16 +240,17 @@ class TestTargetForce:
 
 
 class TestDominantLoadComponent:
+    """``LoadCase.dominant_axis`` converts multipliers into reported forces."""
 
     def test_picks_largest_force_magnitude(self):
-        assert dominant_load_component(LoadCase(n=(1.0, -3.0, 2.0))) == -3.0
+        assert LoadCase(n=(1.0, -3.0, 2.0)).dominant_axis() == ("Ny", -3.0)
 
     def test_tie_goes_to_first_axis(self):
-        assert dominant_load_component(LoadCase(n=(2.0, -2.0, 0.0))) == 2.0
+        assert LoadCase(n=(2.0, -2.0, 0.0)).dominant_axis() == ("Nx", 2.0)
 
     def test_falls_back_to_moments(self):
         load = LoadCase(n=(0.0, 0.0, 0.0), m=(0.0, 0.5, -0.2))
-        assert dominant_load_component(load) == 0.5
+        assert load.dominant_axis() == ("My", 0.5)
 
 
 # =============================================================================
@@ -480,6 +487,21 @@ class TestAttackResult:
         assert ATTACK_TYPES[1] is spread_attack
         assert ATTACK_TYPES[2] is focused_attack
 
+    @pytest.mark.parametrize("attack_type, status, evaluations, sweeps", [
+        (1, "budget_exhausted", 92, 90),
+        (2, "success", 91, 0),
+    ])
+    def test_bundled_evaluation_accounting(self, attack_type, status,
+                                           evaluations, sweeps):
+        """Reports carry these counts; the focused search probes the
+        second direction only when the first one did not move the ply."""
+        design = load_bundled_design()
+        result = ATTACK_TYPES[attack_type](
+            design.laminate(),
+            AttackSpec(design.load, 1.0, design_sf=design.design_sf))
+        assert (result.status.value, result.evaluations,
+                result.sweeps) == (status, evaluations, sweeps)
+
     def test_deviation_bookkeeping(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0, 0, 0])
         base = focused_attack(lam, make_spec(1.0))
@@ -503,10 +525,12 @@ class TestAttackResult:
     def test_summary_round_trips(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0] * 8)
         result = focused_attack(lam, make_spec(1.0))
-        text = summarize_attack(lam, result)
+        text = render_attack_text(result)
         fields = {}
         rows = []
         for line in text.splitlines():
+            if line == "tampered-design failure ladder:":
+                break
             if ":" in line and not line.lstrip().startswith("ply"):
                 key, value = line.split(":", 1)
                 fields[key.strip()] = value.strip()
@@ -530,9 +554,16 @@ class TestAttackResult:
         mult, _ = first_ply_failure(lam, AXIAL)
         result = spread_attack(lam, make_spec(1.0),
                                target_multiplier=mult * 1.5)
-        text = summarize_attack(lam, result)
+        text = render_attack_text(result)
         assert "altered          : 0" in text
         assert "unaltered        : 2" in text
+
+
+def render_attack_text(result):
+    """The text report of one attack run, as the CLI prints it."""
+    report = {"command": "attack", "tool_version": "test", "inputs": {},
+              "attacks": [attack_block(result, 1.5, 1.0)]}
+    return render_report_text(report)
 
 
 if __name__ == "__main__":

@@ -270,6 +270,16 @@ class TestDetect:
         assert (block["e_effective_attacked"]
                 != block["e_effective_original"])
 
+    def test_text_names_the_membrane_modulus(self, crossply_file, tmp_path,
+                                             capsys):
+        """The effective modulus comes from the membrane A block only."""
+        code = main(["detect", str(crossply_file), str(crossply_file),
+                     "-o", str(tmp_path / "report.json")])
+        assert code == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "effective membrane modulus : " in stdout
+        assert "flexural" not in stdout
+
     def test_ply_count_difference_is_rejected(self, crossply_file, tmp_path,
                                               capsys):
         doc = crossply_doc()
@@ -402,6 +412,31 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert f"{path}: expected a finite number" in err
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", [["analyze"],
+                                         ["attack", "--type", "2"]])
+    def test_unloaded_survivor_is_a_numerical_failure(self, tmp_path,
+                                                      capsys, command):
+        """The ladder's last survivor carries no stress under this bending
+        load, so no strength ratio is finite."""
+        doc = crossply_doc()
+        angles = (90, 15, 60, -30, 60, 90, -90, 0, -30, -90, -75, -45)
+        doc["layup"] = [dict(doc["layup"][0],
+                             angle={"value": float(a), "unit": "deg"})
+                        for a in angles]
+        doc["load"] = {
+            "n": {"value": [0.0, 0.0, 0.0], "unit": "N/m"},
+            "m": {"value": [0.7172838643318087, -0.7464900405633892,
+                            -0.4064844632211011], "unit": "N"},
+        }
+        design = write_yaml(tmp_path / "bending.yaml", doc)
+        report = tmp_path / "report.json"
+        code = main([command[0], str(design), *command[1:],
+                     "-o", str(report)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: no loaded ply" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bending.yaml"]
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -213,6 +213,30 @@ class TestLoadCase:
             LoadCase(n=(1.0, 0.0))
 
 
+# Each case builds one domain record with a single non-finite field.
+_MATERIAL = dict(e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
+                 sigma1t_ult=1500e6, sigma1c_ult=1500e6,
+                 sigma2t_ult=40e6, sigma2c_ult=246e6, tau12_ult=68e6)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: MaterialProperties(**dict(_MATERIAL, e1=math.inf)), "e1"),
+    (lambda: MaterialProperties(**dict(_MATERIAL, nu12=math.nan)), "nu12"),
+    (lambda: MaterialProperties(**dict(_MATERIAL, sigma1t_ult=math.inf)),
+     "sigma1t_ult"),
+    (lambda: Ply(0.0, math.inf, MaterialProperties(**_MATERIAL)),
+     "thickness"),
+    (lambda: Ply(math.nan, 1e-4, MaterialProperties(**_MATERIAL)), "angle"),
+    (lambda: Ply(math.inf, 1e-4, MaterialProperties(**_MATERIAL)), "angle"),
+    (lambda: LoadCase(n=(math.nan, 0.0, 0.0)), "load n"),
+    (lambda: LoadCase(n=(1.0, 0.0, 0.0), m=(0.0, -math.inf, 0.0)),
+     "load m"),
+])
+def test_non_finite_value_rejected_naming_field(build, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        build()
+
+
 # =============================================================================
 # Stiffness construction and rotation
 # =============================================================================

@@ -290,6 +290,27 @@ class TestValidationErrors:
                                               r"expected a finite number"):
             parse_design(doc)
 
+    @pytest.mark.parametrize("text", ["125e-6", "1.0e3", "1e+3"])
+    def test_yaml_11_exponent_string_gets_a_hint(self, doc, text):
+        """YAML 1.1 needs a dot in the mantissa and a sign in the exponent."""
+        value = yaml.safe_load(text)
+        assert isinstance(value, str)
+        doc["layup"][0]["thickness"]["value"] = value
+        with pytest.raises(DesignError) as excinfo:
+            parse_design(doc)
+        message = str(excinfo.value)
+        assert message.startswith("layup[0].thickness.value: expected a "
+                                  "number, got str")
+        assert "e.g. 1.25e-4" in message
+        assert isinstance(yaml.safe_load("1.25e-4"), float)
+
+    def test_plain_string_gets_no_exponent_hint(self, doc):
+        doc["layup"][0]["thickness"]["value"] = "thin"
+        with pytest.raises(DesignError) as excinfo:
+            parse_design(doc)
+        assert str(excinfo.value) == ("layup[0].thickness.value: expected "
+                                      "a number, got str")
+
     def test_overflow_in_unit_conversion_names_field(self, doc):
         doc["materials"]["graphite_epoxy"]["e1"] = quantity(1e300, "GPa")
         with pytest.raises(DesignError,

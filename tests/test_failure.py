@@ -19,6 +19,7 @@ from plytamper.clt import (
     Laminate,
     LaminateSingularError,
     LoadCase,
+    NoLoadedPlyError,
     MaterialProperties,
     Ply,
     assemble_abd,
@@ -78,7 +79,7 @@ class TestTiesAtMinimum:
         assert ties_at_minimum([math.inf, 2.0, math.inf]) == {1}
 
     def test_all_infinite_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NoLoadedPlyError):
             ties_at_minimum([math.inf, math.inf])
 
 
@@ -121,6 +122,23 @@ class TestCrossPlyLadder:
 
 
 class TestLadderBehaviour:
+
+    def test_unloaded_survivor_is_a_numerical_failure(self, graphite_epoxy):
+        """After 11 rungs only ply 7 survives, and it carries no stress.
+
+        Its system is well conditioned (rcond about 5e-11), but its
+        mid-thickness stress is exactly zero, so no strength ratio is
+        finite. The independent oracle stops at the same point.
+        """
+        angles = [90, 15, 60, -30, 60, 90, -90, 0, -30, -90, -75, -45]
+        m = (0.7172838643318087, -0.7464900405633892, -0.4064844632211011)
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+        with pytest.raises(NoLoadedPlyError):
+            simulate_progressive_failure(lam, LoadCase(n=(0.0, 0.0, 0.0),
+                                                       m=m))
+        with pytest.raises(ArithmeticError, match="no loaded ply"):
+            ladder_oracle.failure_ladder(ORACLE_MATERIAL, [0.125e-3] * 12,
+                                         angles, (0.0, 0.0, 0.0), m)
 
     def test_rungs_need_not_increase(self, graphite_epoxy):
         """Load redistribution can drop the next rung below the last.
@@ -236,6 +254,13 @@ class TestFirstPlyFailure:
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [0])
         with pytest.raises(ValueError):
             first_ply_failure(lam, LoadCase(n=(0.0, 0.0, 0.0)))
+
+    def test_unstressed_single_ply_raises(self, graphite_epoxy):
+        """Pure bending leaves a lone ply's mid-plane exactly unstressed."""
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [30])
+        with pytest.raises(NoLoadedPlyError):
+            first_ply_failure(lam, LoadCase(n=(0.0, 0.0, 0.0),
+                                            m=(1.0, 0.0, 0.0)))
 
 
 # =============================================================================

@@ -30,20 +30,14 @@ from plytamper.clt import (
     LaminateSingularError,
     LoadCase,
     MaterialProperties,
-    MidplaneState,
     Ply,
-    PlyStressState,
     StrengthRatioRootError,
     TsaiWuParams,
     assemble_abd,
     normalize_angle,
-    ply_stress_state,
     ply_z_planes,
     reduced_stiffness,
-    solve_midplane,
-    strength_ratio,
     transform_stiffness,
-    tsai_wu_check,
     tsai_wu_params,
 )
 from plytamper.designfile import (
@@ -93,10 +87,8 @@ __all__ = [
     "LaminateSingularError",
     "LoadCase",
     "MaterialProperties",
-    "MidplaneState",
     "Ply",
     "PlyRecord",
-    "PlyStressState",
     "StrengthRatioRootError",
     "TsaiWuParams",
     "assemble_abd",
@@ -115,16 +107,12 @@ __all__ = [
     "normalize_angle",
     "parse_design",
     "save_design",
-    "ply_stress_state",
     "ply_z_planes",
     "reduced_stiffness",
     "simulate_progressive_failure",
-    "solve_midplane",
     "spread_attack",
-    "strength_ratio",
     "target_force",
     "transform_stiffness",
-    "tsai_wu_check",
     "tsai_wu_params",
     "__version__",
 ]

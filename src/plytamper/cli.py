@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -70,6 +71,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="plytamper",
@@ -84,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("design", help="design file (YAML)")
     p.add_argument("-o", "--output", required=True,
                    help="report file to write (JSON)")
-    p.add_argument("--gap-threshold", type=float,
+    p.add_argument("--gap-threshold", type=_finite_float,
                    default=GAP_RATIO_THRESHOLD,
                    help="relative first-to-last force gap below which a "
                         "ladder is classified catastrophic "
@@ -103,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="search budget: sweeps for type 1 (default 90), "
                         "ladder evaluations for type 2 (default 20000)")
-    p.add_argument("--gap-threshold", type=float,
+    p.add_argument("--gap-threshold", type=_finite_float,
                    default=GAP_RATIO_THRESHOLD,
                    help="classification threshold for the tampered "
                         "ladder (default: %(default)s)")
@@ -164,7 +176,8 @@ def _cmd_attack(args) -> int:
         else:
             budget["max_iterations"] = args.budget
 
-    blocks = []
+    # Search every target before writing: one that raises leaves no files.
+    blocks, tampered = [], []
     for target_sf in targets:
         spec = AttackSpec(design.load, target_sf,
                           design_sf=design.design_sf, **budget)
@@ -173,15 +186,17 @@ def _cmd_attack(args) -> int:
                              args.gap_threshold)
         tampered_path = _tampered_design_path(args.output,
                                               args.attack_type, target_sf)
-        save_design(design.with_layup_angles(result.new_angles),
-                    tampered_path)
         block["tampered_design_file"] = tampered_path.name
         blocks.append(block)
+        tampered.append((design.with_layup_angles(result.new_angles),
+                         tampered_path))
 
     report = make_report("attack",
                          {"design": design_to_mapping(design)},
                          {"attacks": blocks})
     write_report(report, args.output)
+    for tampered_design, tampered_path in tampered:
+        save_design(tampered_design, tampered_path)
     sys.stdout.write(render_report_text(report))
     ok = all(AttackStatus(b["status"]) in _OK_STATUSES for b in blocks)
     return EXIT_OK if ok else EXIT_NUMERICAL

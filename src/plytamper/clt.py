@@ -1,10 +1,11 @@
 """Classical laminate theory for thin composite stacks under in-plane loads.
 
-Implements the standard CLT chain for a laminate built from unidirectional
-plies: reduced stiffness [Q] of a lamina in its fiber axes, rotation into
-laminate axes [Qbar], A/B/D assembly over the stack, the mid-plane
-strain/curvature solution for applied force and moment resultants, per-ply
-stress recovery at the ply mid-thickness, and Tsai-Wu strength ratios.
+Builds the stiffness side of the CLT chain for a laminate of
+unidirectional plies: reduced stiffness [Q] of a lamina in its fiber axes,
+rotation into laminate axes [Qbar], and A/B/D assembly over the stack,
+plus the Tsai-Wu strength parameters of each material. The mid-plane
+solve, the per-ply stress recovery and the Tsai-Wu strength ratios live
+in :mod:`plytamper.failure`, the one evaluation chain behind every report.
 
 Formulation follows the usual textbook treatment (e.g. A. K. Kaw,
 *Mechanics of Composite Materials*, 2nd ed., CRC Press, 2006).
@@ -19,11 +20,6 @@ Conventions used throughout:
   the same ply).
 * Units are SI: Pa, m, N/m for force resultants, N*m/m for moment
   resultants. File loaders are responsible for unit conversion.
-
-One deliberate deviation from a common misprint: the quadratic transverse
-term of the Tsai-Wu polynomial is ``H22 * sigma2**2``. Some printed sources
-typeset ``H11`` on that term, which is inconsistent with the definition of
-the strength parameters; ``H22`` is used here.
 """
 
 from __future__ import annotations
@@ -301,48 +297,18 @@ class AbdMatrices:
     b: np.ndarray   # 3x3, N
     d: np.ndarray   # 3x3, N*m
 
-    def as_matrix(self) -> np.ndarray:
-        """The full 6x6 system matrix [[A, B], [B, D]]."""
-        top = np.hstack([self.a, self.b])
-        bottom = np.hstack([self.b, self.d])
-        return np.vstack([top, bottom])
-
-
-@dataclass(frozen=True)
-class MidplaneState:
-    """Mid-plane strains (dimensionless) and curvatures (1/m)."""
-
-    strain0: np.ndarray    # (eps_x0, eps_y0, gamma_xy0)
-    curvature: np.ndarray  # (k_x, k_y, k_xy)
-
-
-@dataclass(frozen=True)
-class PlyStressState:
-    """Strain and stress of one ply, in laminate (x-y) and fiber (1-2) axes.
-
-    Evaluated at the ply's mid-thickness coordinate ``z``. Shear strains are
-    engineering shear strains.
-    """
-
-    global_strain: np.ndarray   # (eps_x, eps_y, gamma_xy)
-    global_stress: np.ndarray   # (sigma_x, sigma_y, tau_xy), Pa
-    local_strain: np.ndarray    # (eps_1, eps_2, gamma_12)
-    local_stress: np.ndarray    # (sigma_1, sigma_2, tau_12), Pa
-    z: float                    # m, positive downward
-
 
 @dataclass(frozen=True)
 class TsaiWuParams:
     """Tsai-Wu strength parameters of a lamina.
 
-    h6 is identically zero (shear strength is direction-independent in the
-    1-2 plane); h11, h22, h66 are positive; h12 is the usual negative
-    interaction term -0.5*sqrt(h11*h22).
+    There is no linear shear term: shear strength is direction-independent
+    in the 1-2 plane. h11, h22, h66 are positive; h12 is the usual
+    negative interaction term -0.5*sqrt(h11*h22).
     """
 
     h1: float
     h2: float
-    h6: float
     h11: float
     h22: float
     h66: float
@@ -350,7 +316,7 @@ class TsaiWuParams:
 
 
 # =============================================================================
-# Stiffness construction and rotation
+# Lamina constants and rotation
 # =============================================================================
 
 #: Reuter matrix: converts engineering shear strain to tensor form and back.
@@ -384,6 +350,18 @@ def reduced_stiffness(mat: MaterialProperties) -> np.ndarray:
     ])
 
 
+@lru_cache(maxsize=None)
+def tsai_wu_params(mat: MaterialProperties) -> TsaiWuParams:
+    """Tsai-Wu strength parameters from the five ultimate strengths."""
+    h1 = 1.0 / mat.sigma1t_ult - 1.0 / mat.sigma1c_ult
+    h2 = 1.0 / mat.sigma2t_ult - 1.0 / mat.sigma2c_ult
+    h11 = 1.0 / (mat.sigma1t_ult * mat.sigma1c_ult)
+    h22 = 1.0 / (mat.sigma2t_ult * mat.sigma2c_ult)
+    h66 = 1.0 / mat.tau12_ult ** 2
+    h12 = -0.5 * math.sqrt(h11 * h22)
+    return TsaiWuParams(h1=h1, h2=h2, h11=h11, h22=h22, h66=h66, h12=h12)
+
+
 def transformation_matrix(angle_deg: float) -> np.ndarray:
     """Stress transformation matrix [T] for a rotation of ``angle_deg``.
 
@@ -398,15 +376,6 @@ def transformation_matrix(angle_deg: float) -> np.ndarray:
         [s * s, c * c, -2.0 * s * c],
         [-s * c, s * c, c * c - s * s],
     ])
-
-
-def strain_transformation_matrix(angle_deg: float) -> np.ndarray:
-    """Engineering-strain transformation [R][T][R]^-1 for ``angle_deg``.
-
-    Maps laminate-axis engineering strain to fiber-axis engineering strain.
-    """
-    t = transformation_matrix(angle_deg)
-    return np.linalg.multi_dot([REUTER, t, _REUTER_INV])
 
 
 def transform_stiffness(q: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -441,7 +410,7 @@ def ply_stiffness(mat: MaterialProperties, angle_deg: float) -> np.ndarray:
 
 
 # =============================================================================
-# Laminate assembly and solution
+# Laminate assembly
 # =============================================================================
 
 def ply_z_planes(lam: Laminate) -> np.ndarray:
@@ -453,31 +422,13 @@ def ply_z_planes(lam: Laminate) -> np.ndarray:
     return lam.prepared.h
 
 
-def stiffness_stack(lam: Laminate, active=None) -> np.ndarray:
-    """Per-ply [Qbar] as an (n, 3, 3) array; deactivated plies are zeroed.
-
-    A ply with ``active[k] == False`` has failed: it contributes nothing to
-    the stiffness but still occupies its z band (geometry never changes).
-    """
-    stack = np.array([ply_stiffness(p.material, p.angle) for p in lam.plies])
-    if active is not None:
-        active = np.asarray(active, dtype=bool)
-        if active.shape != (lam.n_plies,):
-            raise ValueError("active mask length does not match ply count")
-        stack = np.where(active[:, None, None], stack, 0.0)
-    return stack
+def stiffness_stack(lam: Laminate) -> np.ndarray:
+    """Per-ply [Qbar] as an (n, 3, 3) array, top to bottom."""
+    return np.array([ply_stiffness(p.material, p.angle) for p in lam.plies])
 
 
-def assemble_abd(lam: Laminate, active=None) -> AbdMatrices:
+def assemble_abd(lam: Laminate) -> AbdMatrices:
     """Assemble the A, B, D stiffness matrices of a laminate.
-
-    Parameters
-    ----------
-    lam : Laminate
-        The stack to assemble.
-    active : sequence of bool, optional
-        Per-ply activity mask. Inactive (failed) plies contribute a zero
-        [Qbar]; the z planes are unchanged. Defaults to all active.
 
     Returns
     -------
@@ -486,8 +437,7 @@ def assemble_abd(lam: Laminate, active=None) -> AbdMatrices:
         B = 1/2 sum Qbar_k (h_k^2 - h_{k-1}^2),
         D = 1/3 sum Qbar_k (h_k^3 - h_{k-1}^3).
     """
-    return AbdMatrices(*abd_blocks(stiffness_stack(lam, active),
-                                   lam.prepared))
+    return AbdMatrices(*abd_blocks(stiffness_stack(lam), lam.prepared))
 
 
 def abd_blocks(stack: np.ndarray, prep: PreparedStack):
@@ -502,121 +452,3 @@ def abd_blocks(stack: np.ndarray, prep: PreparedStack):
 #: treated as collapsed. No physical laminate with surviving plies gets
 #: anywhere near this.
 RCOND_COLLAPSED = 1e-12
-
-
-def solve_midplane(abd: AbdMatrices, load: LoadCase,
-                   rcond_threshold: float = RCOND_COLLAPSED) -> MidplaneState:
-    """Solve [N; M] = [[A, B], [B, D]] [eps0; k] for the mid-plane state.
-
-    Raises
-    ------
-    LaminateSingularError
-        If the 6x6 system's reciprocal condition number falls below
-        ``rcond_threshold`` (all-plies-failed and near-collapsed states).
-    """
-    k6 = abd.as_matrix()
-    if not np.all(np.isfinite(k6)):
-        raise LaminateSingularError("non-finite stiffness matrix")
-    sv = np.linalg.svd(k6, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < rcond_threshold:
-        raise LaminateSingularError(
-            f"laminate system is numerically singular (rcond ~ "
-            f"{0.0 if sv[0] == 0.0 else sv[-1] / sv[0]:.3e})"
-        )
-    solution = np.linalg.solve(k6, load.as_vector())
-    return MidplaneState(strain0=solution[:3], curvature=solution[3:])
-
-
-def ply_stress_state(lam: Laminate, ply_index: int,
-                     state: MidplaneState) -> PlyStressState:
-    """Recover one ply's strain/stress state at its mid-thickness.
-
-    Global strain follows eps(z) = eps0 + z*k; global stress uses the ply's
-    [Qbar]; fiber-axis values come from the stress and engineering-strain
-    transformations.
-    """
-    if not 0 <= ply_index < lam.n_plies:
-        raise ValueError(f"ply index {ply_index} out of range")
-    ply = lam.plies[ply_index]
-    h = ply_z_planes(lam)
-    z = 0.5 * (h[ply_index] + h[ply_index + 1])
-    global_strain = state.strain0 + z * state.curvature
-    global_stress = ply_stiffness(ply.material, ply.angle) @ global_strain
-    t = transformation_matrix(ply.angle)
-    local_stress = t @ global_stress
-    local_strain = strain_transformation_matrix(ply.angle) @ global_strain
-    return PlyStressState(
-        global_strain=global_strain,
-        global_stress=global_stress,
-        local_strain=local_strain,
-        local_stress=local_stress,
-        z=float(z),
-    )
-
-
-# =============================================================================
-# Tsai-Wu failure criterion
-# =============================================================================
-
-@lru_cache(maxsize=None)
-def tsai_wu_params(mat: MaterialProperties) -> TsaiWuParams:
-    """Tsai-Wu strength parameters from the five ultimate strengths."""
-    h1 = 1.0 / mat.sigma1t_ult - 1.0 / mat.sigma1c_ult
-    h2 = 1.0 / mat.sigma2t_ult - 1.0 / mat.sigma2c_ult
-    h11 = 1.0 / (mat.sigma1t_ult * mat.sigma1c_ult)
-    h22 = 1.0 / (mat.sigma2t_ult * mat.sigma2c_ult)
-    h66 = 1.0 / mat.tau12_ult ** 2
-    h12 = -0.5 * math.sqrt(h11 * h22)
-    return TsaiWuParams(h1=h1, h2=h2, h6=0.0,
-                        h11=h11, h22=h22, h66=h66, h12=h12)
-
-
-def _tsai_wu_coefficients(local_stress, h: TsaiWuParams):
-    """Linear (a) and quadratic (b) coefficients of the scaled criterion.
-
-    Scaling the stress by a factor SR turns the failure polynomial into
-    a*SR + b*SR**2 = 1; b is a positive-definite quadratic form of the
-    stress (h12**2 = h11*h22/4 < h11*h22), so b > 0 whenever stress != 0.
-    """
-    s1, s2, t12 = (float(v) for v in local_stress)
-    a = h.h1 * s1 + h.h2 * s2 + h.h6 * t12
-    b = (h.h11 * s1 * s1 + h.h22 * s2 * s2 + h.h66 * t12 * t12
-         + 2.0 * h.h12 * s1 * s2)
-    return a, b
-
-
-def strength_ratio(local_stress, h: TsaiWuParams) -> float:
-    """Factor by which the given fiber-axis stress can scale before failure.
-
-    Solves b*SR**2 + a*SR - 1 = 0 for its positive root. An exactly
-    unloaded ply returns +inf (it never fails under scaling); values above
-    1 mean the ply is safe at the applied load.
-
-    Raises
-    ------
-    StrengthRatioRootError
-        If no positive real root exists for a nonzero stress. This would
-        require invalid strength parameters.
-    """
-    s1, s2, t12 = (float(v) for v in local_stress)
-    if s1 == 0.0 and s2 == 0.0 and t12 == 0.0:
-        return math.inf
-    a, b = _tsai_wu_coefficients(local_stress, h)
-    disc = a * a + 4.0 * b
-    if b <= 0.0 or disc < 0.0:
-        raise StrengthRatioRootError(
-            f"no positive root for stress {local_stress!r} (a={a}, b={b})"
-        )
-    return (-a + math.sqrt(disc)) / (2.0 * b)
-
-
-def tsai_wu_check(local_stress, h: TsaiWuParams) -> bool:
-    """True when the lamina is safe under the given fiber-axis stress.
-
-    Evaluates the failure polynomial directly (not via the strength ratio):
-    the lamina is safe while a + b < 1, where a and b are the linear and
-    quadratic Tsai-Wu combinations. Boundary states (polynomial exactly 1,
-    equivalently SR exactly 1) count as failed.
-    """
-    a, b = _tsai_wu_coefficients(local_stress, h)
-    return a + b < 1.0

@@ -386,10 +386,12 @@ def design_to_mapping(design: DesignFile) -> dict:
 
 
 def save_design(design: DesignFile, path) -> None:
-    """Write a design file that :func:`load_design` reads back equal."""
+    """Write a design file that :func:`load_design` reads back equal;
+    the text is serialized before the file is opened."""
+    text = yaml.safe_dump(design_to_mapping(design), sort_keys=False,
+                          default_flow_style=False)
     with open(path, "w", encoding="utf-8") as handle:
-        yaml.safe_dump(design_to_mapping(design), handle,
-                       sort_keys=False, default_flow_style=False)
+        handle.write(text)
 
 
 # =====================================================================

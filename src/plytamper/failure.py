@@ -163,10 +163,15 @@ def _stress_transform_stack(angles_deg: np.ndarray) -> np.ndarray:
     return t
 
 
-def _strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
-    """Vectorized positive-root strength ratios; exact-zero rows get +inf.
+def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
+    """Tsai-Wu strength ratios of (n, 3) fiber-axis stresses.
 
-    ``tw`` is a (6, n) array with rows h1, h2, h11, h22, h66, h12.
+    ``tw`` is a (6, n) array with rows h1, h2, h11, h22, h66, h12. SR is
+    the positive root of a*SR + b*SR**2 = 1 with a = h1*s1 + h2*s2 and
+    b = h11*s1**2 + h22*s2**2 + h66*t12**2 + 2*h12*s1*s2 (some printed
+    sources misprint H11 on the s2**2 term). Exactly unloaded rows get
+    +inf; a loaded row without a positive root raises
+    StrengthRatioRootError.
     """
     s1, s2, t12 = local_stress[:, 0], local_stress[:, 1], local_stress[:, 2]
     h1, h2, h11, h22, h66, h12 = tw
@@ -188,6 +193,23 @@ def _strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
     return np.where(zero, np.inf, sr)
 
 
+def ply_stresses(stack: np.ndarray, prep: PreparedStack,
+                 load_vec: np.ndarray, t_stack: np.ndarray,
+                 rcond_threshold: float):
+    """Solve the laminate and recover each ply's mid-thickness state.
+
+    Returns the (n, 3) global strain (eps_x, eps_y, gamma_xy), global
+    stress and fiber-axis stress (sigma_1, sigma_2, tau_12), with
+    eps(z) = eps0 + z*k. Raises LaminateSingularError when the 6x6
+    system's reciprocal condition is below ``rcond_threshold``.
+    """
+    eps0, kappa = _solve_system(stack, prep, load_vec, rcond_threshold)
+    global_strain = eps0[None, :] + prep.z_mid[:, None] * kappa[None, :]
+    global_stress = np.einsum("kij,kj->ki", stack, global_strain)
+    local_stress = np.einsum("kij,kj->ki", t_stack, global_stress)
+    return global_strain, global_stress, local_stress
+
+
 def _iteration_sr(stack: np.ndarray, prep: PreparedStack,
                   load_vec: np.ndarray, t_stack: np.ndarray,
                   rcond_threshold: float) -> np.ndarray:
@@ -196,11 +218,9 @@ def _iteration_sr(stack: np.ndarray, prep: PreparedStack,
     Failed plies have a zeroed stiffness, so their recovered stress is
     exactly zero and they come back as +inf — which the tie search skips.
     """
-    eps0, kappa = _solve_system(stack, prep, load_vec, rcond_threshold)
-    global_strain = eps0[None, :] + prep.z_mid[:, None] * kappa[None, :]
-    global_stress = np.einsum("kij,kj->ki", stack, global_strain)
-    local_stress = np.einsum("kij,kj->ki", t_stack, global_stress)
-    return _strength_ratios(local_stress, prep.tsai_wu)
+    _, _, local_stress = ply_stresses(stack, prep, load_vec, t_stack,
+                                      rcond_threshold)
+    return strength_ratios(local_stress, prep.tsai_wu)
 
 
 def first_ply_failure(lam: Laminate, load: LoadCase,

@@ -142,8 +142,10 @@ def report_to_json(report: dict) -> str:
 
 
 def write_report(report: dict, path) -> None:
+    """Write the report as JSON; an unserializable one writes nothing."""
+    text = report_to_json(report)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report_to_json(report))
+        handle.write(text)
 
 
 def load_report(path) -> dict:

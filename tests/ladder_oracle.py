@@ -100,6 +100,53 @@ def strength_ratio_of_stress(s1, s2, t12, strengths):
     return min(positive)
 
 
+def strengths_of(material):
+    """The five ultimate strengths of a material dict, as a tuple."""
+    return (material["s1t"], material["s1c"], material["s2t"],
+            material["s2c"], material["t12u"])
+
+
+def qbar_of(material, theta_deg):
+    """Rotated stiffness of a material dict at ``theta_deg``."""
+    q = q_matrix(material["e1"], material["e2"], material["g12"],
+                 material["nu12"])
+    return qbar_matrix(q, theta_deg)
+
+
+def solve_stack(qbars, planes, n_load, m_load):
+    """Assemble A, B, D by hand and solve for the mid-plane state.
+
+    Returns (eps0, kappa), or None when the 6x6 system's reciprocal
+    condition is below RCOND_LIMIT (collapsed laminate).
+    """
+    a = [[0.0] * 3 for _ in range(3)]
+    b = [[0.0] * 3 for _ in range(3)]
+    d = [[0.0] * 3 for _ in range(3)]
+    for k, qb in enumerate(qbars):
+        lo, hi = planes[k], planes[k + 1]
+        for i in range(3):
+            for j in range(3):
+                a[i][j] += qb[i][j] * (hi - lo)
+                b[i][j] += qb[i][j] * (hi * hi - lo * lo) / 2.0
+                d[i][j] += qb[i][j] * (hi**3 - lo**3) / 3.0
+
+    system = np.zeros((6, 6))
+    for i in range(3):
+        for j in range(3):
+            system[i][j] = a[i][j]
+            system[i][j + 3] = b[i][j]
+            system[i + 3][j] = b[i][j]
+            system[i + 3][j + 3] = d[i][j]
+
+    singular_values = np.linalg.svd(system, compute_uv=False)
+    if singular_values[0] == 0.0 or \
+            singular_values[-1] / singular_values[0] < RCOND_LIMIT:
+        return None
+    rhs = np.array(list(n_load) + list(m_load), dtype=float)
+    sol = np.linalg.solve(system, rhs)
+    return sol[:3], sol[3:]
+
+
 def failure_ladder(material, thicknesses, angles, n_load, m_load):
     """Full knockout ladder by re-deriving everything every iteration.
 
@@ -107,52 +154,24 @@ def failure_ladder(material, thicknesses, angles, n_load, m_load):
     Returns a list of rungs: (multiplier, sorted ply list, flagged_bool).
     """
     n = len(angles)
-    strengths = (material["s1t"], material["s1c"], material["s2t"],
-                 material["s2c"], material["t12u"])
+    strengths = strengths_of(material)
     alive = [True] * n
     rungs = []
     last_multiplier = None
 
     while any(alive):
         # Rebuild the whole system from raw inputs (no incremental state).
-        q = q_matrix(material["e1"], material["e2"], material["g12"],
-                     material["nu12"])
         planes = end_planes(thicknesses)
-        a = [[0.0] * 3 for _ in range(3)]
-        b = [[0.0] * 3 for _ in range(3)]
-        d = [[0.0] * 3 for _ in range(3)]
-        qbars = []
-        for k in range(n):
-            qb = (qbar_matrix(q, angles[k]) if alive[k]
-                  else [[0.0] * 3 for _ in range(3)])
-            qbars.append(qb)
-            lo, hi = planes[k], planes[k + 1]
-            for i in range(3):
-                for j in range(3):
-                    a[i][j] += qb[i][j] * (hi - lo)
-                    b[i][j] += qb[i][j] * (hi * hi - lo * lo) / 2.0
-                    d[i][j] += qb[i][j] * (hi**3 - lo**3) / 3.0
-
-        system = np.zeros((6, 6))
-        for i in range(3):
-            for j in range(3):
-                system[i][j] = a[i][j]
-                system[i][j + 3] = b[i][j]
-                system[i + 3][j] = b[i][j]
-                system[i + 3][j + 3] = d[i][j]
-
-        singular_values = np.linalg.svd(system, compute_uv=False)
-        if singular_values[0] == 0.0 or \
-                singular_values[-1] / singular_values[0] < RCOND_LIMIT:
+        qbars = [qbar_of(material, angles[k]) if alive[k]
+                 else [[0.0] * 3 for _ in range(3)] for k in range(n)]
+        state = solve_stack(qbars, planes, n_load, m_load)
+        if state is None:
             if last_multiplier is None:
                 raise ArithmeticError("singular laminate at the first step")
             rungs.append((last_multiplier,
                           sorted(k for k in range(n) if alive[k]), True))
             return rungs
-
-        rhs = np.array(list(n_load) + list(m_load), dtype=float)
-        sol = np.linalg.solve(system, rhs)
-        eps0, kappa = sol[:3], sol[3:]
+        eps0, kappa = state
 
         ratios = []
         for k in range(n):
@@ -187,49 +206,25 @@ def first_rung(material, thicknesses, angles, n_load, m_load):
     return mult, group
 
 
-def intact_strength_ratios(material, thicknesses, angles, n_load, m_load):
+def intact_strength_ratios(materials, thicknesses, angles, n_load, m_load):
     """Per-ply strength ratios of the intact stack (no knockouts).
 
-    Same scalar path as failure_ladder's first iteration; used by the
-    search-replay tests that need the full ratio list, not just the
-    minimum.
+    ``materials`` holds one material dict per ply, so mixed stacks can be
+    checked too. Same scalar path as failure_ladder's first iteration;
+    used by tests that need the full ratio list, not just the minimum.
     """
-    n = len(angles)
-    strengths = (material["s1t"], material["s1c"], material["s2t"],
-                 material["s2c"], material["t12u"])
-    q = q_matrix(material["e1"], material["e2"], material["g12"],
-                 material["nu12"])
     planes = end_planes(thicknesses)
-    a = [[0.0] * 3 for _ in range(3)]
-    b = [[0.0] * 3 for _ in range(3)]
-    d = [[0.0] * 3 for _ in range(3)]
-    qbars = []
-    for k in range(n):
-        qb = qbar_matrix(q, angles[k])
-        qbars.append(qb)
-        lo, hi = planes[k], planes[k + 1]
-        for i in range(3):
-            for j in range(3):
-                a[i][j] += qb[i][j] * (hi - lo)
-                b[i][j] += qb[i][j] * (hi * hi - lo * lo) / 2.0
-                d[i][j] += qb[i][j] * (hi**3 - lo**3) / 3.0
-
-    system = np.zeros((6, 6))
-    for i in range(3):
-        for j in range(3):
-            system[i][j] = a[i][j]
-            system[i][j + 3] = b[i][j]
-            system[i + 3][j] = b[i][j]
-            system[i + 3][j + 3] = d[i][j]
-
-    rhs = np.array(list(n_load) + list(m_load), dtype=float)
-    sol = np.linalg.solve(system, rhs)
-    eps0, kappa = sol[:3], sol[3:]
+    qbars = [qbar_of(m, a) for m, a in zip(materials, angles)]
+    state = solve_stack(qbars, planes, n_load, m_load)
+    if state is None:
+        raise ArithmeticError("singular laminate")
+    eps0, kappa = state
 
     ratios = []
-    for k in range(n):
+    for k, material in enumerate(materials):
         z = (planes[k] + planes[k + 1]) / 2.0
         s1, s2, t12 = local_stress_of_ply(qbars[k], angles[k],
                                           eps0, kappa, z)
-        ratios.append(strength_ratio_of_stress(s1, s2, t12, strengths))
+        ratios.append(strength_ratio_of_stress(s1, s2, t12,
+                                               strengths_of(material)))
     return ratios

@@ -33,9 +33,7 @@ from plytamper.clt import (
     assemble_abd,
     normalize_angle,
     reduced_stiffness,
-    strength_ratio,
     transform_stiffness,
-    tsai_wu_check,
     tsai_wu_params,
 )
 from plytamper.designfile import load_bundled_design
@@ -45,7 +43,7 @@ from plytamper.detect import (
     frequency_change_percent,
     frequency_ratio,
 )
-from plytamper.failure import simulate_progressive_failure
+from plytamper.failure import simulate_progressive_failure, strength_ratios
 
 import ladder_oracle
 
@@ -155,16 +153,24 @@ def test_criterion_1_stiffness_identities(capsys):
 def test_criterion_2_strength_ratio_homogeneity(capsys):
     def body():
         rng = np.random.default_rng(7)
+        states = np.array([
+            rng.uniform(-1.0, 1.0, size=3) * 10.0 ** rng.uniform(3, 9, size=3)
+            for _ in range(1000)])
+        # The ratios come from the kernel behind every report.
+        tw = Laminate.from_angles(MAT, PLY_T,
+                                  [0.0] * len(states)).prepared.tsai_wu
+        srs = strength_ratios(states, tw)
         h = tsai_wu_params(MAT)
-        for _ in range(1000):
-            stress = rng.uniform(-1.0, 1.0, size=3) * 10.0 ** rng.uniform(
-                3, 9, size=3)
-            sr = strength_ratio(stress, h)
-            for lam_scale in (0.5, 2.0, 10.0):
-                scaled = strength_ratio(stress * lam_scale, h)
-                assert math.isclose(scaled, sr / lam_scale, rel_tol=1e-9)
-            # the pass/fail check and the ratio must tell the same story
-            assert tsai_wu_check(stress, h) == (sr > 1.0)
+        for lam_scale in (0.5, 2.0, 10.0):
+            scaled = strength_ratios(states * lam_scale, tw)
+            for sr, scaled_sr in zip(srs, scaled):
+                assert math.isclose(scaled_sr, sr / lam_scale, rel_tol=1e-9)
+        for (s1, s2, t12), sr in zip(states, srs):
+            # the Tsai-Wu polynomial and the ratio must tell the same story
+            a = h.h1 * s1 + h.h2 * s2
+            b = (h.h11 * s1 * s1 + h.h22 * s2 * s2 + h.h66 * t12 * t12
+                 + 2.0 * h.h12 * s1 * s2)
+            assert (a + b < 1.0) == (sr > 1.0)
 
     gate(capsys, "criterion 2 (strength-ratio homogeneity, 1000 states)",
          body)

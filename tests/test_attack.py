@@ -61,7 +61,7 @@ def make_spec(target_sf=1.0, **kwargs):
 
 def _oracle_ratios(angles):
     return ladder_oracle.intact_strength_ratios(
-        ORACLE_MATERIAL, [PLY_T] * len(angles), list(angles),
+        [ORACLE_MATERIAL] * len(angles), [PLY_T] * len(angles), list(angles),
         (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 

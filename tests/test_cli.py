@@ -13,6 +13,8 @@ import re
 import pytest
 import yaml
 
+from plytamper import attack
+from plytamper.clt import NoLoadedPlyError
 from plytamper.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -22,6 +24,7 @@ from plytamper.cli import (
     run,
 )
 from plytamper.designfile import bundled_design_path, load_design
+from plytamper.report import write_report
 
 TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
 
@@ -214,6 +217,27 @@ class TestAttack:
         assert [b["target_sf"] for b in report["attacks"]] == [1.0, 0.9]
         assert (tmp_path / "report.tampered-type2-sf1.yaml").is_file()
         assert (tmp_path / "report.tampered-type2-sf0.9.yaml").is_file()
+
+    def test_later_target_that_raises_leaves_no_files(self, crossply_file,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        search = attack.ATTACK_TYPES[2]
+        calls = []
+
+        def second_raises(lam, spec):
+            calls.append(spec.target_sf)
+            if len(calls) == 2:
+                raise NoLoadedPlyError("no loaded ply: injected")
+            return search(lam, spec)
+
+        monkeypatch.setitem(attack.ATTACK_TYPES, 2, second_raises)
+        code = main(["attack", str(crossply_file), "--type", "2",
+                     "--target-sf", "1.0", "0.9",
+                     "-o", str(tmp_path / "report.json")])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: no loaded ply" in capsys.readouterr().err
+        assert calls == [1.0, 0.9]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crossply.yaml"]
 
     def test_no_targets_anywhere_is_a_usage_error(self, tmp_path, capsys):
         doc = crossply_doc()
@@ -412,6 +436,26 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert f"{path}: expected a finite number" in err
         assert not report.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "many"])
+    @pytest.mark.parametrize("command", [["analyze"],
+                                         ["attack", "--type", "2"]])
+    def test_non_finite_gap_threshold_is_a_usage_error(
+            self, crossply_file, tmp_path, capsys, command, value):
+        code = main([command[0], str(crossply_file), *command[1:],
+                     "-o", str(tmp_path / "report.json"),
+                     f"--gap-threshold={value}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert (f"argument --gap-threshold: expected a finite number, "
+                f"got '{value}'") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crossply.yaml"]
+
+    def test_unserializable_report_writes_nothing(self, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report({"gap_ratio_threshold": float("nan")}, out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["analyze"],
                                          ["attack", "--type", "2"]])

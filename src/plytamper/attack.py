@@ -132,12 +132,13 @@ def target_force(original_first_rung_force: float, design_sf: float,
     """Critical force a tampered part must not exceed.
 
     The expected service force is ``original / design_sf``; the tampered
-    part should fail at ``target_sf`` times that, i.e. the original force
-    scaled by ``target_sf / design_sf``.
+    part should fail at ``target_sf`` times that, i.e.
+    ``original * target_sf / design_sf``. The searches take their target
+    multiplier from this function.
     """
     if not design_sf > 0.0:
         raise ValueError("design_sf must be strictly positive")
-    return original_first_rung_force * (target_sf / design_sf)
+    return original_first_rung_force * target_sf / design_sf
 
 
 def middle_out_order(n_plies: int) -> tuple[int, ...]:
@@ -185,7 +186,7 @@ class _Search:
         self.original_mult = self.mult
         self.target_mult = (
             target_multiplier if target_multiplier is not None
-            else self.mult * spec.target_sf / spec.design_sf)
+            else target_force(self.mult, spec.design_sf, spec.target_sf))
         self.angles = list(self.original_angles)
         self.deltas = [0.0] * lam.n_plies
         self.best = (self.mult, tuple(self.angles), tuple(self.deltas))

@@ -362,20 +362,25 @@ def tsai_wu_params(mat: MaterialProperties) -> TsaiWuParams:
     return TsaiWuParams(h1=h1, h2=h2, h11=h11, h22=h22, h66=h66, h12=h12)
 
 
-def transformation_matrix(angle_deg: float) -> np.ndarray:
+def transformation_matrix(angle_deg) -> np.ndarray:
     """Stress transformation matrix [T] for a rotation of ``angle_deg``.
 
     Maps laminate-axis stress to fiber-axis stress:
     (sigma_1, sigma_2, tau_12) = [T] (sigma_x, sigma_y, tau_xy).
+    ``angle_deg`` is one angle or an array of them; the result has shape
+    ``(..., 3, 3)``, one [T] per angle.
     """
-    theta = math.radians(angle_deg)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return np.array([
-        [c * c, s * s, 2.0 * c * s],
-        [s * s, c * c, -2.0 * s * c],
-        [-s * c, s * c, c * c - s * s],
-    ])
+    theta = np.radians(angle_deg)
+    c, s = np.cos(theta), np.sin(theta)
+    t = np.empty(np.shape(theta) + (3, 3))
+    t[..., 0, 0] = t[..., 1, 1] = c * c
+    t[..., 0, 1] = t[..., 1, 0] = s * s
+    t[..., 0, 2] = 2.0 * c * s
+    t[..., 1, 2] = -2.0 * s * c
+    t[..., 2, 0] = -s * c
+    t[..., 2, 1] = s * c
+    t[..., 2, 2] = c * c - s * s
+    return t
 
 
 def transform_stiffness(q: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -448,7 +453,16 @@ def abd_blocks(stack: np.ndarray, prep: PreparedStack):
     return a, b, d
 
 
-#: Reciprocal-condition threshold below which the 6x6 laminate system is
-#: treated as collapsed. No physical laminate with surviving plies gets
+#: Reciprocal-condition threshold below which a laminate stiffness matrix
+#: is treated as collapsed. No physical laminate with surviving plies gets
 #: anywhere near this.
 RCOND_COLLAPSED = 1e-12
+
+
+def require_nonsingular(matrix: np.ndarray, message: str) -> None:
+    """Raise LaminateSingularError(message) if ``matrix`` has collapsed:
+    its largest singular value is zero, or its reciprocal condition is
+    below :data:`RCOND_COLLAPSED`."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED:
+        raise LaminateSingularError(message)

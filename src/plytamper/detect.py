@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plytamper.clt import (
-    Laminate,
-    LaminateSingularError,
-    RCOND_COLLAPSED,
-    assemble_abd,
-)
+from plytamper.clt import Laminate, assemble_abd, require_nonsingular
 
 #: Relative size below which the coupling block counts as zero.
 COUPLING_REL_TOL = 1e-9
@@ -80,10 +75,8 @@ def engineering_constants(lam: Laminate) -> EngineeringConstants:
         If A is numerically singular (degenerate laminate).
     """
     abd = assemble_abd(lam)
-    sv = np.linalg.svd(abd.a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED:
-        raise LaminateSingularError(
-            "degenerate laminate: extensional stiffness is singular")
+    require_nonsingular(
+        abd.a, "degenerate laminate: extensional stiffness is singular")
     a_star = np.linalg.inv(abd.a)
     h = lam.total_thickness
     b_scale = np.abs(abd.b).max()

@@ -27,10 +27,11 @@ from plytamper.clt import (
     LoadCase,
     NoLoadedPlyError,
     PreparedStack,
-    RCOND_COLLAPSED,
     StrengthRatioRootError,
     abd_blocks,
+    require_nonsingular,
     stiffness_stack,
+    transformation_matrix,
 )
 
 #: Relative tolerance for "tied at the minimum strength ratio". Symmetric
@@ -98,13 +99,19 @@ def ties_at_minimum(sr_values, rel_tol: float = TIE_REL_TOL) -> set[int]:
     load.
     """
     values = np.asarray(sr_values, dtype=float)
+    finite, low = _finite_minimum(values)
+    ties = finite & (values - low <= rel_tol * low)
+    return set(np.flatnonzero(ties).tolist())
+
+
+def _finite_minimum(values: np.ndarray):
+    """Finite-entry mask and minimum; NoLoadedPlyError if none is finite."""
     finite = np.isfinite(values)
     low = values.min(where=finite, initial=np.inf)
     if low == np.inf:
         raise NoLoadedPlyError(
             "no loaded ply: all strength ratios are infinite")
-    ties = finite & (values - low <= rel_tol * low)
-    return set(np.flatnonzero(ties).tolist())
+    return finite, low
 
 
 def classify_failure_mode(
@@ -131,7 +138,7 @@ def classify_failure_mode(
 # =============================================================================
 
 def _solve_system(stack: np.ndarray, prep: PreparedStack,
-                  load_vec: np.ndarray, rcond_threshold: float):
+                  load_vec: np.ndarray):
     """Assemble and solve the 6x6 laminate system for one iteration."""
     a, b, d = abd_blocks(stack, prep)
     k6 = np.empty((6, 6))
@@ -139,28 +146,9 @@ def _solve_system(stack: np.ndarray, prep: PreparedStack,
     k6[:3, 3:] = b
     k6[3:, :3] = b
     k6[3:, 3:] = d
-    sv = np.linalg.svd(k6, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < rcond_threshold:
-        raise LaminateSingularError("laminate system is numerically singular")
+    require_nonsingular(k6, "laminate system is numerically singular")
     solution = np.linalg.solve(k6, load_vec)
     return solution[:3], solution[3:]
-
-
-def _stress_transform_stack(angles_deg: np.ndarray) -> np.ndarray:
-    """Per-ply stress transformation matrices as an (n, 3, 3) array."""
-    theta = np.radians(angles_deg)
-    c, s = np.cos(theta), np.sin(theta)
-    t = np.empty((len(angles_deg), 3, 3))
-    t[:, 0, 0] = c * c
-    t[:, 0, 1] = s * s
-    t[:, 0, 2] = 2.0 * c * s
-    t[:, 1, 0] = s * s
-    t[:, 1, 1] = c * c
-    t[:, 1, 2] = -2.0 * c * s
-    t[:, 2, 0] = -s * c
-    t[:, 2, 1] = s * c
-    t[:, 2, 2] = c * c - s * s
-    return t
 
 
 def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
@@ -194,16 +182,15 @@ def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
 
 
 def ply_stresses(stack: np.ndarray, prep: PreparedStack,
-                 load_vec: np.ndarray, t_stack: np.ndarray,
-                 rcond_threshold: float):
+                 load_vec: np.ndarray, t_stack: np.ndarray):
     """Solve the laminate and recover each ply's mid-thickness state.
 
     Returns the (n, 3) global strain (eps_x, eps_y, gamma_xy), global
     stress and fiber-axis stress (sigma_1, sigma_2, tau_12), with
-    eps(z) = eps0 + z*k. Raises LaminateSingularError when the 6x6
-    system's reciprocal condition is below ``rcond_threshold``.
+    eps(z) = eps0 + z*k, and ``t_stack`` holds each ply's [T]. Raises
+    LaminateSingularError when the 6x6 system has collapsed.
     """
-    eps0, kappa = _solve_system(stack, prep, load_vec, rcond_threshold)
+    eps0, kappa = _solve_system(stack, prep, load_vec)
     global_strain = eps0[None, :] + prep.z_mid[:, None] * kappa[None, :]
     global_stress = np.einsum("kij,kj->ki", stack, global_strain)
     local_stress = np.einsum("kij,kj->ki", t_stack, global_stress)
@@ -211,20 +198,25 @@ def ply_stresses(stack: np.ndarray, prep: PreparedStack,
 
 
 def _iteration_sr(stack: np.ndarray, prep: PreparedStack,
-                  load_vec: np.ndarray, t_stack: np.ndarray,
-                  rcond_threshold: float) -> np.ndarray:
+                  load_vec: np.ndarray, t_stack: np.ndarray) -> np.ndarray:
     """Strength ratios of every ply for one knockout iteration.
 
     Failed plies have a zeroed stiffness, so their recovered stress is
     exactly zero and they come back as +inf — which the tie search skips.
     """
-    _, _, local_stress = ply_stresses(stack, prep, load_vec, t_stack,
-                                      rcond_threshold)
+    _, _, local_stress = ply_stresses(stack, prep, load_vec, t_stack)
     return strength_ratios(local_stress, prep.tsai_wu)
 
 
-def first_ply_failure(lam: Laminate, load: LoadCase,
-                      rcond_threshold: float = RCOND_COLLAPSED):
+def _kernel_inputs(lam: Laminate, load: LoadCase):
+    """The intact [Qbar] stack, prepared arrays, load vector and [T] stack."""
+    if load.is_zero:
+        raise ValueError("failure analysis needs a nonzero load")
+    return (stiffness_stack(lam), lam.prepared, load.as_vector(),
+            transformation_matrix(lam.angles))
+
+
+def first_ply_failure(lam: Laminate, load: LoadCase):
     """Multiplier of the first failure plus the per-ply strength ratios.
 
     The cheap entry point for search loops that only monitor the first
@@ -236,23 +228,12 @@ def first_ply_failure(lam: Laminate, load: LoadCase,
         Minimum strength ratio (= first-rung force multiplier against the
         given load) and the full per-ply strength-ratio array.
     """
-    if load.is_zero:
-        raise ValueError("failure analysis needs a nonzero load")
-    sr = _iteration_sr(stiffness_stack(lam), lam.prepared, load.as_vector(),
-                       _stress_transform_stack(np.array(lam.angles)),
-                       rcond_threshold)
-    finite = sr[np.isfinite(sr)]
-    if finite.size == 0:
-        raise NoLoadedPlyError(
-            "no loaded ply: all strength ratios are infinite")
-    return float(finite.min()), sr
+    sr = _iteration_sr(*_kernel_inputs(lam, load))
+    return float(_finite_minimum(sr)[1]), sr
 
 
-def simulate_progressive_failure(
-    lam: Laminate,
-    load: LoadCase,
-    rcond_threshold: float = RCOND_COLLAPSED,
-) -> FailureLadder:
+def simulate_progressive_failure(lam: Laminate,
+                                 load: LoadCase) -> FailureLadder:
     """Knock plies out group by group until the whole stack has failed.
 
     Parameters
@@ -261,9 +242,6 @@ def simulate_progressive_failure(
         The intact laminate.
     load : LoadCase
         Reference load; must be nonzero. Rung multipliers scale this load.
-    rcond_threshold : float
-        Reciprocal-condition cutoff below which the remaining stack is
-        considered collapsed.
 
     Returns
     -------
@@ -281,13 +259,7 @@ def simulate_progressive_failure(
     NoLoadedPlyError
         If an iteration leaves surviving plies that carry no stress.
     """
-    if load.is_zero:
-        raise ValueError("failure analysis needs a nonzero load")
-
-    prep = lam.prepared
-    load_vec = load.as_vector()
-    intact = stiffness_stack(lam)
-    t_stack = _stress_transform_stack(np.array(lam.angles))
+    intact, prep, load_vec, t_stack = _kernel_inputs(lam, load)
 
     active = np.ones(lam.n_plies, dtype=bool)
     rungs: list[FailureRung] = []
@@ -296,8 +268,7 @@ def simulate_progressive_failure(
     while active.any():
         stack = np.where(active[:, None, None], intact, 0.0)
         try:
-            sr = _iteration_sr(stack, prep, load_vec, t_stack,
-                               rcond_threshold)
+            sr = _iteration_sr(stack, prep, load_vec, t_stack)
         except LaminateSingularError:
             if not rungs:
                 raise

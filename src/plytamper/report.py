@@ -11,6 +11,7 @@ per (rung, failed ply).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from datetime import datetime, timezone
@@ -266,15 +267,33 @@ CSV_COLUMNS = ("source", "rung", "force_multiplier", "force",
                "failed_ply", "cumulative_failed", "flagged")
 
 
-def _report_ladders(report: dict) -> list[tuple[str, dict]]:
-    """All (source label, ladder block) pairs a report contains."""
+_KINDS = {dict: "an object", list: "an array", (int, float): "a number",
+          object: "present"}
+
+
+def _get(block, where: str, key: str, kind=object):
+    """``block[key]``; ValueError naming the field if absent or not a kind."""
+    if (not isinstance(block, dict) or key not in block
+            or not isinstance(block[key], kind)):
+        raise ValueError(f"report field {where}{key} must be {_KINDS[kind]}")
+    return block[key]
+
+
+def _report_ladders(report) -> list[tuple[str, dict, str]]:
+    """All (source label, ladder block, field path) triples of a report."""
+    if not isinstance(report, dict):
+        raise ValueError("report must be a JSON object")
     ladders = []
     if "analysis" in report:
-        ladders.append(("analysis", report["analysis"]["ladder"]))
-    for block in report.get("attacks", []):
-        label = (f"attack_type{block['attack_type']}"
-                 f"_sf{block['target_sf']:g}")
-        ladders.append((label, block["tampered_ladder"]))
+        ladders.append(("analysis", _get(report.get("analysis"), "analysis.",
+                                         "ladder", dict), "analysis.ladder"))
+    attacks = _get(report, "", "attacks", list) if "attacks" in report else []
+    for i, block in enumerate(attacks):
+        at = f"attacks[{i}]."
+        label = (f"attack_type{_get(block, at, 'attack_type')}"
+                 f"_sf{_get(block, at, 'target_sf', (int, float)):g}")
+        ladders.append((label, _get(block, at, "tampered_ladder", dict),
+                        at + "tampered_ladder"))
     return ladders
 
 
@@ -282,23 +301,24 @@ def export_ladder_csv(report: dict, path) -> None:
     """Write every ladder in the report as plot-ready rows.
 
     One row per (rung, failed ply); stable column order; RFC-style
-    quoting with dot decimals.  Raises ``ValueError`` when the report
-    holds no ladder (e.g. a detect report).
+    quoting with dot decimals.  Raises ``ValueError``, before opening
+    ``path``, for a report with no ladder (e.g. a detect report) or
+    naming the first field it reads that is missing or mistyped.
     """
     ladders = _report_ladders(report)
     if not ladders:
         raise ValueError("report contains no failure ladders")
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_COLUMNS)
+    for source, block, where in ladders:
+        for i, rung in enumerate(_get(block, where + ".", "rungs", list)):
+            at = f"{where}.rungs[{i}]."
+            mult, force, cumulative, flagged = (
+                _get(rung, at, key) for key in
+                ("force_multiplier", "force", "cumulative_failed", "flagged"))
+            for ply in _get(rung, at, "failed_plies", list):
+                writer.writerow([source, i, repr(mult), repr(force), ply,
+                                 cumulative, str(flagged).lower()])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for source, block in ladders:
-            for i, rung in enumerate(block["rungs"]):
-                for ply in rung["failed_plies"]:
-                    writer.writerow([
-                        source, i,
-                        repr(rung["force_multiplier"]),
-                        repr(rung["force"]),
-                        ply,
-                        rung["cumulative_failed"],
-                        str(rung["flagged"]).lower(),
-                    ])
+        handle.write(text.getvalue())

@@ -1,4 +1,10 @@
-"""The package's public names: a change to this list is a change to the API."""
+"""The package's public API: its pinned names, and the README example.
+
+A change to the name list is a change to the API.
+"""
+
+import re
+from pathlib import Path
 
 import plytamper
 
@@ -24,3 +30,13 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(plytamper.__all__) == sorted(PUBLIC_NAMES + ["__version__"])
     for name in plytamper.__all__:
         assert getattr(plytamper, name) is not None, name
+
+
+def test_readme_python_example_runs(capsys):
+    """The README's ``python`` block runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme,
+                            re.MULTILINE | re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
+    assert "AttackStatus" in capsys.readouterr().out

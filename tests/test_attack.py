@@ -238,6 +238,17 @@ class TestTargetForce:
         with pytest.raises(ValueError):
             target_force(1000.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("target_sf", [1.0, 0.9, 0.8])
+    def test_is_the_search_target_bit_for_bit(self, target_sf):
+        """The searches aim at exactly the value this function returns."""
+        design = load_bundled_design()
+        result = focused_attack(
+            design.laminate(),
+            AttackSpec(design.load, target_sf, design_sf=design.design_sf,
+                       max_iterations=1))
+        assert target_force(result.original_multiplier, design.design_sf,
+                            target_sf) == result.target_multiplier
+
 
 class TestDominantLoadComponent:
     """``LoadCase.dominant_axis`` converts multipliers into reported forces."""

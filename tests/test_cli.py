@@ -387,6 +387,21 @@ class TestExportLadder:
         assert code == EXIT_USAGE
         assert "no failure ladders" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, field", [
+        ({"analysis": {"ladder": {}}}, "analysis.ladder.rungs"),
+        ({"attacks": [{"attack_type": 1}]}, "attacks[0].target_sf"),
+        ([1, 2], "report must be a JSON object"),
+    ], ids=["ladder-without-rungs", "attack-without-target", "top-level-list"])
+    def test_malformed_report_names_the_field(self, tmp_path, capsys,
+                                              content, field):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(content), encoding="utf-8")
+        out = tmp_path / "ladder.csv"
+        code = main(["export-ladder", str(report), "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_is_an_io_error(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         report.write_text("{not json", encoding="utf-8")

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from plytamper.clt import (
-    RCOND_COLLAPSED,
     Laminate,
     LaminateSingularError,
     LoadCase,
@@ -34,11 +33,7 @@ from plytamper.clt import (
     transformation_matrix,
     tsai_wu_params,
 )
-from plytamper.failure import (
-    _stress_transform_stack,
-    ply_stresses,
-    strength_ratios,
-)
+from plytamper.failure import ply_stresses, strength_ratios
 
 RTOL = 1e-9
 
@@ -47,8 +42,7 @@ def solve(lam, load, stack=None):
     """Per-ply global strain, global stress and fiber-axis stress."""
     return ply_stresses(stiffness_stack(lam) if stack is None else stack,
                         lam.prepared, load.as_vector(),
-                        _stress_transform_stack(np.array(lam.angles)),
-                        RCOND_COLLAPSED)
+                        transformation_matrix(lam.angles))
 
 
 def ratios(stress, mat):
@@ -339,6 +333,19 @@ class TestTransformedStiffness:
             for i, j in [(0, 2), (1, 2)]:
                 assert minus[i, j] == pytest.approx(-plus[i, j], rel=RTOL,
                                                     abs=RTOL * scale)
+
+    def test_transformation_of_angle_array_matches_each_angle(self):
+        """One [T] per angle, bit for bit: the kernel's [T] stack and the
+        [T] behind [Qbar] come from the same formula."""
+        angles = np.concatenate([np.arange(-180.0, 180.5, 0.5),
+                                 np.random.default_rng(14).uniform(
+                                     -90.0, 90.0, size=200)])
+        stack = transformation_matrix(angles)
+        assert stack.shape == (len(angles), 3, 3)
+        for angle, t in zip(angles.tolist(), stack):
+            assert np.array_equal(t, transformation_matrix(angle))
+        assert transformation_matrix(30.0).shape == (3, 3)
+        assert transformation_matrix(np.zeros((2, 4))).shape == (2, 4, 3, 3)
 
     def test_cache_returns_readonly(self, graphite_epoxy):
         qbar = ply_stiffness(graphite_epoxy, 30.0)

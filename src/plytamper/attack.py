@@ -43,7 +43,10 @@ CRITICAL_REL_TOL = 1e-6
 #: Rotation of one search step, in degrees.
 STEP_DEG = 1.0
 
+#: Budget of a type 1 search when the spec sets none: sweeps.
 DEFAULT_MAX_SWEEPS = 90
+
+#: Budget of a type 2 search when the spec sets none: evaluations.
 DEFAULT_MAX_ITERATIONS = 20000
 
 
@@ -64,13 +67,17 @@ class AttackSpec:
     first-rung critical force is ``design_sf`` times the expected service
     force. ``target_sf`` is the safety factor the tampered part should end
     up with; the search aims at ``original * target_sf / design_sf``.
+
+    ``budget`` bounds the search in the strategy's own unit: sweeps for
+    type 1 (default :data:`DEFAULT_MAX_SWEEPS`), counted evaluations for
+    type 2 (default :data:`DEFAULT_MAX_ITERATIONS`). ``None`` takes the
+    strategy's default.
     """
 
     load: LoadCase
     target_sf: float
     design_sf: float = 1.5
-    max_sweeps: int = DEFAULT_MAX_SWEEPS
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    budget: int | None = None
 
     def __post_init__(self) -> None:
         if not self.design_sf > 0.0:
@@ -82,8 +89,9 @@ class AttackSpec:
             )
         if self.load.is_zero:
             raise ValueError("attack load must be nonzero")
-        if self.max_sweeps < 1 or self.max_iterations < 1:
-            raise ValueError("search budgets must be at least 1")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(
+                f"budget must be at least 1 (got budget={self.budget})")
 
 
 @dataclass(frozen=True)
@@ -174,8 +182,7 @@ class _Search:
     trial rotations to evaluate and which to move to.
     """
 
-    def __init__(self, attack_type: int, lam: Laminate, spec: AttackSpec,
-                 target_multiplier: float | None):
+    def __init__(self, attack_type: int, lam: Laminate, spec: AttackSpec):
         self.attack_type = attack_type
         self.lam = lam
         self.spec = spec
@@ -184,9 +191,8 @@ class _Search:
         self.evaluations = 1
         self.sweeps = 0
         self.original_mult = self.mult
-        self.target_mult = (
-            target_multiplier if target_multiplier is not None
-            else target_force(self.mult, spec.design_sf, spec.target_sf))
+        self.target_mult = target_force(self.mult, spec.design_sf,
+                                        spec.target_sf)
         self.angles = list(self.original_angles)
         self.deltas = [0.0] * lam.n_plies
         self.best = (self.mult, tuple(self.angles), tuple(self.deltas))
@@ -235,8 +241,7 @@ class _Search:
         )
 
 
-def spread_attack(lam: Laminate, spec: AttackSpec, *,
-                  target_multiplier: float | None = None) -> AttackResult:
+def spread_attack(lam: Laminate, spec: AttackSpec) -> AttackResult:
     """Type 1: one-degree nudges spread over every load-critical ply.
 
     Sweeps the stack from the middle outward. Whenever the visited ply is
@@ -245,7 +250,8 @@ def spread_attack(lam: Laminate, spec: AttackSpec, *,
     plies negative, judged on the *original* orientation. The critical
     force is recomputed after every single rotation and the search stops
     the moment it reaches the target. A finished sweep restarts from the
-    middle, up to ``spec.max_sweeps`` sweeps.
+    middle, up to ``spec.budget`` sweeps (default
+    :data:`DEFAULT_MAX_SWEEPS`).
 
     Parameters
     ----------
@@ -253,26 +259,23 @@ def spread_attack(lam: Laminate, spec: AttackSpec, *,
         Original design.
     spec : AttackSpec
         Load, safety factors and budget.
-    target_multiplier : float, optional
-        Override the target (as a multiplier of ``spec.load``) instead of
-        deriving it from the safety factors. Mainly for calibration runs;
-        an override at or above the original multiplier makes the search
-        a no-op.
 
     Returns
     -------
     AttackResult
         ``SUCCESS`` with the tampered design, ``NO_OP`` if the original
-        already meets the target, or ``BUDGET_EXHAUSTED`` carrying the
-        best state found.
+        already meets the target (a ``target_sf`` just below
+        ``design_sf`` can round the target up to the original), or
+        ``BUDGET_EXHAUSTED`` carrying the best state found.
     """
-    search = _Search(1, lam, spec, target_multiplier)
+    max_sweeps = DEFAULT_MAX_SWEEPS if spec.budget is None else spec.budget
+    search = _Search(1, lam, spec)
     if search.mult <= search.target_mult:
         return search.result(AttackStatus.NO_OP)
     signs = tuple(-1.0 if a < 0.0 else 1.0 for a in search.original_angles)
     order = middle_out_order(lam.n_plies)
 
-    for sweep in range(1, spec.max_sweeps + 1):
+    for sweep in range(1, max_sweeps + 1):
         search.sweeps = sweep
         critical = ties_at_minimum(search.sr, CRITICAL_REL_TOL)
         for ply in order:
@@ -287,8 +290,7 @@ def spread_attack(lam: Laminate, spec: AttackSpec, *,
     return search.result(AttackStatus.BUDGET_EXHAUSTED)
 
 
-def focused_attack(lam: Laminate, spec: AttackSpec, *,
-                   target_multiplier: float | None = None) -> AttackResult:
+def focused_attack(lam: Laminate, spec: AttackSpec) -> AttackResult:
     """Type 2: few plies, each descended to a local minimum.
 
     Repeatedly takes the first not-yet-processed ply (middle-out order)
@@ -301,12 +303,15 @@ def focused_attack(lam: Laminate, spec: AttackSpec, *,
     no workable ply remains the search reports ``NO_SOLUTION``.
 
     Every critical-force evaluation (probes included) counts against
-    ``spec.max_iterations``. The search moves only on a strict
-    improvement, so its current state is always its best.
+    ``spec.budget`` (default :data:`DEFAULT_MAX_ITERATIONS`). The search
+    moves only on a strict improvement, so its current state is always
+    its best.
 
     Parameters are as for :func:`spread_attack`.
     """
-    search = _Search(2, lam, spec, target_multiplier)
+    max_evaluations = (DEFAULT_MAX_ITERATIONS if spec.budget is None
+                       else spec.budget)
+    search = _Search(2, lam, spec)
     if search.mult <= search.target_mult:
         return search.result(AttackStatus.NO_OP)
     order = middle_out_order(lam.n_plies)
@@ -322,7 +327,7 @@ def focused_attack(lam: Laminate, spec: AttackSpec, *,
         for step in (STEP_DEG, -STEP_DEG):
             moved = False
             while True:
-                if search.evaluations >= spec.max_iterations:
+                if search.evaluations >= max_evaluations:
                     return search.result(AttackStatus.BUDGET_EXHAUSTED)
                 mult, state = search.trial(ply, step)
                 if not mult < search.mult:

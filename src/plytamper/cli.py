@@ -27,7 +27,13 @@ import sys
 from pathlib import Path
 
 from plytamper import __version__
-from plytamper.attack import ATTACK_TYPES, AttackSpec, AttackStatus
+from plytamper.attack import (
+    ATTACK_TYPES,
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_MAX_SWEEPS,
+    AttackSpec,
+    AttackStatus,
+)
 from plytamper.clt import (
     LaminateSingularError,
     NoLoadedPlyError,
@@ -113,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target safety factor(s); defaults to the design "
                         "file's safety.target_sf list")
     p.add_argument("--budget", type=int, default=None,
-                   help="search budget: sweeps for type 1 (default 90), "
-                        "ladder evaluations for type 2 (default 20000)")
+                   help=f"search budget: sweeps for type 1 (default "
+                        f"{DEFAULT_MAX_SWEEPS}), counted evaluations for "
+                        f"type 2 (default {DEFAULT_MAX_ITERATIONS})")
     p.add_argument("--gap-threshold", type=_finite_float,
                    default=GAP_RATIO_THRESHOLD,
                    help="classification threshold for the tampered "
@@ -169,23 +176,24 @@ def _cmd_attack(args) -> int:
         raise DesignError("no target safety factors: give --target-sf or "
                           "set safety.target_sf in the design file")
 
-    budget = {}
-    if args.budget is not None:
-        if args.attack_type == 1:
-            budget["max_sweeps"] = args.budget
-        else:
-            budget["max_iterations"] = args.budget
+    paths = {}
+    for target_sf in targets:
+        path = _tampered_design_path(args.output, args.attack_type,
+                                     target_sf)
+        if path in paths:
+            raise DesignError(
+                f"target safety factors {paths[path]!r} and {target_sf!r} "
+                f"would both write {path.name}")
+        paths[path] = target_sf
 
     # Search every target before writing: one that raises leaves no files.
     blocks, tampered = [], []
-    for target_sf in targets:
+    for tampered_path, target_sf in paths.items():
         spec = AttackSpec(design.load, target_sf,
-                          design_sf=design.design_sf, **budget)
+                          design_sf=design.design_sf, budget=args.budget)
         result = ATTACK_TYPES[args.attack_type](lam, spec)
         block = attack_block(result, design.design_sf, target_sf,
                              args.gap_threshold)
-        tampered_path = _tampered_design_path(args.output,
-                                              args.attack_type, target_sf)
         block["tampered_design_file"] = tampered_path.name
         blocks.append(block)
         tampered.append((design.with_layup_angles(result.new_angles),

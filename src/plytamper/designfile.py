@@ -126,10 +126,21 @@ class DesignFile:
 # Parsing
 # =====================================================================
 
-def _require_mapping(node, path: str) -> dict:
+def _mapping(node, path: str, allowed=None, required=(),
+             extra_label="unexpected key(s)") -> dict:
+    """``node`` checked to be a mapping, to hold no key outside
+    ``allowed`` (any key if ``None``) and to hold every ``required`` key,
+    in that order."""
     if not isinstance(node, dict):
         raise DesignError(f"{path}: expected a mapping, got "
                           f"{type(node).__name__}")
+    extra = set() if allowed is None else set(node) - set(allowed)
+    if extra:
+        raise DesignError(f"{path}: {extra_label}: "
+                          f"{', '.join(sorted(map(str, extra)))}")
+    for key in required:
+        if key not in node:
+            raise DesignError(f"{path}.{key}: missing")
     return node
 
 
@@ -184,24 +195,14 @@ def _unit_factor(node, units: dict, path: str) -> float:
 
 def _quantity(node, units: dict, path: str) -> float:
     """Parse a ``{value, unit}`` node into the SI base unit."""
-    node = _require_mapping(node, path)
-    extra = set(node) - {"value", "unit"}
-    if extra:
-        raise DesignError(f"{path}: unexpected key(s): "
-                          f"{', '.join(sorted(extra))}")
-    if "value" not in node:
-        raise DesignError(f"{path}.value: missing")
+    node = _mapping(node, path, ("value", "unit"), required=("value",))
     return _scaled(node["value"], _unit_factor(node, units, path),
                    f"{path}.value")
 
 
 def _vector_quantity(node, units: dict, path: str) -> tuple[float, ...]:
     """Parse a ``{value: [..3 numbers..], unit}`` node."""
-    node = _require_mapping(node, path)
-    extra = set(node) - {"value", "unit"}
-    if extra:
-        raise DesignError(f"{path}: unexpected key(s): "
-                          f"{', '.join(sorted(extra))}")
+    node = _mapping(node, path, ("value", "unit"))
     value = node.get("value")
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise DesignError(f"{path}.value: expected a list of 3 numbers")
@@ -211,12 +212,10 @@ def _vector_quantity(node, units: dict, path: str) -> tuple[float, ...]:
 
 
 def _parse_material(node, path: str) -> MaterialProperties:
-    node = _require_mapping(node, path)
-    known = {name for name, _ in _MATERIAL_FIELDS}
-    extra = set(node) - known
-    if extra:
-        raise DesignError(f"{path}: unknown field(s): "
-                          f"{', '.join(sorted(extra))}")
+    # No required=: a missing field is reported in field order, after
+    # the faults of the fields parsed before it.
+    node = _mapping(node, path, [name for name, _ in _MATERIAL_FIELDS],
+                    extra_label="unknown field(s)")
     values = {}
     for name, units in _MATERIAL_FIELDS:
         if name not in node:
@@ -230,14 +229,8 @@ def _parse_material(node, path: str) -> MaterialProperties:
 
 def _parse_ply(node, materials: dict, index: int) -> PlyRecord:
     path = f"layup[{index}]"
-    node = _require_mapping(node, path)
-    extra = set(node) - {"angle", "thickness", "material"}
-    if extra:
-        raise DesignError(f"{path}: unexpected key(s): "
-                          f"{', '.join(sorted(extra))}")
-    for key in ("angle", "thickness", "material"):
-        if key not in node:
-            raise DesignError(f"{path}.{key}: missing")
+    keys = ("angle", "thickness", "material")
+    node = _mapping(node, path, keys, required=keys)
     name = node["material"]
     if not isinstance(name, str):
         raise DesignError(f"{path}.material: expected a material name")
@@ -260,19 +253,15 @@ def parse_design(doc) -> DesignFile:
         On any structural or semantic problem; the message names the
         offending field path (e.g. ``layup[3].material``).
     """
-    doc = _require_mapping(doc, "design")
-    extra = set(doc) - {"schema_version", "materials", "layup", "load",
-                        "safety"}
-    if extra:
-        raise DesignError(f"design: unexpected key(s): "
-                          f"{', '.join(sorted(extra))}")
+    doc = _mapping(doc, "design", ("schema_version", "materials", "layup",
+                                   "load", "safety"))
 
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DesignError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
-    materials_node = _require_mapping(doc.get("materials"), "materials")
+    materials_node = _mapping(doc.get("materials"), "materials")
     if not materials_node:
         raise DesignError("materials: at least one material is required")
     materials = {}
@@ -288,26 +277,16 @@ def parse_design(doc) -> DesignFile:
     layup = tuple(_parse_ply(node, materials, i)
                   for i, node in enumerate(layup_node))
 
-    load_node = _require_mapping(doc.get("load"), "load")
-    extra = set(load_node) - {"n", "m"}
-    if extra:
-        raise DesignError(f"load: unexpected key(s): "
-                          f"{', '.join(sorted(extra))}")
-    if "n" not in load_node:
-        raise DesignError("load.n: missing")
+    load_node = _mapping(doc.get("load"), "load", ("n", "m"),
+                         required=("n",))
     n = _vector_quantity(load_node["n"], _LINE_FORCE_UNITS, "load.n")
     if "m" in load_node:
         m = _vector_quantity(load_node["m"], _LINE_MOMENT_UNITS, "load.m")
     else:
         m = (0.0, 0.0, 0.0)
 
-    safety_node = _require_mapping(doc.get("safety"), "safety")
-    extra = set(safety_node) - {"design_sf", "target_sf"}
-    if extra:
-        raise DesignError(f"safety: unexpected key(s): "
-                          f"{', '.join(sorted(extra))}")
-    if "design_sf" not in safety_node:
-        raise DesignError("safety.design_sf: missing")
+    safety_node = _mapping(doc.get("safety"), "safety",
+                           ("design_sf", "target_sf"), required=("design_sf",))
     design_sf = _number(safety_node["design_sf"], "safety.design_sf")
     if not design_sf > 0.0:
         raise DesignError("safety.design_sf: must be positive")

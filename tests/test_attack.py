@@ -6,6 +6,7 @@ completely separate evaluation path. The package's searches must land on
 the same plies with the same deltas.
 """
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -53,6 +54,16 @@ CRIT_TOL = 1e-6
 def make_spec(target_sf=1.0, **kwargs):
     return AttackSpec(load=AXIAL, target_sf=target_sf, design_sf=1.5,
                       **kwargs)
+
+
+def rounded_up_spec(lam, design_sf):
+    """The public spec one ulp below ``design_sf``, checked to round its
+    target up to the original multiplier, so the search must be a no-op."""
+    spec = AttackSpec(load=AXIAL, target_sf=math.nextafter(design_sf, 0.0),
+                      design_sf=design_sf)
+    mult, _ = first_ply_failure(lam, AXIAL)
+    assert target_force(mult, design_sf, spec.target_sf) >= mult
+    return spec
 
 
 # =============================================================================
@@ -207,16 +218,28 @@ class TestAttackSpec:
             AttackSpec(load=LoadCase(n=(0.0, 0.0, 0.0)), target_sf=1.0)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            make_spec(1.0, max_sweeps=0)
-        with pytest.raises(ValueError):
-            make_spec(1.0, max_iterations=0)
+        with pytest.raises(ValueError, match=r"budget=0\)"):
+            make_spec(1.0, budget=0)
+        with pytest.raises(ValueError, match=r"budget=-3\)"):
+            make_spec(1.0, budget=-3)
+        assert make_spec(1.0, budget=1).budget == 1
 
-    @pytest.mark.parametrize("knob", ["step_deg", "critical_rel_tol"])
-    def test_step_and_tolerance_are_not_settable(self, knob):
-        """Both searches step one degree and share one critical tolerance."""
+    def test_fields_are_pinned(self):
+        assert [f.name for f in dataclasses.fields(AttackSpec)] == [
+            "load", "target_sf", "design_sf", "budget"]
+
+    @pytest.mark.parametrize("knob", ["step_deg", "critical_rel_tol",
+                                      "max_sweeps", "max_iterations",
+                                      "target_multiplier"])
+    def test_step_and_tolerance_are_not_settable(self, knob, graphite_epoxy):
+        """Both searches step one degree, share one critical tolerance,
+        read one budget field and take their target from the spec."""
         with pytest.raises(TypeError, match=knob):
             make_spec(1.0, **{knob: 1.0})
+        lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0] * 8)
+        for attack in (spread_attack, focused_attack):
+            with pytest.raises(TypeError, match=knob):
+                attack(lam, make_spec(1.0), **{knob: 1.0})
 
 
 class TestTargetForce:
@@ -245,7 +268,7 @@ class TestTargetForce:
         result = focused_attack(
             design.laminate(),
             AttackSpec(design.load, target_sf, design_sf=design.design_sf,
-                       max_iterations=1))
+                       budget=1))
         assert target_force(result.original_multiplier, design.design_sf,
                             target_sf) == result.target_multiplier
 
@@ -338,11 +361,9 @@ class TestSpreadAttack:
             assert new.thickness == old.thickness
             assert new.material is old.material
 
-    def test_no_op_with_override(self, graphite_epoxy):
+    def test_no_op_when_target_rounds_up(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0] * 8)
-        mult, _ = first_ply_failure(lam, AXIAL)
-        result = spread_attack(lam, make_spec(1.0),
-                               target_multiplier=mult * 1.1)
+        result = spread_attack(lam, rounded_up_spec(lam, 1.5))
         assert result.status is AttackStatus.NO_OP
         assert result.altered_count == 0
         assert set(result.deltas) == {0.0}
@@ -351,7 +372,7 @@ class TestSpreadAttack:
     def test_budget_exhausted_returns_best_state(self, graphite_epoxy):
         """With one sweep the target is unreachable; best state comes back."""
         lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0] * 8)
-        result = spread_attack(lam, make_spec(1.0, max_sweeps=1))
+        result = spread_attack(lam, make_spec(1.0, budget=1))
         assert result.status is AttackStatus.BUDGET_EXHAUSTED
         assert result.achieved_multiplier > result.target_multiplier
         assert result.achieved_multiplier <= result.original_multiplier
@@ -467,19 +488,18 @@ class TestFocusedAttack:
 
     def test_budget_exhausted_midway(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0] * 8)
-        result = focused_attack(lam, make_spec(1.0, max_iterations=10))
+        result = focused_attack(lam, make_spec(1.0, budget=10))
         assert result.status is AttackStatus.BUDGET_EXHAUSTED
         assert result.evaluations == 10
         mult, _ = first_ply_failure(lam.with_angles(result.new_angles), AXIAL)
         assert mult == result.achieved_multiplier
 
-    def test_no_op_with_override(self, graphite_epoxy):
+    def test_no_op_when_target_rounds_up(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0] * 8)
-        mult, _ = first_ply_failure(lam, AXIAL)
-        result = focused_attack(lam, make_spec(1.0),
-                                target_multiplier=mult * 2.0)
+        result = focused_attack(lam, rounded_up_spec(lam, 1.5))
         assert result.status is AttackStatus.NO_OP
         assert result.altered_count == 0
+        assert result.evaluations == 1
 
     def test_deterministic(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, PLY_T,
@@ -562,9 +582,8 @@ class TestAttackResult:
 
     def test_zero_delta_summary(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0, 45.0])
-        mult, _ = first_ply_failure(lam, AXIAL)
-        result = spread_attack(lam, make_spec(1.0),
-                               target_multiplier=mult * 1.5)
+        result = spread_attack(lam, rounded_up_spec(lam, 1.91))
+        assert result.status is AttackStatus.NO_OP
         text = render_attack_text(result)
         assert "altered          : 0" in text
         assert "unaltered        : 2" in text

@@ -260,6 +260,36 @@ class TestAttack:
         assert block["status"] == "budget_exhausted"
         assert block["sweeps"] == 1
 
+    def test_budget_flag_limits_type2_evaluations(self, tmp_path, capsys):
+        """Unlimited, type 2 succeeds on the bundled design after 91."""
+        out = tmp_path / "report.json"
+        code = main(["attack", str(bundled_design_path()), "--type", "2",
+                     "--target-sf", "1.0", "--budget", "10", "-o", str(out)])
+        assert code == EXIT_NUMERICAL
+        capsys.readouterr()
+        report = json.loads(out.read_text(encoding="utf-8"))
+        (block,) = report["attacks"]
+        assert block["status"] == "budget_exhausted"
+        assert block["evaluations"] == 10
+
+    @pytest.mark.parametrize("targets", [["1.0", "0.99999999"],
+                                         ["0.9", "0.9"]])
+    def test_targets_sharing_a_tampered_file_are_rejected(
+            self, crossply_file, tmp_path, capsys, monkeypatch, targets):
+        calls = []
+        monkeypatch.setitem(attack.ATTACK_TYPES, 2,
+                            lambda lam, spec: calls.append(spec))
+        code = main(["attack", str(crossply_file), "--type", "2",
+                     "--target-sf", *targets,
+                     "-o", str(tmp_path / "report.json")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        name = f"report.tampered-type2-sf{float(targets[0]):g}.yaml"
+        assert (f"{float(targets[0])!r} and {float(targets[1])!r} "
+                f"would both write {name}") in err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crossply.yaml"]
+
 
 # =============================================================================
 # detect

@@ -236,6 +236,31 @@ class TestValidationErrors:
                            match=r"unexpected key\(s\): tolerance"):
             parse_design(doc)
 
+    @pytest.mark.parametrize("key", ["zz_extra", 7])
+    @pytest.mark.parametrize("keys, prefix", [
+        pytest.param(keys, f"{path}: {label}", id=path)
+        for keys, path, label in [
+            ((), "design", "unexpected key(s)"),
+            (("materials", "graphite_epoxy"), "materials.graphite_epoxy",
+             "unknown field(s)"),
+            (("layup", 2), "layup[2]", "unexpected key(s)"),
+            (("layup", 1, "thickness"), "layup[1].thickness",
+             "unexpected key(s)"),
+            (("load",), "load", "unexpected key(s)"),
+            (("load", "n"), "load.n", "unexpected key(s)"),
+            (("safety",), "safety", "unexpected key(s)"),
+        ]])
+    def test_unknown_key_is_rejected_with_its_path(self, doc, keys, prefix,
+                                                   key):
+        """A non-string key (YAML ``7:``) is named too, not a TypeError."""
+        node = doc
+        for k in keys:
+            node = node[k]
+        node[key] = 1.0
+        with pytest.raises(DesignError) as excinfo:
+            parse_design(doc)
+        assert str(excinfo.value) == f"{prefix}: {key}"
+
     def test_missing_load_n(self, doc):
         del doc["load"]["n"]
         with pytest.raises(DesignError, match=r"load\.n: missing"):

@@ -32,13 +32,10 @@ from plytamper.clt import (
     MaterialProperties,
     Ply,
     StrengthRatioRootError,
-    TsaiWuParams,
     assemble_abd,
     normalize_angle,
-    ply_z_planes,
     reduced_stiffness,
     transform_stiffness,
-    tsai_wu_params,
 )
 from plytamper.designfile import (
     DesignError,
@@ -90,7 +87,6 @@ __all__ = [
     "Ply",
     "PlyRecord",
     "StrengthRatioRootError",
-    "TsaiWuParams",
     "assemble_abd",
     "bundled_design_path",
     "classify_failure_mode",
@@ -107,12 +103,10 @@ __all__ = [
     "normalize_angle",
     "parse_design",
     "save_design",
-    "ply_z_planes",
     "reduced_stiffness",
     "simulate_progressive_failure",
     "spread_attack",
     "target_force",
     "transform_stiffness",
-    "tsai_wu_params",
     "__version__",
 ]

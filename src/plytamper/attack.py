@@ -17,10 +17,10 @@ Two strategies are implemented:
   the critical force before touching the next one. It tends to alter few
   plies, each by a lot.
 
-Searches compare *multipliers* of the reference load internally (always
-positive); reported forces are the multiplier times the load's dominant
-component, so a laminate loaded with N = (1, 0, 0) N/m reports its
-critical force directly in N/m.
+Searches compare *multipliers* of the reference load (always positive).
+The report turns them into forces, the multiplier times the load's
+dominant component, so a laminate loaded with N = (1, 0, 0) N/m reports
+its critical force directly in N/m.
 """
 
 from __future__ import annotations
@@ -100,24 +100,27 @@ class AttackResult:
 
     Every status reports the best (lowest critical force) state the
     search saw; on ``SUCCESS``, ``NO_OP`` and ``NO_SOLUTION`` that is also
-    the state it ended in. Re-simulating ``new_angles`` under the same
-    load reproduces ``achieved_multiplier`` exactly.
+    the state it ended in. Re-simulating ``new_angles`` under
+    ``spec.load`` reproduces ``achieved_multiplier`` exactly.
     """
 
     attack_type: int
     status: AttackStatus
+    spec: AttackSpec
     original_angles: tuple[float, ...]
     new_angles: tuple[float, ...]
     deltas: tuple[float, ...]
     original_multiplier: float
-    target_multiplier: float
     achieved_multiplier: float
-    original_critical_force: float
-    target_critical_force: float
-    achieved_critical_force: float
     ladder: FailureLadder
     evaluations: int
     sweeps: int
+
+    @property
+    def target_multiplier(self) -> float:
+        """The multiplier the search aimed at; see :func:`target_force`."""
+        return target_force(self.original_multiplier, self.spec.design_sf,
+                            self.spec.target_sf)
 
     @property
     def altered_count(self) -> int:
@@ -152,26 +155,14 @@ def target_force(original_first_rung_force: float, design_sf: float,
 def middle_out_order(n_plies: int) -> tuple[int, ...]:
     """Visit order from the mid-plane outward.
 
-    Even counts start on the two middle plies (upper first), odd counts on
-    the single middle ply; then alternate outward on both sides.
+    Plies are sorted by the distance of their centre from the mid-plane,
+    the upper ply first on a tie: even counts start on the two middle
+    plies, odd counts on the single middle ply.
     """
     if n_plies < 1:
         raise ValueError("need at least one ply")
-    order = []
-    if n_plies % 2:
-        mid = n_plies // 2
-        order.append(mid)
-        left, right = mid - 1, mid + 1
-    else:
-        left, right = n_plies // 2 - 1, n_plies // 2
-    while left >= 0 or right < n_plies:
-        if left >= 0:
-            order.append(left)
-            left -= 1
-        if right < n_plies:
-            order.append(right)
-            right += 1
-    return tuple(order)
+    return tuple(sorted(range(n_plies),
+                        key=lambda i: (abs(2 * i - n_plies + 1), i)))
 
 
 class _Search:
@@ -221,20 +212,16 @@ class _Search:
     def result(self, status: AttackStatus) -> AttackResult:
         """The best state seen, with its ladder, as the search's result."""
         mult, angles, deltas = self.best
-        _, scalar = self.spec.load.dominant_axis()
         final = self.lam.with_angles(angles)
         return AttackResult(
             attack_type=self.attack_type,
             status=status,
+            spec=self.spec,
             original_angles=self.original_angles,
             new_angles=final.angles,
             deltas=deltas,
             original_multiplier=self.original_mult,
-            target_multiplier=self.target_mult,
             achieved_multiplier=mult,
-            original_critical_force=self.original_mult * scalar,
-            target_critical_force=self.target_mult * scalar,
-            achieved_critical_force=mult * scalar,
             ladder=simulate_progressive_failure(final, self.spec.load),
             evaluations=self.evaluations,
             sweeps=self.sweeps,

@@ -192,8 +192,7 @@ def _cmd_attack(args) -> int:
         spec = AttackSpec(design.load, target_sf,
                           design_sf=design.design_sf, budget=args.budget)
         result = ATTACK_TYPES[args.attack_type](lam, spec)
-        block = attack_block(result, design.design_sf, target_sf,
-                             args.gap_threshold)
+        block = attack_block(result, args.gap_threshold)
         block["tampered_design_file"] = tampered_path.name
         blocks.append(block)
         tampered.append((design.with_layup_angles(result.new_angles),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +114,27 @@ class MaterialProperties:
     def _qbar_by_angle(self) -> dict:
         """This material's [Qbar] by angle; see :func:`ply_stiffness`."""
         return {}
+
+    @cached_property
+    def tsai_wu(self) -> np.ndarray:
+        """Tsai-Wu parameters (h1, h2, h11, h22, h66, h12), read-only.
+
+        There is no linear shear term: shear strength is
+        direction-independent in the 1-2 plane. h11, h22 and h66 are
+        positive; h12 is the usual interaction term -0.5*sqrt(h11*h22).
+        """
+        h11 = 1.0 / (self.sigma1t_ult * self.sigma1c_ult)
+        h22 = 1.0 / (self.sigma2t_ult * self.sigma2c_ult)
+        row = np.array([
+            1.0 / self.sigma1t_ult - 1.0 / self.sigma1c_ult,
+            1.0 / self.sigma2t_ult - 1.0 / self.sigma2c_ult,
+            h11,
+            h22,
+            1.0 / self.tau12_ult ** 2,
+            -0.5 * math.sqrt(h11 * h22),
+        ])
+        row.setflags(write=False)
+        return row
 
 
 @dataclass(frozen=True)
@@ -203,11 +224,12 @@ class Laminate:
 class PreparedStack:
     """Angle-independent arrays of a stack, shared by its rotated copies.
 
-    ``h`` holds the end-plane z coordinates h_0..h_n (see
-    :func:`ply_z_planes`), ``z_mid`` the ply mid-planes, ``w1``, ``w2``
-    and ``w3`` the A, B and D weights h_k^p - h_{k-1}^p for p = 1, 2, 3,
-    and ``tsai_wu`` the per-ply Tsai-Wu coefficients as a (6, n) array
-    with rows h1, h2, h11, h22, h66, h12. All arrays are read-only.
+    ``h`` holds the end-plane z coordinates h_0..h_n, strictly increasing
+    from -H/2 to +H/2 (ply k occupies [h_{k-1}, h_k]), ``z_mid`` the ply
+    mid-planes, ``w1``, ``w2`` and ``w3`` the A, B and D weights
+    h_k^p - h_{k-1}^p for p = 1, 2, 3, and ``tsai_wu`` the plies'
+    :attr:`MaterialProperties.tsai_wu` rows stacked into a (6, n) array.
+    All arrays are read-only.
     """
 
     h: np.ndarray
@@ -222,17 +244,14 @@ class PreparedStack:
         thicknesses = np.array([p.thickness for p in lam.plies])
         h = np.concatenate([[0.0], np.cumsum(thicknesses)])
         h = h - h[-1] / 2.0
-        rows = []
-        for ply in lam.plies:
-            tw = tsai_wu_params(ply.material)
-            rows.append((tw.h1, tw.h2, tw.h11, tw.h22, tw.h66, tw.h12))
+        tsai_wu = np.array([p.material.tsai_wu for p in lam.plies])
         arrays = cls(
             h=h,
             z_mid=(h[:-1] + h[1:]) / 2.0,
             w1=h[1:] - h[:-1],
             w2=h[1:] ** 2 - h[:-1] ** 2,
             w3=h[1:] ** 3 - h[:-1] ** 3,
-            tsai_wu=np.array(rows).T.copy(),
+            tsai_wu=tsai_wu.T.copy(),
         )
         for array in vars(arrays).values():
             array.setflags(write=False)
@@ -298,23 +317,6 @@ class AbdMatrices:
     d: np.ndarray   # 3x3, N*m
 
 
-@dataclass(frozen=True)
-class TsaiWuParams:
-    """Tsai-Wu strength parameters of a lamina.
-
-    There is no linear shear term: shear strength is direction-independent
-    in the 1-2 plane. h11, h22, h66 are positive; h12 is the usual
-    negative interaction term -0.5*sqrt(h11*h22).
-    """
-
-    h1: float
-    h2: float
-    h11: float
-    h22: float
-    h66: float
-    h12: float
-
-
 # =============================================================================
 # Lamina constants and rotation
 # =============================================================================
@@ -348,18 +350,6 @@ def reduced_stiffness(mat: MaterialProperties) -> np.ndarray:
         [q12, q22, 0.0],
         [0.0, 0.0, mat.g12],
     ])
-
-
-@lru_cache(maxsize=None)
-def tsai_wu_params(mat: MaterialProperties) -> TsaiWuParams:
-    """Tsai-Wu strength parameters from the five ultimate strengths."""
-    h1 = 1.0 / mat.sigma1t_ult - 1.0 / mat.sigma1c_ult
-    h2 = 1.0 / mat.sigma2t_ult - 1.0 / mat.sigma2c_ult
-    h11 = 1.0 / (mat.sigma1t_ult * mat.sigma1c_ult)
-    h22 = 1.0 / (mat.sigma2t_ult * mat.sigma2c_ult)
-    h66 = 1.0 / mat.tau12_ult ** 2
-    h12 = -0.5 * math.sqrt(h11 * h22)
-    return TsaiWuParams(h1=h1, h2=h2, h11=h11, h22=h22, h66=h66, h12=h12)
 
 
 def transformation_matrix(angle_deg) -> np.ndarray:
@@ -417,15 +407,6 @@ def ply_stiffness(mat: MaterialProperties, angle_deg: float) -> np.ndarray:
 # =============================================================================
 # Laminate assembly
 # =============================================================================
-
-def ply_z_planes(lam: Laminate) -> np.ndarray:
-    """End-plane z coordinates h_0..h_n of the stack, top to bottom.
-
-    Strictly increasing from -H/2 to +H/2 (z positive downward). The k-th
-    ply occupies [h_{k-1}, h_k]. The array is read-only.
-    """
-    return lam.prepared.h
-
 
 def stiffness_stack(lam: Laminate) -> np.ndarray:
     """Per-ply [Qbar] as an (n, 3, 3) array, top to bottom."""

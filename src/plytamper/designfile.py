@@ -40,6 +40,8 @@ numbers.  ``load.m`` may be omitted and defaults to zero.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -369,8 +371,32 @@ def save_design(design: DesignFile, path) -> None:
     the text is serialized before the file is opened."""
     text = yaml.safe_dump(design_to_mapping(design), sort_keys=False,
                           default_flow_style=False)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    write_text(path, text)
+
+
+def write_text(path, text: str, newline: str | None = None) -> None:
+    """Write ``text`` (UTF-8) to ``path`` as :func:`open` would, but a
+    regular file (a symlink's target) is replaced in one step: the text
+    goes to a new file beside it, with the mode ``open`` gives, which an
+    error removes, leaving ``path`` as it was. ``/dev/null``, a FIFO and
+    other non-regular targets are written through, as ``open`` does."""
+    path = Path(os.path.realpath(path))
+    mode = path.stat().st_mode if path.exists() else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            handle.write(text)
+        return
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as handle:
+            handle.write(text)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # =====================================================================

@@ -80,15 +80,6 @@ class FailureLadder:
     def last_multiplier(self) -> float:
         return self.rungs[-1].force_multiplier
 
-    def force_n(self, rung_index: int) -> tuple[float, float, float]:
-        """Force resultants (N/m) at which the given rung fails."""
-        mult = self.rungs[rung_index].force_multiplier
-        return tuple(mult * v for v in self.load.n)
-
-    def force_m(self, rung_index: int) -> tuple[float, float, float]:
-        mult = self.rungs[rung_index].force_multiplier
-        return tuple(mult * v for v in self.load.m)
-
 
 def ties_at_minimum(sr_values, rel_tol: float = TIE_REL_TOL) -> set[int]:
     """Indices whose strength ratio ties the minimum within ``rel_tol``.

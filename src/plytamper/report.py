@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 
 from plytamper import __version__
 from plytamper.attack import AttackResult
+from plytamper.designfile import write_text
 from plytamper.detect import DetectabilityReport, EngineeringConstants
 from plytamper.failure import (
     GAP_RATIO_THRESHOLD,
@@ -68,14 +69,20 @@ def ladder_block(ladder: FailureLadder,
     }
 
 
-def attack_block(result: AttackResult, design_sf: float, target_sf: float,
+def attack_block(result: AttackResult,
                  gap_ratio_threshold: float = GAP_RATIO_THRESHOLD) -> dict:
-    """Render one attack run (one strategy, one target) for the report."""
+    """Render one attack run (one strategy, one target) for the report.
+
+    Safety factors come from ``result.spec``; forces are multipliers
+    times the load's dominant component, as in :func:`ladder_block`.
+    """
+    spec = result.spec
+    _, scalar = spec.load.dominant_axis()
     return {
         "attack_type": result.attack_type,
         "status": result.status.value,
-        "design_sf": design_sf,
-        "target_sf": target_sf,
+        "design_sf": spec.design_sf,
+        "target_sf": spec.target_sf,
         "original_angles_deg": list(result.original_angles),
         "new_angles_deg": list(result.new_angles),
         "deltas_deg": list(result.deltas),
@@ -86,9 +93,9 @@ def attack_block(result: AttackResult, design_sf: float, target_sf: float,
         "original_multiplier": result.original_multiplier,
         "target_multiplier": result.target_multiplier,
         "achieved_multiplier": result.achieved_multiplier,
-        "original_critical_force": result.original_critical_force,
-        "target_critical_force": result.target_critical_force,
-        "achieved_critical_force": result.achieved_critical_force,
+        "original_critical_force": result.original_multiplier * scalar,
+        "target_critical_force": result.target_multiplier * scalar,
+        "achieved_critical_force": result.achieved_multiplier * scalar,
         "evaluations": result.evaluations,
         "sweeps": result.sweeps,
         "tampered_ladder": ladder_block(result.ladder,
@@ -144,9 +151,7 @@ def report_to_json(report: dict) -> str:
 
 def write_report(report: dict, path) -> None:
     """Write the report as JSON; an unserializable one writes nothing."""
-    text = report_to_json(report)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    write_text(path, report_to_json(report))
 
 
 def load_report(path) -> dict:
@@ -266,17 +271,27 @@ def render_report_text(report: dict) -> str:
 CSV_COLUMNS = ("source", "rung", "force_multiplier", "force",
                "failed_ply", "cumulative_failed", "flagged")
 
+#: The scalar fields of a rung that the CSV copies, with their kinds.
+_RUNG_FIELDS = (("force_multiplier", "a number"), ("force", "a number"),
+                ("cumulative_failed", "an integer"), ("flagged", "a boolean"))
 
-_KINDS = {dict: "an object", list: "an array", (int, float): "a number",
-          object: "present"}
+#: Report field checks, keyed by the phrase their error message uses.
+#: JSON values have exact types, so ``type`` keeps booleans out of numbers.
+_KINDS = {"an object": (dict,), "an array": (list,), "a number": (int, float),
+          "an integer": (int,), "a boolean": (bool,)}
 
 
-def _get(block, where: str, key: str, kind=object):
-    """``block[key]``; ValueError naming the field if absent or not a kind."""
-    if (not isinstance(block, dict) or key not in block
-            or not isinstance(block[key], kind)):
-        raise ValueError(f"report field {where}{key} must be {_KINDS[kind]}")
-    return block[key]
+def _check(value, field: str, kind: str):
+    """``value``; ValueError naming ``field`` unless it is ``kind``."""
+    if type(value) not in _KINDS[kind]:
+        raise ValueError(f"report field {field} must be {kind}")
+    return value
+
+
+def _get(block, where: str, key: str, kind: str):
+    """``block[key]`` checked as :func:`_check`; absent fails the check."""
+    value = block.get(key) if isinstance(block, dict) else None
+    return _check(value, where + key, kind)
 
 
 def _report_ladders(report) -> list[tuple[str, dict, str]]:
@@ -285,15 +300,16 @@ def _report_ladders(report) -> list[tuple[str, dict, str]]:
         raise ValueError("report must be a JSON object")
     ladders = []
     if "analysis" in report:
-        ladders.append(("analysis", _get(report.get("analysis"), "analysis.",
-                                         "ladder", dict), "analysis.ladder"))
-    attacks = _get(report, "", "attacks", list) if "attacks" in report else []
+        ladder = _get(report["analysis"], "analysis.", "ladder", "an object")
+        ladders.append(("analysis", ladder, "analysis.ladder"))
+    attacks = ([] if "attacks" not in report
+               else _get(report, "", "attacks", "an array"))
     for i, block in enumerate(attacks):
         at = f"attacks[{i}]."
-        label = (f"attack_type{_get(block, at, 'attack_type')}"
-                 f"_sf{_get(block, at, 'target_sf', (int, float)):g}")
-        ladders.append((label, _get(block, at, "tampered_ladder", dict),
-                        at + "tampered_ladder"))
+        label = (f"attack_type{_get(block, at, 'attack_type', 'an integer')}"
+                 f"_sf{_get(block, at, 'target_sf', 'a number'):g}")
+        ladder = _get(block, at, "tampered_ladder", "an object")
+        ladders.append((label, ladder, at + "tampered_ladder"))
     return ladders
 
 
@@ -312,13 +328,14 @@ def export_ladder_csv(report: dict, path) -> None:
     writer = csv.writer(text)
     writer.writerow(CSV_COLUMNS)
     for source, block, where in ladders:
-        for i, rung in enumerate(_get(block, where + ".", "rungs", list)):
+        rungs = _get(block, where + ".", "rungs", "an array")
+        for i, rung in enumerate(rungs):
             at = f"{where}.rungs[{i}]."
             mult, force, cumulative, flagged = (
-                _get(rung, at, key) for key in
-                ("force_multiplier", "force", "cumulative_failed", "flagged"))
-            for ply in _get(rung, at, "failed_plies", list):
+                _get(rung, at, key, kind) for key, kind in _RUNG_FIELDS)
+            plies = _get(rung, at, "failed_plies", "an array")
+            for j, ply in enumerate(plies):
+                _check(ply, f"{at}failed_plies[{j}]", "an integer")
                 writer.writerow([source, i, repr(mult), repr(force), ply,
                                  cumulative, str(flagged).lower()])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text.getvalue())
+    write_text(path, text.getvalue(), newline="")

@@ -263,7 +263,8 @@ class TestTargetForce:
 
     @pytest.mark.parametrize("target_sf", [1.0, 0.9, 0.8])
     def test_is_the_search_target_bit_for_bit(self, target_sf):
-        """The searches aim at exactly the value this function returns."""
+        """The reported target is exactly this function's value on the
+        result's original multiplier and safety factors."""
         design = load_bundled_design()
         result = focused_attack(
             design.laminate(),
@@ -514,6 +515,22 @@ class TestFocusedAttack:
 
 class TestAttackResult:
 
+    def test_fields_are_pinned(self):
+        """Forces are not stored: the report derives them from the spec."""
+        assert [f.name for f in dataclasses.fields(AttackResult)] == [
+            "attack_type", "status", "spec", "original_angles", "new_angles",
+            "deltas", "original_multiplier", "achieved_multiplier", "ladder",
+            "evaluations", "sweeps"]
+
+    def test_carries_its_spec(self, graphite_epoxy):
+        lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0] * 8)
+        spec = make_spec(0.9)
+        for attack in (spread_attack, focused_attack):
+            result = attack(lam, spec)
+            assert result.spec is spec
+            assert result.target_multiplier == target_force(
+                result.original_multiplier, 1.5, 0.9)
+
     def test_registry_maps_cli_numbers(self):
         assert ATTACK_TYPES[1] is spread_attack
         assert ATTACK_TYPES[2] is focused_attack
@@ -536,19 +553,9 @@ class TestAttackResult:
     def test_deviation_bookkeeping(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0, 0, 0])
         base = focused_attack(lam, make_spec(1.0))
-        synthetic = AttackResult(
-            attack_type=base.attack_type, status=base.status,
-            original_angles=(0.0, 0.0, 0.0), new_angles=(5.0, 0.0, -3.0),
-            deltas=(5.0, 0.0, -3.0),
-            original_multiplier=base.original_multiplier,
-            target_multiplier=base.target_multiplier,
-            achieved_multiplier=base.achieved_multiplier,
-            original_critical_force=base.original_critical_force,
-            target_critical_force=base.target_critical_force,
-            achieved_critical_force=base.achieved_critical_force,
-            ladder=base.ladder, evaluations=base.evaluations,
-            sweeps=base.sweeps,
-        )
+        synthetic = dataclasses.replace(
+            base, original_angles=(0.0, 0.0, 0.0),
+            new_angles=(5.0, 0.0, -3.0), deltas=(5.0, 0.0, -3.0))
         assert synthetic.altered_count == 2
         assert synthetic.max_pos_dev == 5.0
         assert synthetic.max_neg_dev == -3.0
@@ -588,11 +595,45 @@ class TestAttackResult:
         assert "altered          : 0" in text
         assert "unaltered        : 2" in text
 
+    def test_text_reports_the_results_own_safety_factors(
+            self, graphite_epoxy):
+        lam = Laminate.from_angles(graphite_epoxy, PLY_T, [0.0, 45.0])
+        result = spread_attack(lam, rounded_up_spec(lam, 1.91))
+        text = render_attack_text(result)
+        assert "design sf        : 1.91\n" in text
+        assert f"target sf        : {result.spec.target_sf:g}\n" in text
+
+
+class TestAttackBlock:
+    """The report is where multipliers become forces."""
+
+    @pytest.mark.parametrize("attack", [spread_attack, focused_attack])
+    def test_moment_only_load_reports_my_forces(self, attack,
+                                                graphite_epoxy):
+        lam = Laminate.from_angles(graphite_epoxy, PLY_T,
+                                   [0.0, 30.0, -30.0, 90.0, 0.0])
+        load = LoadCase(n=(0.0, 0.0, 0.0), m=(0.2, -2.5, 0.7))
+        spec = AttackSpec(load, 0.9, design_sf=1.5)
+        result = attack(lam, spec)
+        block = attack_block(result)
+        my = spec.load.m[1]
+        assert block["design_sf"] == 1.5 and block["target_sf"] == 0.9
+        assert block["original_critical_force"] == (
+            result.original_multiplier * my)
+        assert block["target_critical_force"] == (
+            result.target_multiplier * my)
+        assert block["achieved_critical_force"] == (
+            result.achieved_multiplier * my)
+        ladder = block["tampered_ladder"]
+        assert ladder["dominant_axis"] == "My"
+        for rung, computed in zip(ladder["rungs"], result.ladder.rungs):
+            assert rung["force"] == computed.force_multiplier * my
+
 
 def render_attack_text(result):
     """The text report of one attack run, as the CLI prints it."""
     report = {"command": "attack", "tool_version": "test", "inputs": {},
-              "attacks": [attack_block(result, 1.5, 1.0)]}
+              "attacks": [attack_block(result)]}
     return render_report_text(report)
 
 

@@ -7,8 +7,11 @@ the same code path as the installed console script minus one
 
 import copy
 import csv
+import errno
 import json
+import os
 import re
+import stat
 
 import pytest
 import yaml
@@ -432,6 +435,33 @@ class TestExportLadder:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rung_field, value, field", [
+        ("force", "abc", "rungs[0].force"),
+        ("force_multiplier", True, "rungs[0].force_multiplier"),
+        ("cumulative_failed", [1], "rungs[0].cumulative_failed"),
+        ("cumulative_failed", 1.0, "rungs[0].cumulative_failed"),
+        ("failed_plies", [{"x": 1}, None], "rungs[0].failed_plies[0]"),
+        ("failed_plies", [0, None], "rungs[0].failed_plies[1]"),
+        ("flagged", "maybe", "rungs[0].flagged"),
+        ("attack_type", "2", "attacks[0].attack_type"),
+        ("target_sf", False, "attacks[0].target_sf"),
+    ])
+    def test_mistyped_field_is_a_usage_error(self, tmp_path, capsys,
+                                             rung_field, value, field):
+        rung = {"force_multiplier": 2.0, "force": 2000.0,
+                "failed_plies": [0, 1], "cumulative_failed": 2,
+                "flagged": False}
+        block = {"attack_type": 2, "target_sf": 1.0,
+                 "tampered_ladder": {"rungs": [rung]}}
+        (block if rung_field in block else rung)[rung_field] = value
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"attacks": [block]}), encoding="utf-8")
+        out = tmp_path / "ladder.csv"
+        code = main(["export-ladder", str(report), "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_is_an_io_error(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         report.write_text("{not json", encoding="utf-8")
@@ -501,6 +531,123 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_report({"gap_ratio_threshold": float("nan")}, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, failing_write, target", [
+        (["analyze"], 1, "report.json"),
+        (["attack", "--type", "2"], 1, "report.json"),
+        (["attack", "--type", "2"], 2, "report.tampered-type2-sf1.yaml"),
+        (["export-ladder"], 1, "ladder.csv"),
+    ], ids=["analyze-report", "attack-report", "attack-tampered-design",
+            "export-ladder-csv"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, capsys,
+                                             crossply_file, monkeypatch,
+                                             command, failing_write, target):
+        """A write that fails part-way (a full disk) exits 3 and leaves
+        the file it would replace as it was, with no temporary file."""
+        report = tmp_path / "report.json"
+        if command == ["export-ladder"]:
+            assert main(["analyze", str(crossply_file),
+                         "-o", str(report)]) == EXIT_OK
+            argv = ["export-ladder", str(report), "-o",
+                    str(tmp_path / "ladder.csv")]
+        else:
+            argv = [command[0], str(crossply_file), *command[1:],
+                    "-o", str(report)]
+        old = tmp_path / target
+        old.write_bytes(b"old contents\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+
+        real_fdopen = os.fdopen
+        calls = []
+
+        class HalfWriter:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:len(text) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fdopen(*args, **kwargs):
+            handle = real_fdopen(*args, **kwargs)
+            calls.append(handle)
+            return HalfWriter(handle) if len(calls) == failing_write \
+                else handle
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        code = main(argv)
+        monkeypatch.undo()
+        assert code == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert old.read_bytes() == b"old contents\n"
+        after = sorted(p.name for p in tmp_path.iterdir())
+        assert [n for n in after if n not in before] == (
+            ["report.json"] if failing_write == 2 else [])
+
+    def test_written_files_get_the_mode_open_gives(self, tmp_path, capsys,
+                                                   crossply_file):
+        """New files get 0o666 less the umask, not a temporary file's
+        0o600; a replaced file keeps its own mode."""
+        umask = os.umask(0o022)
+        try:
+            report = tmp_path / "report.json"
+            assert main(["analyze", str(crossply_file),
+                         "-o", str(report)]) == EXIT_OK
+            assert report.stat().st_mode & 0o777 == 0o644
+            report.chmod(0o640)
+            assert main(["analyze", str(crossply_file),
+                         "-o", str(report)]) == EXIT_OK
+            assert report.stat().st_mode & 0o777 == 0o640
+        finally:
+            os.umask(umask)
+        capsys.readouterr()
+
+    def test_device_output_is_written_through(self, crossply_file, capsys):
+        """A non-regular target is written to, not replaced."""
+        assert main(["analyze", str(crossply_file),
+                     "-o", os.devnull]) == EXIT_OK
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        capsys.readouterr()
+
+    def test_fifo_output_is_written_through(self, tmp_path, capsys,
+                                            crossply_file):
+        fifo = tmp_path / "report.pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["analyze", str(crossply_file),
+                         "-o", str(fifo)]) == EXIT_OK
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert json.loads(b"".join(chunks))["analysis"]
+        capsys.readouterr()
+
+    def test_symlinked_output_stays_a_symlink(self, tmp_path, capsys,
+                                              crossply_file):
+        target_dir = tmp_path / "real"
+        target_dir.mkdir()
+        target = target_dir / "report.json"
+        target.write_text("old contents\n", encoding="utf-8")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["analyze", str(crossply_file),
+                     "-o", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert json.loads(target.read_text(encoding="utf-8"))["analysis"]
+        assert [p.name for p in target_dir.iterdir()] == ["report.json"]
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", [["analyze"],
                                          ["attack", "--type", "2"]])

@@ -26,12 +26,10 @@ from plytamper.clt import (
     assemble_abd,
     normalize_angle,
     ply_stiffness,
-    ply_z_planes,
     reduced_stiffness,
     stiffness_stack,
     transform_stiffness,
     transformation_matrix,
-    tsai_wu_params,
 )
 from plytamper.failure import ply_stresses, strength_ratios
 
@@ -52,13 +50,14 @@ def ratios(stress, mat):
     return strength_ratios(stress, lam.prepared.tsai_wu)
 
 
-def tsai_wu_safe(stress, h):
+def tsai_wu_safe(stress, mat):
     """The failure polynomial itself: safe while a + b < 1, so a state
     exactly on the envelope counts as failed."""
     s1, s2, t12 = (float(v) for v in stress)
-    a = h.h1 * s1 + h.h2 * s2
-    b = (h.h11 * s1 * s1 + h.h22 * s2 * s2 + h.h66 * t12 * t12
-         + 2.0 * h.h12 * s1 * s2)
+    h1, h2, h11, h22, h66, h12 = mat.tsai_wu.tolist()
+    a = h1 * s1 + h2 * s2
+    b = (h11 * s1 * s1 + h22 * s2 * s2 + h66 * t12 * t12
+         + 2.0 * h12 * s1 * s2)
     return a + b < 1.0
 
 
@@ -362,19 +361,19 @@ class TestZPlanes:
 
     def test_single_ply(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, 2e-4, [0])
-        np.testing.assert_allclose(ply_z_planes(lam), [-1e-4, 1e-4])
+        np.testing.assert_allclose(lam.prepared.h, [-1e-4, 1e-4])
 
     def test_uniform_stack_centered(self, graphite_epoxy):
         lam = Laminate.from_angles(graphite_epoxy, 1e-4, [0, 45, 90, 0])
         np.testing.assert_allclose(
-            ply_z_planes(lam), [-2e-4, -1e-4, 0.0, 1e-4, 2e-4])
+            lam.prepared.h, [-2e-4, -1e-4, 0.0, 1e-4, 2e-4])
 
     def test_mixed_thickness(self, graphite_epoxy):
         lam = Laminate((
             Ply(0.0, 3e-4, graphite_epoxy),
             Ply(90.0, 1e-4, graphite_epoxy),
         ))
-        np.testing.assert_allclose(ply_z_planes(lam), [-2e-4, 1e-4, 2e-4])
+        np.testing.assert_allclose(lam.prepared.h, [-2e-4, 1e-4, 2e-4])
 
 
 class TestAbdAssembly:
@@ -429,7 +428,7 @@ class TestAbdAssembly:
         a, _, _ = abd_blocks(
             np.where(active[:, None, None], stiffness_stack(lam), 0.0),
             lam.prepared)
-        h = ply_z_planes(lam)
+        h = lam.prepared.h
         q0 = ply_stiffness(graphite_epoxy, 0.0)
         q90 = ply_stiffness(graphite_epoxy, 90.0)
         expected_a = q0 * (h[1] - h[0]) + q90 * (h[3] - h[2])
@@ -503,7 +502,7 @@ class TestPlyStressState:
         abd = assemble_abd(lam)
         state = np.linalg.solve(np.block([[abd.a, abd.b], [abd.b, abd.d]]),
                                 load.as_vector())
-        h = ply_z_planes(lam)
+        h = lam.prepared.h
         for k in range(lam.n_plies):
             z = 0.5 * (h[k] + h[k + 1])
             np.testing.assert_allclose(
@@ -546,20 +545,30 @@ class TestPlyStressState:
 # =============================================================================
 
 class TestTsaiWuParams:
+    """``MaterialProperties.tsai_wu``: rows h1, h2, h11, h22, h66, h12."""
 
     def test_frozen_values(self, graphite_epoxy):
-        h = tsai_wu_params(graphite_epoxy)
-        assert h.h1 == pytest.approx(0.0, abs=1e-30)
-        assert h.h2 == pytest.approx(2.0934959349593495e-08, rel=RTOL)
-        assert h.h11 == pytest.approx(4.444444444444444e-19, rel=RTOL)
-        assert h.h22 == pytest.approx(1.016260162601626e-16, rel=RTOL)
-        assert h.h66 == pytest.approx(2.1626297577854672e-16, rel=RTOL)
-        assert h.h12 == pytest.approx(-3.3603243272729657e-18, rel=RTOL)
+        h1, h2, h11, h22, h66, h12 = graphite_epoxy.tsai_wu
+        assert h1 == pytest.approx(0.0, abs=1e-30)
+        assert h2 == pytest.approx(2.0934959349593495e-08, rel=RTOL)
+        assert h11 == pytest.approx(4.444444444444444e-19, rel=RTOL)
+        assert h22 == pytest.approx(1.016260162601626e-16, rel=RTOL)
+        assert h66 == pytest.approx(2.1626297577854672e-16, rel=RTOL)
+        assert h12 == pytest.approx(-3.3603243272729657e-18, rel=RTOL)
 
     def test_interaction_term_sign(self, graphite_epoxy):
-        h = tsai_wu_params(graphite_epoxy)
-        assert h.h12 < 0.0
-        assert h.h12 ** 2 < h.h11 * h.h22
+        _, _, h11, h22, _, h12 = graphite_epoxy.tsai_wu
+        assert h12 < 0.0
+        assert h12 ** 2 < h11 * h22
+
+    def test_row_is_cached_read_only_and_stacked(self, graphite_epoxy):
+        row = graphite_epoxy.tsai_wu
+        assert row.shape == (6,) and graphite_epoxy.tsai_wu is row
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        lam = Laminate.from_angles(graphite_epoxy, 1e-4, [0.0, 45.0, 90.0])
+        assert np.array_equal(lam.prepared.tsai_wu,
+                              np.repeat(row[:, None], 3, axis=1))
 
 
 class TestStrengthRatio:
@@ -597,25 +606,22 @@ class TestTsaiWuCheck:
 
     def test_boundary_counts_as_failed(self, graphite_epoxy):
         """SR exactly 1 means the polynomial hits 1: not safe."""
-        h = tsai_wu_params(graphite_epoxy)
-        assert not tsai_wu_safe((0.0, 40e6, 0.0), h)
-        assert not tsai_wu_safe((1500e6, 0.0, 0.0), h)
+        assert not tsai_wu_safe((0.0, 40e6, 0.0), graphite_epoxy)
+        assert not tsai_wu_safe((1500e6, 0.0, 0.0), graphite_epoxy)
 
     def test_consistent_with_strength_ratio(self, graphite_epoxy):
         """Safe exactly when the stress could still be scaled up (SR > 1)."""
-        h = tsai_wu_params(graphite_epoxy)
         rng = np.random.default_rng(52)
         for _ in range(200):
             stress = rng.uniform(-1.0, 1.0, size=3) * [2000e6, 150e6, 100e6]
             sr = ratios(stress, graphite_epoxy)[0]
-            assert tsai_wu_safe(stress, h) == (sr > 1.0)
+            assert tsai_wu_safe(stress, graphite_epoxy) == (sr > 1.0)
 
     def test_scaling_past_the_envelope_fails(self, graphite_epoxy):
-        h = tsai_wu_params(graphite_epoxy)
         stress = np.array([120e6, 8e6, 15e6])
         sr = ratios(stress, graphite_epoxy)[0]
-        assert tsai_wu_safe(stress * (0.99 * sr), h)
-        assert not tsai_wu_safe(stress * (1.01 * sr), h)
+        assert tsai_wu_safe(stress * (0.99 * sr), graphite_epoxy)
+        assert not tsai_wu_safe(stress * (1.01 * sr), graphite_epoxy)
 
 
 if __name__ == "__main__":

@@ -110,11 +110,6 @@ class TestCrossPlyLadder:
     def test_mode_is_progressive(self, crossply_ladder):
         assert classify_failure_mode(crossply_ladder) is FailureMode.PROGRESSIVE
 
-    def test_force_accessors(self, crossply_ladder):
-        fx, fy, fxy = crossply_ladder.force_n(1)
-        assert fx == pytest.approx(375000.0, rel=1e-9)
-        assert fy == 0.0 and fxy == 0.0
-
 
 class TestLadderBehaviour:
 

@@ -171,6 +171,12 @@ class _Search:
     Makes the first evaluation, derives the target, counts evaluations and
     builds the :class:`AttackResult`. The strategies only choose which
     trial rotations to evaluate and which to move to.
+
+    Every evaluation and the result's ladder go through the laminate's
+    :attr:`~Laminate.memo`, so searches on one laminate (the same design
+    at several targets, or both strategies) solve each state once. Each
+    counted evaluation is still one ``first_ply_failure`` call, hit or
+    miss.
     """
 
     def __init__(self, attack_type: int, lam: Laminate, spec: AttackSpec):
@@ -178,7 +184,7 @@ class _Search:
         self.lam = lam
         self.spec = spec
         self.original_angles = lam.angles
-        self.mult, self.sr = first_ply_failure(lam, spec.load)
+        self.mult, self.sr = first_ply_failure(lam, spec.load, lam.memo)
         self.evaluations = 1
         self.sweeps = 0
         self.original_mult = self.mult
@@ -197,7 +203,7 @@ class _Search:
         angles = list(self.angles)
         angles[ply] = normalize_angle(self.original_angles[ply] + delta)
         mult, sr = first_ply_failure(self.lam.with_angles(angles),
-                                     self.spec.load)
+                                     self.spec.load, self.lam.memo)
         self.evaluations += 1
         return mult, (ply, delta, angles, sr)
 
@@ -222,7 +228,8 @@ class _Search:
             deltas=deltas,
             original_multiplier=self.original_mult,
             achieved_multiplier=mult,
-            ladder=simulate_progressive_failure(final, self.spec.load),
+            ladder=simulate_progressive_failure(final, self.spec.load,
+                                                self.lam.memo),
             evaluations=self.evaluations,
             sweeps=self.sweeps,
         )

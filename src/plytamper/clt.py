@@ -202,6 +202,18 @@ class Laminate:
         """The stack's angle-independent arrays, computed once."""
         return PreparedStack.of(self)
 
+    @cached_property
+    def memo(self) -> dict:
+        """Exact results of the tamper searches run on this laminate.
+
+        The searches pass it to :func:`~plytamper.failure.first_ply_failure`
+        and :func:`~plytamper.failure.simulate_progressive_failure`, so
+        every search on this object reuses the states the others solved.
+        It grows by one entry per distinct state; :meth:`with_angles`
+        copies do not share it, and a fresh laminate starts empty.
+        """
+        return {}
+
     @property
     def n_plies(self) -> int:
         return len(self.plies)

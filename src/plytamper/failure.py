@@ -16,6 +16,7 @@ multiplier than the one before it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -207,11 +208,30 @@ def _kernel_inputs(lam: Laminate, load: LoadCase):
             transformation_matrix(lam.angles))
 
 
-def first_ply_failure(lam: Laminate, load: LoadCase):
+def _memo_key(kind: str, lam: Laminate, load: LoadCase):
+    """A memo key holding the exact bits of the angles and the load.
+
+    The bits keep 0.0 and -0.0 apart. Materials and thicknesses are not
+    part of the key: a memo serves one laminate and its
+    :meth:`~Laminate.with_angles` copies, which share them.
+    """
+    return kind, struct.pack(f"{lam.n_plies + 6}d", *lam.angles, *load.n,
+                             *load.m)
+
+
+def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
     """Multiplier of the first failure plus the per-ply strength ratios.
 
     The cheap entry point for search loops that only monitor the first
     rung: one system solve, no knockout iteration.
+
+    ``memo`` (for example :attr:`Laminate.memo`) is a dict shared by
+    evaluations of one laminate and its rotated copies. A state whose
+    exact angles and load are already in it returns the stored result
+    without solving; a new state is solved and stored. Through a memo the
+    strength-ratio array is read-only, since every hit returns the same
+    one. An evaluation that raises stores nothing. Without a memo every
+    call solves and returns a fresh, writable array.
 
     Returns
     -------
@@ -219,12 +239,21 @@ def first_ply_failure(lam: Laminate, load: LoadCase):
         Minimum strength ratio (= first-rung force multiplier against the
         given load) and the full per-ply strength-ratio array.
     """
+    if memo is not None:
+        key = _memo_key("first_ply_failure", lam, load)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
     sr = _iteration_sr(*_kernel_inputs(lam, load))
-    return float(_finite_minimum(sr)[1]), sr
+    result = float(_finite_minimum(sr)[1]), sr
+    if memo is not None:
+        sr.setflags(write=False)
+        memo[key] = result
+    return result
 
 
-def simulate_progressive_failure(lam: Laminate,
-                                 load: LoadCase) -> FailureLadder:
+def simulate_progressive_failure(lam: Laminate, load: LoadCase,
+                                 memo: dict | None = None) -> FailureLadder:
     """Knock plies out group by group until the whole stack has failed.
 
     Parameters
@@ -233,6 +262,10 @@ def simulate_progressive_failure(lam: Laminate,
         The intact laminate.
     load : LoadCase
         Reference load; must be nonzero. Rung multipliers scale this load.
+    memo : dict, optional
+        As for :func:`first_ply_failure`: a state already in it returns
+        the stored (immutable) ladder, a new one is simulated and stored,
+        and a state that raises stores nothing. ``None`` always simulates.
 
     Returns
     -------
@@ -250,6 +283,11 @@ def simulate_progressive_failure(lam: Laminate,
     NoLoadedPlyError
         If an iteration leaves surviving plies that carry no stress.
     """
+    if memo is not None:
+        key = _memo_key("simulate_progressive_failure", lam, load)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
     intact, prep, load_vec, t_stack = _kernel_inputs(lam, load)
 
     active = np.ones(lam.n_plies, dtype=bool)
@@ -281,5 +319,8 @@ def simulate_progressive_failure(lam: Laminate,
         for i in group:
             active[i] = False
 
-    return FailureLadder(rungs=tuple(rungs), load=load,
-                         sr_history=tuple(history))
+    ladder = FailureLadder(rungs=tuple(rungs), load=load,
+                           sr_history=tuple(history))
+    if memo is not None:
+        memo[key] = ladder
+    return ladder

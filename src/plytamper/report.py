@@ -272,18 +272,25 @@ CSV_COLUMNS = ("source", "rung", "force_multiplier", "force",
                "failed_ply", "cumulative_failed", "flagged")
 
 #: The scalar fields of a rung that the CSV copies, with their kinds.
-_RUNG_FIELDS = (("force_multiplier", "a number"), ("force", "a number"),
+_RUNG_FIELDS = (("force_multiplier", "a finite number"),
+                ("force", "a finite number"),
                 ("cumulative_failed", "an integer"), ("flagged", "a boolean"))
 
 #: Report field checks, keyed by the phrase their error message uses.
 #: JSON values have exact types, so ``type`` keeps booleans out of numbers.
-_KINDS = {"an object": (dict,), "an array": (list,), "a number": (int, float),
-          "an integer": (int,), "a boolean": (bool,)}
+_KINDS = {"an object": (dict,), "an array": (list,),
+          "a finite number": (int, float), "an integer": (int,),
+          "a boolean": (bool,)}
 
 
 def _check(value, field: str, kind: str):
-    """``value``; ValueError naming ``field`` unless it is ``kind``."""
-    if type(value) not in _KINDS[kind]:
+    """``value``; ValueError naming ``field`` unless it is ``kind``.
+
+    ``json.load`` reads ``NaN`` and ``Infinity``, which no report field
+    may hold, so a float must also be finite.
+    """
+    if type(value) not in _KINDS[kind] or (
+            type(value) is float and not math.isfinite(value)):
         raise ValueError(f"report field {field} must be {kind}")
     return value
 
@@ -307,7 +314,7 @@ def _report_ladders(report) -> list[tuple[str, dict, str]]:
     for i, block in enumerate(attacks):
         at = f"attacks[{i}]."
         label = (f"attack_type{_get(block, at, 'attack_type', 'an integer')}"
-                 f"_sf{_get(block, at, 'target_sf', 'a number'):g}")
+                 f"_sf{_get(block, at, 'target_sf', 'a finite number'):g}")
         ladder = _get(block, at, "tampered_ladder", "an object")
         ladders.append((label, ladder, at + "tampered_ladder"))
     return ladders

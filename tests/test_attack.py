@@ -630,6 +630,106 @@ class TestAttackBlock:
             assert rung["force"] == computed.force_multiplier * my
 
 
+def exact(value):
+    """``value`` with every float replaced by its hex string, recursively
+    through tuples and dataclasses, so ``==`` compares bits (0.0 != -0.0)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            exact(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def outcome(attack_type, lam, spec):
+    """A search's result as :func:`exact` bits, or the error it raised."""
+    try:
+        return exact(ATTACK_TYPES[attack_type](lam, spec))
+    except ArithmeticError as error:
+        return type(error).__name__, str(error)
+
+
+def criterion5_stacks(count):
+    """The first ``count`` stacks of acceptance criterion 5's suite."""
+    rng = np.random.default_rng(55)
+    grid = [float(a) for a in range(-20, 21, 5)]
+    stacks = []
+    for _ in range(count):
+        n = int(rng.integers(8, 35))
+        stacks.append([float(rng.choice(grid)) for _ in range(n)])
+    return stacks
+
+
+class TestSharedMemo:
+    """Searches on one laminate share its memo and give fresh-run bits."""
+
+    BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+    @staticmethod
+    def searches(design_sf, variants):
+        """All six (target, type) searches per (load, budget), in suite
+        order."""
+        return [(AttackSpec(load, sf, design_sf=design_sf, budget=budget),
+                 attack_type)
+                for load, budget in variants
+                for sf in (1.0, 0.9, 0.8) for attack_type in (1, 2)]
+
+    @staticmethod
+    def assert_shared_matches_fresh(make, searches) -> int:
+        """Run ``searches`` on one laminate from ``make()``, in order and
+        reversed, each result bit-equal to the same search on its own
+        fresh laminate. Returns how many searches raised."""
+        fresh = {(spec, t): outcome(t, make(), spec) for spec, t in searches}
+        for order in (searches, searches[::-1]):
+            shared = make()
+            for spec, t in order:
+                assert outcome(t, shared, spec) == fresh[(spec, t)], (spec, t)
+        return sum(r[0] != "AttackResult" for r in fresh.values())
+
+    @pytest.mark.parametrize("stack, bending",
+                             [(i, False) for i in range(10)] + [(13, True)])
+    def test_criterion5_stack(self, graphite_epoxy, stack, bending):
+        """Criterion 5's load; its 14th stack also under a moment-only
+        load, two loads on one laminate, where some ladders are left
+        without a loaded ply."""
+        angles = criterion5_stacks(stack + 1)[stack]
+        loads = [LoadCase((1000.0, 0.0, 0.0))] + [self.BENDING] * bending
+        raised = self.assert_shared_matches_fresh(
+            lambda: Laminate.from_angles(graphite_epoxy, PLY_T, angles),
+            self.searches(1.5, [(load, None) for load in loads]))
+        assert bool(raised) == bending
+
+    def test_bundled_spar(self):
+        """The spar under its own load, whole and with a budget that
+        stops both strategies early."""
+        design = load_bundled_design()
+        self.assert_shared_matches_fresh(design.laminate, self.searches(
+            design.design_sf, [(design.load, None), (design.load, 40)]))
+
+    def test_every_evaluation_calls_the_kernel(self, monkeypatch):
+        """One ``first_ply_failure`` call per counted evaluation, memo
+        hits included, across the targets and strategies of one design."""
+        calls = []
+
+        def counted(lam, load, memo=None):
+            calls.append(memo)
+            return first_ply_failure(lam, load, memo)
+
+        monkeypatch.setattr("plytamper.attack.first_ply_failure", counted)
+        design = load_bundled_design()
+        lam = design.laminate()
+        for spec, attack_type in self.searches(
+                design.design_sf, [(design.load, None)]):
+            before = len(calls)
+            result = ATTACK_TYPES[attack_type](lam, spec)
+            assert len(calls) - before == result.evaluations
+        assert all(memo is lam.memo for memo in calls)
+        # Entries: one per distinct state plus one per distinct ladder.
+        assert len(lam.memo) < len(calls) / 2
+
+
 def render_attack_text(result):
     """The text report of one attack run, as the CLI prints it."""
     report = {"command": "attack", "tool_version": "test", "inputs": {},

@@ -9,6 +9,7 @@ import copy
 import csv
 import errno
 import json
+import math
 import os
 import re
 import stat
@@ -445,6 +446,12 @@ class TestExportLadder:
         ("flagged", "maybe", "rungs[0].flagged"),
         ("attack_type", "2", "attacks[0].attack_type"),
         ("target_sf", False, "attacks[0].target_sf"),
+    ] + [
+        (key, value, field)
+        for key, field in (("force_multiplier", "rungs[0].force_multiplier"),
+                           ("force", "rungs[0].force"),
+                           ("target_sf", "attacks[0].target_sf"))
+        for value in (math.nan, math.inf, -math.inf)
     ])
     def test_mistyped_field_is_a_usage_error(self, tmp_path, capsys,
                                              rung_field, value, field):

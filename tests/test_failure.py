@@ -259,6 +259,77 @@ class TestFirstPlyFailure:
                                             m=(1.0, 0.0, 0.0)))
 
 
+class TestMemo:
+    """A memo returns exactly what a fresh evaluation of its key gives."""
+
+    LOAD = LoadCase(n=(1000.0, -300.0, 150.0), m=(0.05, 0.0, -0.02))
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got[0].hex() == want[0].hex()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_two_loads_on_one_laminate(self, graphite_epoxy):
+        angles = [0.0, 45.0, -45.0, 90.0]
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+        for load in (self.LOAD, self.LOAD.scaled(2.0), self.LOAD):
+            fresh = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+            self.assert_same(first_ply_failure(lam, load, lam.memo),
+                             first_ply_failure(fresh, load))
+            assert simulate_progressive_failure(lam, load, lam.memo) == \
+                simulate_progressive_failure(fresh, load)
+        assert len(lam.memo) == 4
+
+    def test_zero_and_negative_zero_are_separate_entries(self,
+                                                         graphite_epoxy):
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [0.0, 30.0])
+        negative = lam.with_angles([-0.0, 30.0])
+        first_ply_failure(lam, self.LOAD, lam.memo)
+        self.assert_same(first_ply_failure(negative, self.LOAD, lam.memo),
+                         first_ply_failure(
+                             Laminate.from_angles(graphite_epoxy, 0.125e-3,
+                                                  [-0.0, 30.0]), self.LOAD))
+        assert len(lam.memo) == 2
+
+    def test_hits_are_shared_and_read_only(self, graphite_epoxy):
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [0.0, 30.0])
+        mult, sr = first_ply_failure(lam, self.LOAD, lam.memo)
+        hit = first_ply_failure(lam, self.LOAD, lam.memo)
+        assert hit[0] == mult and hit[1] is sr
+        with pytest.raises(ValueError):
+            sr[0] = 1.0
+        _, plain = first_ply_failure(lam, self.LOAD)
+        assert plain is not sr and plain.flags.writeable
+        ladder = simulate_progressive_failure(lam, self.LOAD, lam.memo)
+        assert simulate_progressive_failure(lam, self.LOAD, lam.memo) \
+            is ladder
+        with pytest.raises(AttributeError):
+            ladder.rungs = ()
+
+    def test_with_angles_copies_start_without_entries(self, graphite_epoxy):
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [0.0, 30.0])
+        first_ply_failure(lam, self.LOAD, lam.memo)
+        assert lam.with_angles([0.0, 30.0]).memo == {}
+
+    def test_state_that_raises_leaves_no_entry(self, graphite_epoxy):
+        """The no-loaded-ply ladder of
+        ``test_unloaded_survivor_is_a_numerical_failure`` and the lone
+        ply of ``test_unstressed_single_ply_raises``."""
+        angles = [90, 15, 60, -30, 60, 90, -90, 0, -30, -90, -75, -45]
+        load = LoadCase(n=(0.0, 0.0, 0.0), m=(0.7172838643318087,
+                                               -0.7464900405633892,
+                                               -0.4064844632211011))
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+        lone = Laminate.from_angles(graphite_epoxy, 0.125e-3, [30])
+        bending = LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, 0.0, 0.0))
+        for _ in range(2):
+            with pytest.raises(NoLoadedPlyError):
+                simulate_progressive_failure(lam, load, lam.memo)
+            with pytest.raises(NoLoadedPlyError):
+                first_ply_failure(lone, bending, lone.memo)
+            assert lam.memo == {} and lone.memo == {}
+
+
 # =============================================================================
 # Mode classification
 # =============================================================================

@@ -32,6 +32,8 @@ from plytamper.clt import Laminate, LoadCase, normalize_angle
 from plytamper.failure import (
     FailureLadder,
     first_ply_failure,
+    first_ply_failure_batch,
+    memo_key,
     simulate_progressive_failure,
     ties_at_minimum,
 )
@@ -42,6 +44,11 @@ CRITICAL_REL_TOL = 1e-6
 
 #: Rotation of one search step, in degrees.
 STEP_DEG = 1.0
+
+#: States solved ahead along a ply's line by the first memo miss on it,
+#: and the most solved ahead once it keeps missing.
+_FIRST_BATCH = 8
+_MAX_BATCH = 64
 
 #: Budget of a type 1 search when the spec sets none: sweeps.
 DEFAULT_MAX_SWEEPS = 90
@@ -176,7 +183,9 @@ class _Search:
     :attr:`~Laminate.memo`, so searches on one laminate (the same design
     at several targets, or both strategies) solve each state once. Each
     counted evaluation is still one ``first_ply_failure`` call, hit or
-    miss.
+    miss. A trial that misses first solves the states further along its
+    line (the same ply, rotated on by the same step) in one batch, so
+    the steps after it hit; see :meth:`_prefetch`.
     """
 
     def __init__(self, attack_type: int, lam: Laminate, spec: AttackSpec):
@@ -190,9 +199,11 @@ class _Search:
         self.original_mult = self.mult
         self.target_mult = target_force(self.mult, spec.design_sf,
                                         spec.target_sf)
-        self.angles = list(self.original_angles)
+        self.current = lam
         self.deltas = [0.0] * lam.n_plies
-        self.best = (self.mult, tuple(self.angles), tuple(self.deltas))
+        self.best = (self.mult, self.original_angles, tuple(self.deltas))
+        self.prefetch_line = None
+        self.prefetch_size = _FIRST_BATCH
 
     def trial(self, ply: int, step: float):
         """Evaluate the design with ``ply`` rotated ``step`` degrees further.
@@ -200,20 +211,47 @@ class _Search:
         Returns the candidate's multiplier and the state :meth:`move` takes.
         """
         delta = self.deltas[ply] + step
-        angles = list(self.angles)
-        angles[ply] = normalize_angle(self.original_angles[ply] + delta)
-        mult, sr = first_ply_failure(self.lam.with_angles(angles),
-                                     self.spec.load, self.lam.memo)
+        candidate = self.current._with_ply_angle(
+            ply, normalize_angle(self.original_angles[ply] + delta))
+        if memo_key("first_ply_failure", candidate.angles,
+                    self.spec.load) not in self.lam.memo:
+            self._prefetch(ply, step, delta)
+        mult, sr = first_ply_failure(candidate, self.spec.load,
+                                     self.lam.memo)
         self.evaluations += 1
-        return mult, (ply, delta, angles, sr)
+        return mult, (ply, delta, candidate, sr)
+
+    def _prefetch(self, ply: int, step: float, delta: float) -> None:
+        """Solve the current design with ``ply`` at ``delta``, ``delta +
+        step``, ... into the memo, in one batch.
+
+        The deltas are accumulated by the additions :meth:`trial` makes.
+        The batch starts at :data:`_FIRST_BATCH` states and doubles, up to
+        :data:`_MAX_BATCH`, while the same ``(ply, step)`` line keeps
+        missing. Only the memo changes, so no decision and no count does.
+        """
+        line = (ply, step)
+        self.prefetch_size = (
+            min(2 * self.prefetch_size, _MAX_BATCH)
+            if line == self.prefetch_line else _FIRST_BATCH)
+        self.prefetch_line = line
+        angles = self.current.angles
+        head, tail = angles[:ply], angles[ply + 1:]
+        rows = []
+        for _ in range(self.prefetch_size):
+            rows.append(head + (normalize_angle(
+                self.original_angles[ply] + delta),) + tail)
+            delta += step
+        first_ply_failure_batch(self.lam, self.spec.load, rows,
+                                self.lam.memo)
 
     def move(self, mult: float, state) -> None:
         """Make a candidate from :meth:`trial` the current design."""
-        ply, delta, self.angles, self.sr = state
+        ply, delta, self.current, self.sr = state
         self.deltas[ply] = delta
         self.mult = mult
         if mult < self.best[0]:
-            self.best = (mult, tuple(self.angles), tuple(self.deltas))
+            self.best = (mult, self.current.angles, tuple(self.deltas))
 
     def result(self, status: AttackStatus) -> AttackResult:
         """The best state seen, with its ladder, as the search's result."""

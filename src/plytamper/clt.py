@@ -25,6 +25,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -186,15 +187,38 @@ class Laminate:
         angles = tuple(angles_deg)
         if len(angles) != len(self.plies):
             raise ValueError("angle count does not match ply count")
-        copy = Laminate(tuple(
+        return self._copy(tuple(
             p if a == p.angle and (a != 0.0 or math.copysign(1.0, a)
                                    == math.copysign(1.0, p.angle))
             else Ply(a, p.thickness, p.material)
             for a, p in zip(angles, self.plies)
         ))
-        # Seeds the copy's cached property; the instance __dict__ of a
-        # frozen dataclass stays writable.
+
+    def _with_ply_angle(self, index: int, angle: float) -> "Laminate":
+        """Copy with ply ``index`` at ``angle`` and every other ply reused.
+
+        The one-ply form of :meth:`with_angles` for search loops: it skips
+        the per-ply comparison and slices :attr:`angles` instead of
+        rebuilding them. The changed ply is always a new :class:`Ply`.
+        """
+        old = self.plies[index]
+        ply = Ply(angle, old.thickness, old.material)
+        angles = self.angles
+        return self._copy(
+            self.plies[:index] + (ply,) + self.plies[index + 1:],
+            angles[:index] + (ply.angle,) + angles[index + 1:])
+
+    def _copy(self, plies: tuple, angles: tuple | None = None) -> "Laminate":
+        """A laminate of ``plies`` sharing this one's :attr:`prepared`.
+
+        Seeds the copy's cached properties (the instance ``__dict__`` of a
+        frozen dataclass stays writable); ``angles`` must be the plies'
+        own angles when given.
+        """
+        copy = Laminate(plies)
         copy.__dict__["prepared"] = self.prepared
+        if angles is not None:
+            copy.__dict__["angles"] = angles
         return copy
 
     @cached_property
@@ -218,18 +242,14 @@ class Laminate:
     def n_plies(self) -> int:
         return len(self.plies)
 
-    @property
+    @cached_property
     def angles(self) -> tuple[float, ...]:
+        """The ply angles, top to bottom, computed once."""
         return tuple(p.angle for p in self.plies)
 
     @property
     def total_thickness(self) -> float:
         return sum(p.thickness for p in self.plies)
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True when (angle, thickness, material) mirror about the mid-plane."""
-        return self.plies == self.plies[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +259,9 @@ class PreparedStack:
     ``h`` holds the end-plane z coordinates h_0..h_n, strictly increasing
     from -H/2 to +H/2 (ply k occupies [h_{k-1}, h_k]), ``z_mid`` the ply
     mid-planes, ``w1``, ``w2`` and ``w3`` the A, B and D weights
-    h_k^p - h_{k-1}^p for p = 1, 2, 3, and ``tsai_wu`` the plies'
-    :attr:`MaterialProperties.tsai_wu` rows stacked into a (6, n) array.
-    All arrays are read-only.
+    h_k^p - h_{k-1}^p for p = 1, 2, 3, and ``materials`` each ply's
+    material. All arrays are read-only; :attr:`tsai_wu` is built on first
+    use, since stiffness-only callers never read it.
     """
 
     h: np.ndarray
@@ -249,25 +269,34 @@ class PreparedStack:
     w1: np.ndarray
     w2: np.ndarray
     w3: np.ndarray
-    tsai_wu: np.ndarray
+    materials: tuple[MaterialProperties, ...]
 
     @classmethod
     def of(cls, lam: "Laminate") -> "PreparedStack":
         thicknesses = np.array([p.thickness for p in lam.plies])
         h = np.concatenate([[0.0], np.cumsum(thicknesses)])
         h = h - h[-1] / 2.0
-        tsai_wu = np.array([p.material.tsai_wu for p in lam.plies])
-        arrays = cls(
-            h=h,
-            z_mid=(h[:-1] + h[1:]) / 2.0,
-            w1=h[1:] - h[:-1],
-            w2=h[1:] ** 2 - h[:-1] ** 2,
-            w3=h[1:] ** 3 - h[:-1] ** 3,
-            tsai_wu=tsai_wu.T.copy(),
-        )
-        for array in vars(arrays).values():
+        arrays = (h, (h[:-1] + h[1:]) / 2.0, h[1:] - h[:-1],
+                  h[1:] ** 2 - h[:-1] ** 2, h[1:] ** 3 - h[:-1] ** 3)
+        for array in arrays:
             array.setflags(write=False)
-        return arrays
+        return cls(*arrays, materials=tuple(p.material for p in lam.plies))
+
+    @cached_property
+    def tsai_wu(self) -> np.ndarray:
+        """The plies' :attr:`MaterialProperties.tsai_wu` rows as a
+        read-only (6, n) array."""
+        rows = np.array([m.tsai_wu for m in self.materials]).T.copy()
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def material_columns(self) -> tuple:
+        """``(material, ply indices)`` for each distinct material object."""
+        columns: dict[int, tuple] = {}
+        for k, material in enumerate(self.materials):
+            columns.setdefault(id(material), (material, []))[1].append(k)
+        return tuple((m, np.array(ks)) for m, ks in columns.values())
 
 
 @dataclass(frozen=True)
@@ -315,9 +344,10 @@ class LoadCase:
         """The stacked (N, M) right-hand side of the laminate system."""
         return np.array(self.n + self.m, dtype=float)
 
-    def scaled(self, factor: float) -> "LoadCase":
-        return LoadCase(tuple(factor * v for v in self.n),
-                        tuple(factor * v for v in self.m))
+    @cached_property
+    def _bits(self) -> bytes:
+        """The exact bits of (n, m), packed once for memo keys."""
+        return struct.pack("6d", *self.n, *self.m)
 
 
 @dataclass(frozen=True)
@@ -425,6 +455,24 @@ def stiffness_stack(lam: Laminate) -> np.ndarray:
     return np.array([ply_stiffness(p.material, p.angle) for p in lam.plies])
 
 
+def stiffness_stacks(lam: Laminate, angle_rows: np.ndarray) -> np.ndarray:
+    """[Qbar] of ``lam``'s plies at each row of a (B, n) angle array.
+
+    Returns a (B, n, 3, 3) array whose row b is :func:`stiffness_stack` of
+    ``lam`` rotated to ``angle_rows[b]``, entry for entry: the same cached
+    :func:`ply_stiffness` arrays, looked up once per distinct (material,
+    angle) pair rather than once per ply of every row.
+    """
+    stacks = np.empty(angle_rows.shape + (3, 3))
+    for material, columns in lam.prepared.material_columns:
+        block = angle_rows[:, columns]
+        values, inverse = np.unique(block, return_inverse=True)
+        table = np.array([ply_stiffness(material, v)
+                          for v in values.tolist()])
+        stacks[:, columns] = table[inverse.reshape(block.shape)]
+    return stacks
+
+
 def assemble_abd(lam: Laminate) -> AbdMatrices:
     """Assemble the A, B, D stiffness matrices of a laminate.
 
@@ -439,10 +487,11 @@ def assemble_abd(lam: Laminate) -> AbdMatrices:
 
 
 def abd_blocks(stack: np.ndarray, prep: PreparedStack):
-    """A, B and D of an (n, 3, 3) [Qbar] stack over ``prep``'s z weights."""
-    a = np.einsum("kij,k->ij", stack, prep.w1)
-    b = 0.5 * np.einsum("kij,k->ij", stack, prep.w2)
-    d = np.einsum("kij,k->ij", stack, prep.w3) / 3.0
+    """A, B and D of an (..., n, 3, 3) [Qbar] stack over ``prep``'s z
+    weights, one (..., 3, 3) block each."""
+    a = np.einsum("...kij,k->...ij", stack, prep.w1)
+    b = 0.5 * np.einsum("...kij,k->...ij", stack, prep.w2)
+    d = np.einsum("...kij,k->...ij", stack, prep.w3) / 3.0
     return a, b, d
 
 
@@ -459,3 +508,12 @@ def require_nonsingular(matrix: np.ndarray, message: str) -> None:
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED:
         raise LaminateSingularError(message)
+
+
+def collapsed_rows(matrices: np.ndarray) -> np.ndarray:
+    """:func:`require_nonsingular`'s test on a (B, m, m) stack: True for
+    each matrix it would raise on. Emits no divide warning."""
+    sv = np.linalg.svd(matrices, compute_uv=False)
+    top = sv[:, 0]
+    zero = top == 0.0
+    return zero | (sv[:, -1] / np.where(zero, 1.0, top) < RCOND_COLLAPSED)

@@ -16,6 +16,7 @@ multiplier than the one before it.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -30,8 +31,10 @@ from plytamper.clt import (
     PreparedStack,
     StrengthRatioRootError,
     abd_blocks,
+    collapsed_rows,
     require_nonsingular,
     stiffness_stack,
+    stiffness_stacks,
     transformation_matrix,
 )
 
@@ -90,20 +93,30 @@ def ties_at_minimum(sr_values, rel_tol: float = TIE_REL_TOL) -> set[int]:
     Raises NoLoadedPlyError when every entry is infinite — nothing carries
     load.
     """
-    values = np.asarray(sr_values, dtype=float)
-    finite, low = _finite_minimum(values)
-    ties = finite & (values - low <= rel_tol * low)
-    return set(np.flatnonzero(ties).tolist())
+    values = np.asarray(sr_values, dtype=float).tolist()
+    low = min(values, default=math.inf)
+    # Python's min skips a NaN after the first entry, and -inf or an
+    # all-infinite list would come out non-finite: then look again at the
+    # finite entries only.
+    if not -math.inf < low < math.inf:
+        low = min([v for v in values if -math.inf < v < math.inf],
+                  default=math.inf)
+        if low == math.inf:
+            raise NoLoadedPlyError(
+                "no loaded ply: all strength ratios are infinite")
+    bound = rel_tol * low
+    # inf - low and NaN - low never pass the test; -inf is excluded.
+    return {i for i, v in enumerate(values)
+            if v - low <= bound and v > -math.inf}
 
 
-def _finite_minimum(values: np.ndarray):
-    """Finite-entry mask and minimum; NoLoadedPlyError if none is finite."""
-    finite = np.isfinite(values)
-    low = values.min(where=finite, initial=np.inf)
+def _finite_minimum(values: np.ndarray) -> float:
+    """Smallest finite entry; NoLoadedPlyError if none is finite."""
+    low = values.min(where=np.isfinite(values), initial=np.inf)
     if low == np.inf:
         raise NoLoadedPlyError(
             "no loaded ply: all strength ratios are infinite")
-    return finite, low
+    return float(low)
 
 
 def classify_failure_mode(
@@ -129,18 +142,15 @@ def classify_failure_mode(
 # Vectorized per-iteration core
 # =============================================================================
 
-def _solve_system(stack: np.ndarray, prep: PreparedStack,
-                  load_vec: np.ndarray):
-    """Assemble and solve the 6x6 laminate system for one iteration."""
+def _system_matrix(stack: np.ndarray, prep: PreparedStack) -> np.ndarray:
+    """The (..., 6, 6) laminate matrix [[A, B], [B, D]] of a [Qbar] stack."""
     a, b, d = abd_blocks(stack, prep)
-    k6 = np.empty((6, 6))
-    k6[:3, :3] = a
-    k6[:3, 3:] = b
-    k6[3:, :3] = b
-    k6[3:, 3:] = d
-    require_nonsingular(k6, "laminate system is numerically singular")
-    solution = np.linalg.solve(k6, load_vec)
-    return solution[:3], solution[3:]
+    k6 = np.empty(a.shape[:-2] + (6, 6))
+    k6[..., :3, :3] = a
+    k6[..., :3, 3:] = b
+    k6[..., 3:, :3] = b
+    k6[..., 3:, 3:] = d
+    return k6
 
 
 def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
@@ -153,24 +163,48 @@ def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
     +inf; a loaded row without a positive root raises
     StrengthRatioRootError.
     """
-    s1, s2, t12 = local_stress[:, 0], local_stress[:, 1], local_stress[:, 2]
+    sr, bad = _strength_ratios_and_bad(local_stress, tw)
+    if bad is not None and bad.any():
+        raise StrengthRatioRootError(
+            f"no positive strength-ratio root for plies {np.where(bad)[0]}"
+        )
+    return sr
+
+
+def _strength_ratios_and_bad(local_stress: np.ndarray, tw: np.ndarray):
+    """:func:`strength_ratios` of (..., n, 3) stresses, and its root mask.
+
+    Returns the (..., n) ratios and a mask of the entries without a
+    positive root (``None`` when no entry needs a mask). A masked entry
+    holds a meaningless finite value instead of raising, and no entry
+    emits a warning.
+    """
+    s1, s2, t12 = (local_stress[..., k] for k in range(3))
     h1, h2, h11, h22, h66, h12 = tw
     a = h1 * s1 + h2 * s2
     b = h11 * s1 * s1 + h22 * s2 * s2 + h66 * t12 * t12 + 2.0 * h12 * s1 * s2
     disc = a * a + 4.0 * b
     if (b > 0.0).all():
-        # No zero-stress row (its b is exactly 0) and no bad root (b > 0
+        # No zero-stress entry (its b is exactly 0) and no bad root (b > 0
         # makes disc positive or NaN): the common case needs no masks.
-        return (-a + np.sqrt(disc)) / (2.0 * b)
+        return (-a + np.sqrt(disc)) / (2.0 * b), None
     zero = (s1 == 0.0) & (s2 == 0.0) & (t12 == 0.0)
     bad = ~zero & ((b <= 0.0) | (disc < 0.0))
-    if np.any(bad):
-        raise StrengthRatioRootError(
-            f"no positive strength-ratio root for plies {np.where(bad)[0]}"
-        )
-    safe_b = np.where(zero, 1.0, b)
-    sr = (-a + np.sqrt(np.where(zero, 0.0, disc))) / (2.0 * safe_b)
-    return np.where(zero, np.inf, sr)
+    skip = zero | bad
+    safe_b = np.where(skip, 1.0, b)
+    sr = (-a + np.sqrt(np.where(skip, 0.0, disc))) / (2.0 * safe_b)
+    return np.where(zero, np.inf, sr), bad
+
+
+def _recover_stresses(stack: np.ndarray, prep: PreparedStack,
+                      t_stack: np.ndarray, solution: np.ndarray):
+    """Per-ply mid-thickness strain and stresses from (..., 6) solutions
+    (eps0, kappa) of (..., n, 3, 3) stacks; see :func:`ply_stresses`."""
+    eps0, kappa = solution[..., None, :3], solution[..., None, 3:]
+    global_strain = eps0 + prep.z_mid[:, None] * kappa
+    global_stress = np.einsum("...kij,...kj->...ki", stack, global_strain)
+    local_stress = np.einsum("...kij,...kj->...ki", t_stack, global_stress)
+    return global_strain, global_stress, local_stress
 
 
 def ply_stresses(stack: np.ndarray, prep: PreparedStack,
@@ -182,11 +216,10 @@ def ply_stresses(stack: np.ndarray, prep: PreparedStack,
     eps(z) = eps0 + z*k, and ``t_stack`` holds each ply's [T]. Raises
     LaminateSingularError when the 6x6 system has collapsed.
     """
-    eps0, kappa = _solve_system(stack, prep, load_vec)
-    global_strain = eps0[None, :] + prep.z_mid[:, None] * kappa[None, :]
-    global_stress = np.einsum("kij,kj->ki", stack, global_strain)
-    local_stress = np.einsum("kij,kj->ki", t_stack, global_stress)
-    return global_strain, global_stress, local_stress
+    k6 = _system_matrix(stack, prep)
+    require_nonsingular(k6, "laminate system is numerically singular")
+    return _recover_stresses(stack, prep, t_stack,
+                             np.linalg.solve(k6, load_vec))
 
 
 def _iteration_sr(stack: np.ndarray, prep: PreparedStack,
@@ -208,15 +241,16 @@ def _kernel_inputs(lam: Laminate, load: LoadCase):
             transformation_matrix(lam.angles))
 
 
-def _memo_key(kind: str, lam: Laminate, load: LoadCase):
-    """A memo key holding the exact bits of the angles and the load.
+def memo_key(kind: str, angles: tuple, load: LoadCase) -> tuple:
+    """The memo key of a ``kind`` evaluation of ``angles`` under ``load``.
 
-    The bits keep 0.0 and -0.0 apart. Materials and thicknesses are not
-    part of the key: a memo serves one laminate and its
-    :meth:`~Laminate.with_angles` copies, which share them.
+    ``kind`` is ``"first_ply_failure"`` or
+    ``"simulate_progressive_failure"``. The key holds the exact bits of
+    the angles and the load, so 0.0 and -0.0 are separate entries.
+    Materials and thicknesses are not part of it: a memo serves one
+    laminate and its rotated copies, which share them.
     """
-    return kind, struct.pack(f"{lam.n_plies + 6}d", *lam.angles, *load.n,
-                             *load.m)
+    return kind, struct.pack(f"{len(angles)}d", *angles) + load._bits
 
 
 def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
@@ -240,16 +274,81 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
         given load) and the full per-ply strength-ratio array.
     """
     if memo is not None:
-        key = _memo_key("first_ply_failure", lam, load)
+        key = memo_key("first_ply_failure", lam.angles, load)
         hit = memo.get(key)
         if hit is not None:
             return hit
     sr = _iteration_sr(*_kernel_inputs(lam, load))
-    result = float(_finite_minimum(sr)[1]), sr
+    result = _finite_minimum(sr), sr
     if memo is not None:
         sr.setflags(write=False)
         memo[key] = result
     return result
+
+
+def first_ply_failure_batch(lam: Laminate, load: LoadCase, angle_rows,
+                            memo: dict | None = None):
+    """:func:`first_ply_failure` of ``lam`` at each of B angle rows at once.
+
+    ``angle_rows`` holds B rows of ``lam.n_plies`` angles in [-90, 90], as
+    :func:`~plytamper.clt.normalize_angle` gives them. Row b is evaluated
+    as ``lam.with_angles(angle_rows[b])``: one [Qbar] gather, one batched
+    SVD and one batched solve for all rows.
+
+    Returns ``(multipliers, sr, usable)``: (B,) multipliers, (B, n)
+    strength ratios and a (B,) mask. A usable row is bit for bit what
+    :func:`first_ply_failure` returns for it. A row is unusable where
+    that call would raise: a collapsed system, a ply without a positive
+    root or no loaded ply. Its entries are NaN, and nothing is raised.
+
+    With a ``memo``, every usable row not yet in it is stored under the
+    key :func:`first_ply_failure` looks up, so that call then hits. An
+    unusable row is not stored, and the sequential call solves and raises
+    it as before.
+    """
+    if load.is_zero:
+        raise ValueError("failure analysis needs a nonzero load")
+    rows = np.array(angle_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != lam.n_plies:
+        raise ValueError(f"need rows of {lam.n_plies} angles, got an array "
+                         f"of shape {rows.shape}")
+    if not (np.abs(rows) <= 90.0).all():
+        raise ValueError("angle rows must lie in [-90, 90]")
+    prep = lam.prepared
+    multipliers = np.full(len(rows), np.nan)
+    sr = np.full(rows.shape, np.nan)
+    usable = np.zeros(len(rows), dtype=bool)
+    stacks = stiffness_stacks(lam, rows)
+    k6 = _system_matrix(stacks, prep)
+    try:
+        solved = ~collapsed_rows(k6)
+        rhs = np.broadcast_to(load.as_vector()[:, None],
+                              (int(solved.sum()), 6, 1))
+        solution = np.linalg.solve(k6[solved], rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # The sequential calls raise the same error row by row.
+        solved = np.zeros(len(rows), dtype=bool)
+    if solved.any():
+        _, _, local_stress = _recover_stresses(
+            stacks[solved], prep, transformation_matrix(rows[solved]),
+            solution)
+        ratios, bad = _strength_ratios_and_bad(local_stress, prep.tsai_wu)
+        lows = ratios.min(axis=1, where=np.isfinite(ratios),
+                          initial=np.inf)
+        good = lows < np.inf
+        if bad is not None:
+            good &= ~bad.any(axis=1)
+        index = np.flatnonzero(solved)[good]
+        multipliers[index] = lows[good]
+        sr[index] = ratios[good]
+        usable[index] = True
+    if memo is not None:
+        sr.setflags(write=False)
+        for b in np.flatnonzero(usable).tolist():
+            memo.setdefault(memo_key("first_ply_failure", rows[b].tolist(),
+                                     load),
+                            (float(multipliers[b]), sr[b]))
+    return multipliers, sr, usable
 
 
 def simulate_progressive_failure(lam: Laminate, load: LoadCase,
@@ -284,7 +383,7 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
         If an iteration leaves surviving plies that carry no stress.
     """
     if memo is not None:
-        key = _memo_key("simulate_progressive_failure", lam, load)
+        key = memo_key("simulate_progressive_failure", lam.angles, load)
         hit = memo.get(key)
         if hit is not None:
             return hit

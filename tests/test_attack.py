@@ -28,8 +28,9 @@ from plytamper.attack import (
     spread_attack,
     target_force,
 )
+from plytamper.attack import _Search
 from plytamper.designfile import load_bundled_design
-from plytamper.failure import first_ply_failure
+from plytamper.failure import first_ply_failure, first_ply_failure_batch
 from plytamper.report import attack_block, render_report_text
 
 
@@ -728,6 +729,51 @@ class TestSharedMemo:
         assert all(memo is lam.memo for memo in calls)
         # Entries: one per distinct state plus one per distinct ladder.
         assert len(lam.memo) < len(calls) / 2
+
+
+class TestLinePrefetch:
+    """Solving a line's next states ahead changes only the memo."""
+
+    @staticmethod
+    def six_searches(lam, design_sf, load):
+        """The (target, type) searches of one design on one laminate,
+        as bits, and the laminate's memo size afterwards."""
+        results = [outcome(attack_type, lam, spec)
+                   for spec, attack_type in TestSharedMemo.searches(
+                       design_sf, [(load, None)])]
+        return results, len(lam.memo)
+
+    def assert_prefetch_changes_only_the_memo(self, monkeypatch, make,
+                                              design_sf, load):
+        batches = []
+
+        def counted(*args):
+            batches.append(len(args[2]))
+            return first_ply_failure_batch(*args)
+
+        monkeypatch.setattr("plytamper.attack.first_ply_failure_batch",
+                            counted)
+        prefetched, prefetched_size = self.six_searches(make(), design_sf,
+                                                        load)
+        assert batches and set(batches) <= {8, 16, 32, 64}
+        monkeypatch.setattr(_Search, "_prefetch", lambda *args: None)
+        sequential, sequential_size = self.six_searches(make(), design_sf,
+                                                        load)
+        assert prefetched == sequential
+        assert prefetched_size > sequential_size
+
+    @pytest.mark.parametrize("stack", range(3))
+    def test_criterion5_stack(self, graphite_epoxy, monkeypatch, stack):
+        angles = criterion5_stacks(stack + 1)[stack]
+        self.assert_prefetch_changes_only_the_memo(
+            monkeypatch,
+            lambda: Laminate.from_angles(graphite_epoxy, PLY_T, angles),
+            1.5, LoadCase((1000.0, 0.0, 0.0)))
+
+    def test_bundled_spar(self, monkeypatch):
+        design = load_bundled_design()
+        self.assert_prefetch_changes_only_the_memo(
+            monkeypatch, design.laminate, design.design_sf, design.load)
 
 
 def render_attack_text(result):

@@ -240,6 +240,19 @@ class TestDetectabilityReport:
         assert report.frequency_ratio == 1.0
         assert report.frequency_change_percent == 0.0
 
+    def test_builds_no_tsai_wu_rows(self):
+        """Detection reads stiffness only: neither the stack's nor the
+        material's Tsai-Wu rows get built."""
+        mat = MaterialProperties(
+            e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
+            sigma1t_ult=1500e6, sigma1c_ult=1500e6,
+            sigma2t_ult=40e6, sigma2c_ult=246e6, tau12_ult=68e6,
+        )
+        lam = Laminate.from_angles(mat, 0.125e-3, [0, 45, -45, 90])
+        detectability_report(lam, lam.with_angles([0, 50, -45, 90]))
+        assert "tsai_wu" not in vars(lam.prepared)
+        assert "tsai_wu" not in vars(mat)
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

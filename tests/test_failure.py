@@ -22,13 +22,16 @@ from plytamper.clt import (
     NoLoadedPlyError,
     MaterialProperties,
     Ply,
+    StrengthRatioRootError,
 )
+from plytamper.designfile import load_bundled_design
 from plytamper.failure import (
     FailureLadder,
     FailureMode,
     FailureRung,
     classify_failure_mode,
     first_ply_failure,
+    first_ply_failure_batch,
     simulate_progressive_failure,
     ties_at_minimum,
 )
@@ -76,6 +79,41 @@ class TestTiesAtMinimum:
     def test_all_infinite_raises(self):
         with pytest.raises(NoLoadedPlyError):
             ties_at_minimum([math.inf, math.inf])
+
+    @staticmethod
+    def numpy_ties(values, rel_tol):
+        """The array formulation: finite entries within ``rel_tol`` of
+        the finite minimum, or "raise" when no entry is finite."""
+        finite = np.isfinite(values)
+        low = values.min(where=finite, initial=np.inf)
+        if low == np.inf:
+            return "raise"
+        return set(np.flatnonzero(
+            finite & (values - low <= rel_tol * low)).tolist())
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+    def test_matches_numpy_formulation(self, rel_tol):
+        """Random arrays with +-inf and NaN entries and near-ties on both
+        sides of 1e-6 and 1e-9, a NaN first entry included."""
+        rng = np.random.default_rng(11)
+        offsets = [0.0, 1e-9, 1e-6, 0.5e-9, 0.5e-6, 2e-9, 2e-6,
+                   1e-6 * (1.0 + 1e-12), 1e-9 * (1.0 - 1e-9)]
+        for _ in range(3000):
+            n = int(rng.integers(1, 12))
+            values = rng.uniform(1.0, 4.0, size=n)
+            kind = rng.random(n)
+            values[kind < 0.2] = np.inf
+            values[(kind >= 0.2) & (kind < 0.23)] = -np.inf
+            values[(kind >= 0.23) & (kind < 0.26)] = np.nan
+            finite = np.isfinite(values)
+            low = values[finite].min() if finite.any() else 1.0
+            near = finite & (rng.random(n) < 0.4)
+            values[near] = low * (1.0 + rng.choice(offsets, size=near.sum()))
+            try:
+                got = ties_at_minimum(values, rel_tol)
+            except NoLoadedPlyError:
+                got = "raise"
+            assert got == self.numpy_ties(values, rel_tol), values
 
 
 # =============================================================================
@@ -164,7 +202,8 @@ class TestLadderBehaviour:
         """Doubling the reference load halves every rung, same groups."""
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [0, 30, -30, 90])
         base = simulate_progressive_failure(lam, AXIAL)
-        doubled = simulate_progressive_failure(lam, AXIAL.scaled(2.0))
+        doubled = simulate_progressive_failure(
+            lam, LoadCase(n=(2.0, 0.0, 0.0)))
         assert len(base.rungs) == len(doubled.rungs)
         for r1, r2 in zip(base.rungs, doubled.rungs):
             assert r1.failed_plies == r2.failed_plies
@@ -272,7 +311,8 @@ class TestMemo:
     def test_two_loads_on_one_laminate(self, graphite_epoxy):
         angles = [0.0, 45.0, -45.0, 90.0]
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
-        for load in (self.LOAD, self.LOAD.scaled(2.0), self.LOAD):
+        doubled = LoadCase(n=(2000.0, -600.0, 300.0), m=(0.1, 0.0, -0.04))
+        for load in (self.LOAD, doubled, self.LOAD):
             fresh = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
             self.assert_same(first_ply_failure(lam, load, lam.memo),
                              first_ply_failure(fresh, load))
@@ -480,6 +520,160 @@ class TestRotatedCopies:
         copy = lam.with_angles((-0.0, 45.0, -30.0, 90.0, 0.0, 16.0, 60.0))
         reused = [new is old for new, old in zip(copy.plies, lam.plies)]
         assert reused == [False, True, True, True, False, False, True]
+
+    def test_one_ply_copy_matches_with_angles(self, lam):
+        """The search's one-ply copy: equal to the ``with_angles`` copy,
+        the other plies reused, ``prepared`` shared, ``angles`` seeded."""
+        base = lam.with_angles((0.0, 45.0, -30.0, 90.0, -0.0, 15.0, 61.0))
+        for index, angle in ((4, 0.0), (0, -0.0), (6, -90.0), (2, 12.5)):
+            copy = base._with_ply_angle(index, angle)
+            angles = list(base.angles)
+            angles[index] = angle
+            want = base.with_angles(angles)
+            assert copy == want
+            assert self.signs(copy) == self.signs(want)
+            assert "angles" in copy.__dict__
+            assert copy.angles == tuple(p.angle for p in copy.plies)
+            assert copy.prepared is lam.prepared
+            assert [new is old for new, old in zip(copy.plies, base.plies)] \
+                == [k != index for k in range(lam.n_plies)]
+            self.assert_bitwise_equal(copy, want)
+
+
+# =============================================================================
+# Batched kernel
+# =============================================================================
+
+class TestBatchedKernel:
+    """``first_ply_failure_batch`` rows against ``first_ply_failure``."""
+
+    FORCE = LoadCase(n=(1000.0, -300.0, 150.0), m=(0.05, 0.0, -0.02))
+    BENDING = LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, -0.3, 0.2))
+
+    @staticmethod
+    def assert_rows_match(lam, load, rows):
+        """Every row bit-equal to the sequential call, and stored under
+        the key that call looks up. Returns the usable mask."""
+        memo = {}
+        mults, sr, usable = first_ply_failure_batch(lam, load, rows, memo)
+        assert mults.shape == usable.shape == (len(rows),)
+        assert sr.shape == (len(rows), lam.n_plies)
+        for b, row in enumerate(rows):
+            copy = lam.with_angles(row)
+            if not usable[b]:
+                continue
+            want_mult, want_sr = first_ply_failure(copy, load)
+            assert float(mults[b]).hex() == want_mult.hex()
+            assert sr[b].tobytes() == want_sr.tobytes()
+            stored = len(memo)
+            hit = first_ply_failure(copy, load, memo)
+            assert len(memo) == stored
+            assert hit[0].hex() == want_mult.hex()
+            assert hit[1].tobytes() == want_sr.tobytes()
+            assert not hit[1].flags.writeable
+        # One entry per distinct usable row, 0.0 and -0.0 apart.
+        assert len(memo) == len({tuple(a.hex() for a in row)
+                                 for row, ok in zip(rows, usable) if ok})
+        return usable
+
+    def test_spar_full_line_of_one_ply(self):
+        """The bundled spar's critical ply 3 at every whole degree."""
+        design = load_bundled_design()
+        lam = design.laminate()
+        base = list(lam.angles)
+        rows = [tuple(base[:3] + [float(a)] + base[4:])
+                for a in range(-89, 91)]
+        assert self.assert_rows_match(lam, design.load, rows).all()
+
+    @pytest.mark.parametrize("load", [FORCE, BENDING], ids=["N+M", "M"])
+    def test_mixed_materials_and_signed_zeros(self, graphite_epoxy, load):
+        g, e = graphite_epoxy, GLASS_EPOXY
+        materials = (g, e, e, g, g, e, g)
+        thickness = (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3,
+                     0.15e-3)
+        lam = Laminate(tuple(Ply(0.0, t, m)
+                             for t, m in zip(thickness, materials)))
+        rng = np.random.default_rng(3)
+        grid = [0.0, -0.0, 15.0, -15.0, 45.0, -45.0, 90.0, -90.0, 30.5]
+        rows = [tuple(float(rng.choice(grid)) for _ in range(7))
+                for _ in range(40)]
+        rows += [(0.0,) * 7, (-0.0,) * 7, (-0.0, 0.0) * 3 + (-0.0,)]
+        assert self.assert_rows_match(lam, load, rows).all()
+
+    def test_unstressed_mid_ply_gets_inf(self, graphite_epoxy):
+        """Pure bending of a symmetric three-ply stack with exactly
+        representable thicknesses: B is exactly zero, so the mid-plane ply
+        carries no stress and comes back +inf, in the batch as in the
+        sequence."""
+        lam = Laminate.from_angles(graphite_epoxy, 2.0 ** -12, [0.0] * 3)
+        rows = [(30.0, float(a), 30.0) for a in range(-90, 91, 15)]
+        load = LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, -0.3, 0.2))
+        assert self.assert_rows_match(lam, load, rows).all()
+        _, sr, _ = first_ply_failure_batch(lam, load, rows)
+        assert np.isinf(sr[:, 1]).all()
+        assert np.isfinite(sr[:, [0, 2]]).all()
+
+    def assert_unusable_rows_raise(self, lam, load, rows, error):
+        memo = {}
+        usable = self.assert_rows_match(lam, load, rows)
+        first_ply_failure_batch(lam, load, rows, memo)
+        assert not usable.all()
+        for row, ok in zip(rows, usable):
+            if ok:
+                continue
+            copy = lam.with_angles(row)
+            with pytest.raises(error) as sequential:
+                first_ply_failure(copy, load)
+            with pytest.raises(error) as through_memo:
+                first_ply_failure(copy, load, memo)
+            assert str(through_memo.value) == str(sequential.value)
+        return usable
+
+    def test_collapsed_rows_are_not_stored(self):
+        """A near-rank-one material: a third ply at the angle of one of
+        the other two leaves the system collapsed."""
+        fibre = MaterialProperties(
+            e1=1e12, e2=1e-3, g12=1e-3, nu12=0.3, sigma1t_ult=1e9,
+            sigma1c_ult=1e9, sigma2t_ult=1e7, sigma2c_ult=1e7,
+            tau12_ult=1e7)
+        lam = Laminate.from_angles(fibre, 1e-3, [0.0, 30.0, -30.0])
+        rows = [(0.0, 30.0, float(a)) for a in range(-90, 91, 10)]
+        usable = self.assert_unusable_rows_raise(
+            lam, LoadCase(n=(1.0, 0.0, 0.0)), rows, LaminateSingularError)
+        assert [a for (_, _, a), ok in zip(rows, usable) if not ok] == \
+            [0.0, 30.0]
+
+    def test_rows_without_a_root_are_not_stored(self, graphite_epoxy):
+        """A material whose cached Tsai-Wu row is corrupt (h11 < 0): the
+        fibre-loaded rows have no positive root."""
+        corrupt = MaterialProperties(**{
+            f: getattr(graphite_epoxy, f)
+            for f in graphite_epoxy.__dataclass_fields__})
+        row = graphite_epoxy.tsai_wu.copy()
+        row[2] = -row[2]
+        corrupt.__dict__["tsai_wu"] = row
+        lam = Laminate.from_angles(corrupt, 0.125e-3, [0.0, 90.0, 90.0])
+        rows = [(float(a), 90.0, 90.0) for a in range(-90, 91, 10)]
+        usable = self.assert_unusable_rows_raise(
+            lam, LoadCase(n=(1000.0, 0.0, 0.0)), rows,
+            StrengthRatioRootError)
+        assert usable.any()
+
+    def test_row_without_a_loaded_ply_is_not_stored(self, graphite_epoxy):
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [30.0])
+        self.assert_unusable_rows_raise(
+            lam, LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, 0.0, 0.0)),
+            [(30.0,), (-0.0,)], NoLoadedPlyError)
+
+    def test_rejects_bad_rows_and_zero_load(self, graphite_epoxy):
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [0.0, 45.0])
+        for rows in ([(0.0, 135.0)], [(0.0, math.nan)], [(0.0,)],
+                     [0.0, 45.0], [(0.0, 45.0, 90.0)]):
+            with pytest.raises(ValueError):
+                first_ply_failure_batch(lam, AXIAL, rows)
+        with pytest.raises(ValueError):
+            first_ply_failure_batch(lam, LoadCase(n=(0.0, 0.0, 0.0)),
+                                    [(0.0, 45.0)])
 
 
 if __name__ == "__main__":

@@ -213,7 +213,7 @@ class _Search:
         delta = self.deltas[ply] + step
         candidate = self.current._with_ply_angle(
             ply, normalize_angle(self.original_angles[ply] + delta))
-        if memo_key("first_ply_failure", candidate.angles,
+        if memo_key("first_ply_failure", candidate._angle_bits,
                     self.spec.load) not in self.lam.memo:
             self._prefetch(ply, step, delta)
         mult, sr = first_ply_failure(candidate, self.spec.load,

@@ -204,21 +204,23 @@ class Laminate:
         old = self.plies[index]
         ply = Ply(angle, old.thickness, old.material)
         angles = self.angles
+        bits = self._angle_bits
         return self._copy(
             self.plies[:index] + (ply,) + self.plies[index + 1:],
-            angles[:index] + (ply.angle,) + angles[index + 1:])
+            angles=angles[:index] + (ply.angle,) + angles[index + 1:],
+            _angle_bits=(bits[:8 * index] + struct.pack("d", ply.angle)
+                         + bits[8 * index + 8:]))
 
-    def _copy(self, plies: tuple, angles: tuple | None = None) -> "Laminate":
+    def _copy(self, plies: tuple, **cached) -> "Laminate":
         """A laminate of ``plies`` sharing this one's :attr:`prepared`.
 
         Seeds the copy's cached properties (the instance ``__dict__`` of a
-        frozen dataclass stays writable); ``angles`` must be the plies'
-        own angles when given.
+        frozen dataclass stays writable) with ``cached``, whose values
+        must be what the copy would compute itself.
         """
         copy = Laminate(plies)
         copy.__dict__["prepared"] = self.prepared
-        if angles is not None:
-            copy.__dict__["angles"] = angles
+        copy.__dict__.update(cached)
         return copy
 
     @cached_property
@@ -247,6 +249,11 @@ class Laminate:
         """The ply angles, top to bottom, computed once."""
         return tuple(p.angle for p in self.plies)
 
+    @cached_property
+    def _angle_bits(self) -> bytes:
+        """The exact bits of :attr:`angles`, packed once for memo keys."""
+        return struct.pack(f"{len(self.plies)}d", *self.angles)
+
     @property
     def total_thickness(self) -> float:
         return sum(p.thickness for p in self.plies)
@@ -258,7 +265,7 @@ class PreparedStack:
 
     ``h`` holds the end-plane z coordinates h_0..h_n, strictly increasing
     from -H/2 to +H/2 (ply k occupies [h_{k-1}, h_k]), ``z_mid`` the ply
-    mid-planes, ``w1``, ``w2`` and ``w3`` the A, B and D weights
+    mid-planes, ``weights`` the (3, n) A, B and D weights
     h_k^p - h_{k-1}^p for p = 1, 2, 3, and ``materials`` each ply's
     material. All arrays are read-only; :attr:`tsai_wu` is built on first
     use, since stiffness-only callers never read it.
@@ -266,9 +273,7 @@ class PreparedStack:
 
     h: np.ndarray
     z_mid: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
+    weights: np.ndarray
     materials: tuple[MaterialProperties, ...]
 
     @classmethod
@@ -276,8 +281,9 @@ class PreparedStack:
         thicknesses = np.array([p.thickness for p in lam.plies])
         h = np.concatenate([[0.0], np.cumsum(thicknesses)])
         h = h - h[-1] / 2.0
-        arrays = (h, (h[:-1] + h[1:]) / 2.0, h[1:] - h[:-1],
-                  h[1:] ** 2 - h[:-1] ** 2, h[1:] ** 3 - h[:-1] ** 3)
+        arrays = (h, (h[:-1] + h[1:]) / 2.0,
+                  np.array([h[1:] - h[:-1], h[1:] ** 2 - h[:-1] ** 2,
+                            h[1:] ** 3 - h[:-1] ** 3]))
         for array in arrays:
             array.setflags(write=False)
         return cls(*arrays, materials=tuple(p.material for p in lam.plies))
@@ -489,10 +495,18 @@ def assemble_abd(lam: Laminate) -> AbdMatrices:
 def abd_blocks(stack: np.ndarray, prep: PreparedStack):
     """A, B and D of an (..., n, 3, 3) [Qbar] stack over ``prep``'s z
     weights, one (..., 3, 3) block each."""
-    a = np.einsum("...kij,k->...ij", stack, prep.w1)
-    b = 0.5 * np.einsum("...kij,k->...ij", stack, prep.w2)
-    d = np.einsum("...kij,k->...ij", stack, prep.w3) / 3.0
-    return a, b, d
+    return tuple(np.moveaxis(_stacked_abd(stack, prep.weights), -3, 0))
+
+
+#: The 1, 1/2 and 1/3 of A, B and D, as divisors of the weighted sums.
+_ABD_DIVISORS = np.array([1.0, 2.0, 3.0])[:, None, None]
+
+
+def _stacked_abd(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A, B and D of an (..., n, 3, 3) [Qbar] stack over (3, n) z
+    weights, stacked as one (..., 3, 3, 3) array: one sum over the plies
+    for all three blocks. Dividing by 2 is bit-equal to halving."""
+    return np.einsum("...kij,pk->...pij", stack, weights) / _ABD_DIVISORS
 
 
 #: Reciprocal-condition threshold below which a laminate stiffness matrix

@@ -2,7 +2,9 @@
 
 Repeatedly: solve the laminate under the reference load, get one Tsai-Wu
 strength ratio per surviving ply (at the ply mid-thickness), knock out the
-plies tied at the minimum, zero their stiffness contribution and go again.
+plies tied at the minimum and go again on the survivors. A failed ply
+keeps its z band but leaves the solve, which gives exactly the numbers
+that zeroing its stiffness would.
 Each knockout records a "rung": the load multiplier at which that group
 fails, measured against the *original* load. The resulting ladder is the
 laminate's failure fingerprint: widely spaced rungs mean progressive
@@ -17,7 +19,6 @@ multiplier than the one before it.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +31,7 @@ from plytamper.clt import (
     NoLoadedPlyError,
     PreparedStack,
     StrengthRatioRootError,
-    abd_blocks,
+    _stacked_abd,
     collapsed_rows,
     require_nonsingular,
     stiffness_stack,
@@ -139,18 +140,42 @@ def classify_failure_mode(
 
 
 # =============================================================================
-# Vectorized per-iteration core
+# The rung kernel
 # =============================================================================
+#
+# One laminate state is solved and scored in stages, each written once and
+# used with or without a leading batch axis: the 6x6 system, the collapse
+# test and solve, the per-ply stress recovery and the Tsai-Wu ratios.
+# :func:`_rung` chains them for one state, on its surviving plies only;
+# :func:`first_ply_failure_batch` chains them for many states at once.
 
-def _system_matrix(stack: np.ndarray, prep: PreparedStack) -> np.ndarray:
-    """The (..., 6, 6) laminate matrix [[A, B], [B, D]] of a [Qbar] stack."""
-    a, b, d = abd_blocks(stack, prep)
-    k6 = np.empty(a.shape[:-2] + (6, 6))
-    k6[..., :3, :3] = a
-    k6[..., :3, 3:] = b
-    k6[..., 3:, :3] = b
-    k6[..., 3:, 3:] = d
-    return k6
+#: Where each entry of the 6x6 system, row by row, sits in the flattened
+#: (3, 3, 3) A, B, D array: block 0, 1 or 2, then row and column in it.
+_K6_FLAT = (9 * (np.arange(6)[:, None] // 3 + np.arange(6) // 3)
+            + 3 * (np.arange(6)[:, None] % 3) + np.arange(6) % 3).ravel()
+
+#: The stress factors of the Tsai-Wu terms h1*s1, h2*s2, h11*s1, h22*s2,
+#: h66*t12 and 2*h12*s1, then those of the quadratic terms' second factors.
+_FIRST_FACTORS = np.array([0, 1, 0, 1, 2, 0])
+_SECOND_FACTORS = np.array([0, 1, 2, 1])
+
+#: Scales (h1, h2, h11, h22, h66, h12) to the coefficients of the terms.
+_TERM_SCALE = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+
+
+def _term_coefficients(tw: np.ndarray) -> np.ndarray:
+    """The (n, 6) coefficients h1, h2, h11, h22, h66, 2*h12 of (6, n)
+    Tsai-Wu rows, as :func:`_strength_ratios_and_bad` takes them."""
+    return tw.T * _TERM_SCALE
+
+
+def _system_matrix(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (..., 6, 6) laminate matrix [[A, B], [B, D]] of a [Qbar] stack
+    over (3, n) z weights."""
+    abd = _stacked_abd(stack, weights)
+    batch = abd.shape[:-3]
+    return abd.reshape(batch + (27,)).take(_K6_FLAT, axis=-1).reshape(
+        batch + (6, 6))
 
 
 def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
@@ -163,48 +188,68 @@ def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
     +inf; a loaded row without a positive root raises
     StrengthRatioRootError.
     """
-    sr, bad = _strength_ratios_and_bad(local_stress, tw)
-    if bad is not None and bad.any():
-        raise StrengthRatioRootError(
-            f"no positive strength-ratio root for plies {np.where(bad)[0]}"
-        )
+    sr, bad = _strength_ratios_and_bad(local_stress, _term_coefficients(tw))
+    _require_roots(bad)
     return sr
 
 
-def _strength_ratios_and_bad(local_stress: np.ndarray, tw: np.ndarray):
+def _strength_ratios_and_bad(local_stress: np.ndarray, coef: np.ndarray):
     """:func:`strength_ratios` of (..., n, 3) stresses, and its root mask.
 
-    Returns the (..., n) ratios and a mask of the entries without a
-    positive root (``None`` when no entry needs a mask). A masked entry
-    holds a meaningless finite value instead of raising, and no entry
-    emits a warning.
+    ``coef`` holds the (n, 6) :func:`_term_coefficients`. Returns the
+    (..., n) ratios and a mask of the entries without a positive root
+    (``None`` when no entry needs a mask). A masked entry holds a
+    meaningless finite value instead of raising, and no entry emits a
+    warning. The six products of a and b are formed in one pass and the
+    quadratic ones completed in a second: the float operations of the
+    formula, in its order.
     """
-    s1, s2, t12 = (local_stress[..., k] for k in range(3))
-    h1, h2, h11, h22, h66, h12 = tw
-    a = h1 * s1 + h2 * s2
-    b = h11 * s1 * s1 + h22 * s2 * s2 + h66 * t12 * t12 + 2.0 * h12 * s1 * s2
+    terms = coef * local_stress.take(_FIRST_FACTORS, axis=-1)
+    squares = terms[..., 2:] * local_stress.take(_SECOND_FACTORS, axis=-1)
+    a = terms[..., 0] + terms[..., 1]
+    b = squares[..., 0] + squares[..., 1] + squares[..., 2] + squares[..., 3]
     disc = a * a + 4.0 * b
-    if (b > 0.0).all():
+    if b.min(initial=np.inf) > 0.0:
         # No zero-stress entry (its b is exactly 0) and no bad root (b > 0
         # makes disc positive or NaN): the common case needs no masks.
-        return (-a + np.sqrt(disc)) / (2.0 * b), None
-    zero = (s1 == 0.0) & (s2 == 0.0) & (t12 == 0.0)
+        # sqrt(disc) - a is -a + sqrt(disc), bit for bit.
+        return (np.sqrt(disc) - a) / (2.0 * b), None
+    zero = (local_stress == 0.0).all(axis=-1)
     bad = ~zero & ((b <= 0.0) | (disc < 0.0))
     skip = zero | bad
     safe_b = np.where(skip, 1.0, b)
-    sr = (-a + np.sqrt(np.where(skip, 0.0, disc))) / (2.0 * safe_b)
+    sr = (np.sqrt(np.where(skip, 0.0, disc)) - a) / (2.0 * safe_b)
     return np.where(zero, np.inf, sr), bad
 
 
-def _recover_stresses(stack: np.ndarray, prep: PreparedStack,
+def _require_roots(bad, plies: np.ndarray | None = None) -> None:
+    """Raise StrengthRatioRootError naming the plies that ``bad`` (from
+    :func:`_strength_ratios_and_bad`) marks: entries of ``plies``, or
+    their own indices when it is None."""
+    if bad is not None and bad.any():
+        named = np.where(bad)[0] if plies is None else plies[bad]
+        raise StrengthRatioRootError(
+            f"no positive strength-ratio root for plies {named}")
+
+
+def _recover_stresses(stack: np.ndarray, z_mid: np.ndarray,
                       t_stack: np.ndarray, solution: np.ndarray):
     """Per-ply mid-thickness strain and stresses from (..., 6) solutions
     (eps0, kappa) of (..., n, 3, 3) stacks; see :func:`ply_stresses`."""
     eps0, kappa = solution[..., None, :3], solution[..., None, 3:]
-    global_strain = eps0 + prep.z_mid[:, None] * kappa
+    global_strain = eps0 + z_mid[:, None] * kappa
     global_stress = np.einsum("...kij,...kj->...ki", stack, global_strain)
     local_stress = np.einsum("...kij,...kj->...ki", t_stack, global_stress)
     return global_strain, global_stress, local_stress
+
+
+def _solve_plies(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
+                 load_vec: np.ndarray, t_stack: np.ndarray):
+    """:func:`ply_stresses` of a stack given its z weights and mid-planes."""
+    k6 = _system_matrix(stack, weights)
+    require_nonsingular(k6, "laminate system is numerically singular")
+    return _recover_stresses(stack, z_mid, t_stack,
+                             np.linalg.solve(k6, load_vec))
 
 
 def ply_stresses(stack: np.ndarray, prep: PreparedStack,
@@ -216,41 +261,53 @@ def ply_stresses(stack: np.ndarray, prep: PreparedStack,
     eps(z) = eps0 + z*k, and ``t_stack`` holds each ply's [T]. Raises
     LaminateSingularError when the 6x6 system has collapsed.
     """
-    k6 = _system_matrix(stack, prep)
-    require_nonsingular(k6, "laminate system is numerically singular")
-    return _recover_stresses(stack, prep, t_stack,
-                             np.linalg.solve(k6, load_vec))
-
-
-def _iteration_sr(stack: np.ndarray, prep: PreparedStack,
-                  load_vec: np.ndarray, t_stack: np.ndarray) -> np.ndarray:
-    """Strength ratios of every ply for one knockout iteration.
-
-    Failed plies have a zeroed stiffness, so their recovered stress is
-    exactly zero and they come back as +inf — which the tie search skips.
-    """
-    _, _, local_stress = ply_stresses(stack, prep, load_vec, t_stack)
-    return strength_ratios(local_stress, prep.tsai_wu)
+    return _solve_plies(stack, prep.weights, prep.z_mid, load_vec, t_stack)
 
 
 def _kernel_inputs(lam: Laminate, load: LoadCase):
-    """The intact [Qbar] stack, prepared arrays, load vector and [T] stack."""
+    """The per-ply arrays :func:`_rung` takes, and the load vector."""
     if load.is_zero:
         raise ValueError("failure analysis needs a nonzero load")
-    return (stiffness_stack(lam), lam.prepared, load.as_vector(),
-            transformation_matrix(lam.angles))
+    prep = lam.prepared
+    arrays = (stiffness_stack(lam), transformation_matrix(lam.angles),
+              prep.z_mid, prep.weights, _term_coefficients(prep.tsai_wu))
+    return arrays, load.as_vector()
 
 
-def memo_key(kind: str, angles: tuple, load: LoadCase) -> tuple:
-    """The memo key of a ``kind`` evaluation of ``angles`` under ``load``.
+def _rung(arrays: tuple, load_vec: np.ndarray,
+          plies: np.ndarray | None = None) -> np.ndarray:
+    """Strength ratios of one laminate state: the one rung kernel.
+
+    ``arrays`` are every ply's [Qbar], [T], mid-plane, (3, n) z weights
+    and term coefficients, from :func:`_kernel_inputs`; ``plies`` lists
+    the surviving plies in order (all when None). Failed plies are left
+    out of the solve: with zeroed stiffness their terms of every ply sum
+    would be exact zeros, so the bits are the same. Returns the
+    survivors' ratios; an error names the original ply indices.
+    """
+    stack, t_stack, z_mid, weights, coef = arrays
+    if plies is not None:
+        stack, t_stack, z_mid, coef = (
+            a.take(plies, axis=0) for a in (stack, t_stack, z_mid, coef))
+        weights = weights.take(plies, axis=1)
+    _, _, local_stress = _solve_plies(stack, weights, z_mid, load_vec,
+                                      t_stack)
+    sr, bad = _strength_ratios_and_bad(local_stress, coef)
+    _require_roots(bad, plies)
+    return sr
+
+
+def memo_key(kind: str, angle_bits: bytes, load: LoadCase) -> tuple:
+    """The memo key of a ``kind`` evaluation of a state under ``load``.
 
     ``kind`` is ``"first_ply_failure"`` or
-    ``"simulate_progressive_failure"``. The key holds the exact bits of
-    the angles and the load, so 0.0 and -0.0 are separate entries.
-    Materials and thicknesses are not part of it: a memo serves one
-    laminate and its rotated copies, which share them.
+    ``"simulate_progressive_failure"``, and ``angle_bits`` the state's
+    packed ply angles (a laminate's are packed once, on first use). The
+    key holds the exact bits of the angles and the load, so 0.0 and -0.0
+    are separate entries. Materials and thicknesses are not part of it:
+    a memo serves one laminate and its rotated copies, which share them.
     """
-    return kind, struct.pack(f"{len(angles)}d", *angles) + load._bits
+    return kind, angle_bits + load._bits
 
 
 def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
@@ -274,11 +331,11 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
         given load) and the full per-ply strength-ratio array.
     """
     if memo is not None:
-        key = memo_key("first_ply_failure", lam.angles, load)
+        key = memo_key("first_ply_failure", lam._angle_bits, load)
         hit = memo.get(key)
         if hit is not None:
             return hit
-    sr = _iteration_sr(*_kernel_inputs(lam, load))
+    sr = _rung(*_kernel_inputs(lam, load))
     result = _finite_minimum(sr), sr
     if memo is not None:
         sr.setflags(write=False)
@@ -319,7 +376,7 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, angle_rows,
     sr = np.full(rows.shape, np.nan)
     usable = np.zeros(len(rows), dtype=bool)
     stacks = stiffness_stacks(lam, rows)
-    k6 = _system_matrix(stacks, prep)
+    k6 = _system_matrix(stacks, prep.weights)
     try:
         solved = ~collapsed_rows(k6)
         rhs = np.broadcast_to(load.as_vector()[:, None],
@@ -330,9 +387,10 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, angle_rows,
         solved = np.zeros(len(rows), dtype=bool)
     if solved.any():
         _, _, local_stress = _recover_stresses(
-            stacks[solved], prep, transformation_matrix(rows[solved]),
+            stacks[solved], prep.z_mid, transformation_matrix(rows[solved]),
             solution)
-        ratios, bad = _strength_ratios_and_bad(local_stress, prep.tsai_wu)
+        ratios, bad = _strength_ratios_and_bad(
+            local_stress, _term_coefficients(prep.tsai_wu))
         lows = ratios.min(axis=1, where=np.isfinite(ratios),
                           initial=np.inf)
         good = lows < np.inf
@@ -345,7 +403,7 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, angle_rows,
     if memo is not None:
         sr.setflags(write=False)
         for b in np.flatnonzero(usable).tolist():
-            memo.setdefault(memo_key("first_ply_failure", rows[b].tolist(),
+            memo.setdefault(memo_key("first_ply_failure", rows[b].tobytes(),
                                      load),
                             (float(multipliers[b]), sr[b]))
     return multipliers, sr, usable
@@ -382,41 +440,47 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     NoLoadedPlyError
         If an iteration leaves surviving plies that carry no stress.
     """
+    first = None
     if memo is not None:
-        key = memo_key("simulate_progressive_failure", lam.angles, load)
+        key = memo_key("simulate_progressive_failure", lam._angle_bits, load)
         hit = memo.get(key)
         if hit is not None:
             return hit
-    intact, prep, load_vec, t_stack = _kernel_inputs(lam, load)
+        # The first rung solves the state first_ply_failure solved.
+        first = memo.get(memo_key("first_ply_failure", lam._angle_bits, load))
+    arrays, load_vec = _kernel_inputs(lam, load)
 
-    active = np.ones(lam.n_plies, dtype=bool)
+    alive = np.ones(lam.n_plies, dtype=bool)
+    plies = np.arange(lam.n_plies)   # the survivors, in order
     rungs: list[FailureRung] = []
     history: list[tuple[float, ...]] = []
 
-    while active.any():
-        stack = np.where(active[:, None, None], intact, 0.0)
-        try:
-            sr = _iteration_sr(stack, prep, load_vec, t_stack)
-        except LaminateSingularError:
-            if not rungs:
-                raise
-            rungs.append(FailureRung(
-                force_multiplier=rungs[-1].force_multiplier,
-                failed_plies=tuple(int(i) for i in np.where(active)[0]),
-                flagged=True,
-            ))
-            active[:] = False
-            break
-
-        history.append(tuple(sr.tolist()))
-        group = ties_at_minimum(sr)
-        multiplier = min(float(sr[i]) for i in group)
+    while plies.size:
+        if first is not None:
+            sr, first = first[1], None
+        else:
+            try:
+                sr = _rung(arrays, load_vec, plies)
+            except LaminateSingularError:
+                if not rungs:
+                    raise
+                rungs.append(FailureRung(
+                    force_multiplier=rungs[-1].force_multiplier,
+                    failed_plies=tuple(plies.tolist()),
+                    flagged=True,
+                ))
+                break
+        row = np.full(lam.n_plies, np.inf)
+        row[plies] = sr
+        history.append(tuple(row.tolist()))
+        failed = plies[sorted(ties_at_minimum(sr))]
+        alive[failed] = False
+        plies = np.flatnonzero(alive)
+        failed = failed.tolist()
         rungs.append(FailureRung(
-            force_multiplier=multiplier,
-            failed_plies=tuple(sorted(group)),
+            force_multiplier=min(history[-1][i] for i in failed),
+            failed_plies=tuple(failed),
         ))
-        for i in group:
-            active[i] = False
 
     ladder = FailureLadder(rungs=tuple(rungs), load=load,
                            sr_history=tuple(history))

@@ -31,7 +31,7 @@ from plytamper.clt import (
     transform_stiffness,
     transformation_matrix,
 )
-from plytamper.failure import ply_stresses, strength_ratios
+from plytamper.failure import _system_matrix, ply_stresses, strength_ratios
 
 RTOL = 1e-9
 
@@ -423,6 +423,34 @@ class TestAbdAssembly:
         expected_a = q0 * (h[1] - h[0]) + q90 * (h[3] - h[2])
         np.testing.assert_allclose(a, expected_a, rtol=RTOL)
 
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (2, 3)])
+    def test_one_sum_equals_the_three_block_sums(self, graphite_epoxy,
+                                                 batch):
+        """A, B and D from one einsum over the stacked weights, divided
+        by (1, 2, 3), and the 6x6 system gathered from them are bit for
+        bit the three separate sums, B halved and D divided by 3."""
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 7, 34, 97):
+            thickness = rng.uniform(0.05e-3, 0.3e-3, size=n)
+            lam = Laminate(tuple(Ply(0.0, t, graphite_epoxy)
+                                 for t in thickness))
+            prep = lam.prepared
+            stack = rng.normal(size=batch + (n, 3, 3)) * 1e10
+            want = (np.einsum("...kij,k->...ij", stack, prep.weights[0]),
+                    0.5 * np.einsum("...kij,k->...ij", stack,
+                                    prep.weights[1]),
+                    np.einsum("...kij,k->...ij", stack, prep.weights[2])
+                    / 3.0)
+            k6 = _system_matrix(stack, prep.weights)
+            assert k6.shape == batch + (6, 6)
+            for got, block in zip(abd_blocks(stack, prep), want):
+                assert got.tobytes() == block.tobytes()
+            for (rows, cols), block in zip(
+                    (((0, 3), (0, 3)), ((0, 3), (3, 6)), ((3, 6), (0, 3)),
+                     ((3, 6), (3, 6))), (want[0], want[1], want[1], want[2])):
+                got = k6[..., slice(*rows), slice(*cols)]
+                assert np.ascontiguousarray(got).tobytes() == block.tobytes()
+
 
 class TestSolveMidplane:
     """The laminate solve inside ``failure.ply_stresses``."""
@@ -586,6 +614,30 @@ class TestStrengthRatio:
             for lam_factor in (0.5, 2.0, 10.0):
                 scaled = ratios(stress * lam_factor, graphite_epoxy)[0]
                 assert scaled == pytest.approx(base / lam_factor, rel=RTOL)
+
+    def test_same_float_operations_as_the_formula(self, graphite_epoxy):
+        """Bit for bit the formula evaluated term by term in its written
+        order, (-a + sqrt(a*a + 4*b)) / (2*b), on a batch that takes the
+        fast path and on one with unloaded rows (+inf), which takes the
+        masked path."""
+        h1, h2, h11, h22, h66, h12 = graphite_epoxy.tsai_wu.tolist()
+        rng = np.random.default_rng(53)
+        stress = (rng.uniform(-1.0, 1.0, size=(400, 3))
+                  * 10.0 ** rng.uniform(3.0, 9.0, size=(400, 3)))
+        stress[200::7] = 0.0
+        stress[201::9, :2] = 0.0
+        stress[202::9, 1:] = 0.0
+        for rows in (stress[:200], stress[200:]):
+            want = []
+            for s1, s2, t12 in rows.tolist():
+                a = h1 * s1 + h2 * s2
+                b = (h11 * s1 * s1 + h22 * s2 * s2 + h66 * t12 * t12
+                     + 2.0 * h12 * s1 * s2)
+                want.append(math.inf if s1 == s2 == t12 == 0.0 else
+                            (-a + math.sqrt(a * a + 4.0 * b)) / (2.0 * b))
+            got = ratios(rows, graphite_epoxy)
+            assert [v.hex() for v in got.tolist()] == \
+                [v.hex() for v in want]
 
     def test_corrupt_parameters_raise(self):
         # rows h1, h2, h11, h22, h66, h12 for one ply

@@ -6,6 +6,7 @@ with the full sweep living in the acceptance suite.
 """
 
 import math
+import struct
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import ladder_oracle
 
+from plytamper import failure
 from plytamper.clt import (
     Laminate,
     LaminateSingularError,
@@ -23,6 +25,8 @@ from plytamper.clt import (
     MaterialProperties,
     Ply,
     StrengthRatioRootError,
+    stiffness_stack,
+    transformation_matrix,
 )
 from plytamper.designfile import load_bundled_design
 from plytamper.failure import (
@@ -32,7 +36,9 @@ from plytamper.failure import (
     classify_failure_mode,
     first_ply_failure,
     first_ply_failure_batch,
+    ply_stresses,
     simulate_progressive_failure,
+    strength_ratios,
     ties_at_minimum,
 )
 
@@ -351,6 +357,61 @@ class TestMemo:
         first_ply_failure(lam, self.LOAD, lam.memo)
         assert lam.with_angles([0.0, 30.0]).memo == {}
 
+    @staticmethod
+    def solves(monkeypatch):
+        """Count the rung kernel's solves from here on."""
+        calls = []
+        rung = failure._rung
+
+        def counted(*args):
+            calls.append(1)
+            return rung(*args)
+
+        monkeypatch.setattr(failure, "_rung", counted)
+        return calls
+
+    def test_ladder_takes_its_first_rung_from_the_memo(self, graphite_epoxy,
+                                                       monkeypatch):
+        """With the state's first_ply_failure entry in the memo the ladder
+        solves one rung less, and its bits are a fresh ladder's."""
+        angles = [0.0, 45.0, -45.0, 90.0, 30.0]
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+        fresh = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+        calls = self.solves(monkeypatch)
+        want = simulate_progressive_failure(fresh, self.LOAD)
+        fresh_solves = len(calls)
+        assert fresh_solves == len(want.rungs) > 1
+        first_ply_failure(lam, self.LOAD, lam.memo)
+        del calls[:]
+        got = simulate_progressive_failure(lam, self.LOAD, lam.memo)
+        assert len(calls) == fresh_solves - 1
+        assert ladder_hex(got) == ladder_hex(want)
+
+    def test_first_rung_from_a_batch_row(self, graphite_epoxy, monkeypatch):
+        """The entry may come from a batched row: the ladder is still bit
+        for bit a fresh one, on every row, and solves one rung less."""
+        g, e = graphite_epoxy, GLASS_EPOXY
+        thickness = (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3)
+        lam = Laminate(tuple(Ply(0.0, t, m) for t, m in
+                             zip(thickness, (g, e, e, g, g, e))))
+        rows = [(15.0, -0.0, float(a), 45.0, 0.0, -60.0)
+                for a in range(-90, 91, 30)]
+        _, _, usable = first_ply_failure_batch(lam, self.LOAD, rows,
+                                               lam.memo)
+        assert usable.all()
+        for row in rows:
+            copy = lam.with_angles(row)
+            fresh = Laminate(tuple(Ply(a, p.thickness, p.material)
+                                   for a, p in zip(row, lam.plies)))
+            entries = len(lam.memo)
+            calls = self.solves(monkeypatch)
+            got = simulate_progressive_failure(copy, self.LOAD, lam.memo)
+            assert len(calls) == len(got.rungs) - 1
+            monkeypatch.undo()
+            assert len(lam.memo) == entries + 1
+            assert ladder_hex(got) == ladder_hex(
+                simulate_progressive_failure(fresh, self.LOAD))
+
     def test_state_that_raises_leaves_no_entry(self, graphite_epoxy):
         """The no-loaded-ply ladder of
         ``test_unloaded_survivor_is_a_numerical_failure`` and the lone
@@ -368,6 +429,13 @@ class TestMemo:
             with pytest.raises(NoLoadedPlyError):
                 first_ply_failure(lone, bending, lone.memo)
             assert lam.memo == {} and lone.memo == {}
+
+
+def ladder_hex(ladder):
+    """A ladder's rungs and strength-ratio rows, floats as hex."""
+    return ([(r.force_multiplier.hex(), r.failed_plies, r.flagged)
+             for r in ladder.rungs],
+            [[v.hex() for v in row] for row in ladder.sr_history])
 
 
 # =============================================================================
@@ -523,7 +591,8 @@ class TestRotatedCopies:
 
     def test_one_ply_copy_matches_with_angles(self, lam):
         """The search's one-ply copy: equal to the ``with_angles`` copy,
-        the other plies reused, ``prepared`` shared, ``angles`` seeded."""
+        the other plies reused, ``prepared`` shared, ``angles`` and the
+        packed angle bits of its memo keys seeded."""
         base = lam.with_angles((0.0, 45.0, -30.0, 90.0, -0.0, 15.0, 61.0))
         for index, angle in ((4, 0.0), (0, -0.0), (6, -90.0), (2, 12.5)):
             copy = base._with_ply_angle(index, angle)
@@ -534,6 +603,8 @@ class TestRotatedCopies:
             assert self.signs(copy) == self.signs(want)
             assert "angles" in copy.__dict__
             assert copy.angles == tuple(p.angle for p in copy.plies)
+            assert copy.__dict__["_angle_bits"] == struct.pack(
+                f"{lam.n_plies}d", *angles) == want._angle_bits
             assert copy.prepared is lam.prepared
             assert [new is old for new, old in zip(copy.plies, base.plies)] \
                 == [k != index for k in range(lam.n_plies)]
@@ -674,6 +745,156 @@ class TestBatchedKernel:
         with pytest.raises(ValueError):
             first_ply_failure_batch(lam, LoadCase(n=(0.0, 0.0, 0.0)),
                                     [(0.0, 45.0)])
+
+
+
+# =============================================================================
+# The rung kernel: failed plies leave the solve
+# =============================================================================
+
+def masked_ladder(lam, load):
+    """The knockout loop with failed plies kept in the solve at zero
+    stiffness: every rung solves and scores all n plies."""
+    intact, prep = stiffness_stack(lam), lam.prepared
+    t_stack = transformation_matrix(lam.angles)
+    active = np.ones(lam.n_plies, dtype=bool)
+    rungs, history = [], []
+    while active.any():
+        stack = np.where(active[:, None, None], intact, 0.0)
+        try:
+            _, _, local = ply_stresses(stack, prep, load.as_vector(), t_stack)
+        except LaminateSingularError:
+            if not rungs:
+                raise
+            rungs.append(FailureRung(rungs[-1].force_multiplier,
+                                     tuple(np.flatnonzero(active).tolist()),
+                                     flagged=True))
+            break
+        sr = strength_ratios(local, prep.tsai_wu)
+        history.append(tuple(sr.tolist()))
+        group = ties_at_minimum(sr)
+        rungs.append(FailureRung(min(float(sr[i]) for i in group),
+                                 tuple(sorted(group))))
+        active[list(group)] = False
+    return FailureLadder(tuple(rungs), load, tuple(history))
+
+
+class TestRungKernel:
+    """Ladders that solve only the surviving plies against
+    :func:`masked_ladder`, float for float."""
+
+    @staticmethod
+    def assert_same_ladder(lam, load):
+        try:
+            want = ladder_hex(masked_ladder(lam, load))
+        except ArithmeticError as error:
+            with pytest.raises(type(error)) as raised:
+                simulate_progressive_failure(lam, load)
+            assert str(raised.value) == str(error)
+            return None
+        assert ladder_hex(simulate_progressive_failure(lam, load)) == want
+        return want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_deep_stacks_under_mixed_loads(self, graphite_epoxy, seed):
+        """Five 48-128-ply stacks per seed on the 5-degree grid, under
+        random N and M of similar stress, as in the ladder benchmark."""
+        rng = np.random.default_rng(seed)
+        grid = [float(a) for a in range(-90, 91, 5)]
+        for _ in range(5):
+            n = int(rng.integers(48, 129))
+            angles = [float(a) for a in rng.choice(grid, size=n)]
+            moment = 1000.0 * n * 0.125e-3 / 6.0
+            load = LoadCase(tuple(rng.uniform(-1000.0, 1000.0, 3)),
+                            tuple(rng.uniform(-1.0, 1.0, 3) * moment))
+            lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+            assert self.assert_same_ladder(lam, load) is not None
+
+    def test_criterion_5_stacks(self, graphite_epoxy):
+        """Stacks of criterion 5's generator under its axial load and a
+        pure moment (which can leave no loaded ply)."""
+        rng = np.random.default_rng(55)
+        grid = [float(a) for a in range(-20, 21, 5)]
+        axial = LoadCase((1000.0, 0.0, 0.0))
+        moment = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        for _ in range(10):
+            n = int(rng.integers(8, 35))
+            lam = Laminate.from_angles(
+                graphite_epoxy, 0.125e-3,
+                [float(rng.choice(grid)) for _ in range(n)])
+            self.assert_same_ladder(lam, axial)
+            self.assert_same_ladder(lam, moment)
+
+    def test_spar(self):
+        design = load_bundled_design()
+        assert self.assert_same_ladder(design.laminate(), design.load)
+
+    @pytest.mark.parametrize("load", [TestBatchedKernel.FORCE,
+                                      TestBatchedKernel.BENDING],
+                             ids=["N+M", "M"])
+    def test_mixed_materials_and_thicknesses(self, graphite_epoxy, load):
+        g, e = graphite_epoxy, GLASS_EPOXY
+        rng = np.random.default_rng(9)
+        grid = [0.0, -0.0, 15.0, -15.0, 45.0, -45.0, 90.0, -90.0, 30.5]
+        for n in (3, 7, 12, 25):
+            lam = Laminate(tuple(
+                Ply(float(rng.choice(grid)), float(t), (g, e)[int(k)])
+                for t, k in zip(rng.uniform(0.05e-3, 0.3e-3, size=n),
+                                rng.integers(0, 2, size=n))))
+            self.assert_same_ladder(lam, load)
+
+    def test_late_root_failure_names_the_original_ply(self, graphite_epoxy):
+        """Ply 1 has a corrupt Tsai-Wu row (h11 < 0). Plies 3, 2 and 0
+        fail first; ply 1, alone in the fourth solve, has no root and
+        the error names it as ply 1."""
+        corrupt = MaterialProperties(**{
+            f: getattr(graphite_epoxy, f)
+            for f in graphite_epoxy.__dataclass_fields__})
+        row = graphite_epoxy.tsai_wu.copy()
+        row[2] = -row[2] * 0.001
+        corrupt.__dict__["tsai_wu"] = row
+        lam = Laminate(tuple(
+            Ply(a, 0.125e-3, corrupt if k == 1 else graphite_epoxy)
+            for k, a in enumerate((15.0, 0.0, -45.0, 75.0))))
+        load = LoadCase(n=(1000.0, 0.0, 0.0))
+        first_ply_failure(lam, load)
+        with pytest.raises(StrengthRatioRootError,
+                           match=r"for plies \[1\]$"):
+            simulate_progressive_failure(lam, load)
+        self.assert_same_ladder(lam, load)
+
+    def test_collapse_after_knockout_names_the_original_plies(
+            self, graphite_epoxy):
+        """A wafer-thin mid-plane ply between two thick 90 plies: once the
+        90s fail together, the lone wafer's system has collapsed, and the
+        flagged rung lists it as ply 1."""
+        lam = Laminate((Ply(90.0, 0.1, graphite_epoxy),
+                        Ply(0.0, 1e-9, graphite_epoxy),
+                        Ply(90.0, 0.1, graphite_epoxy)))
+        ladder = simulate_progressive_failure(lam, AXIAL)
+        assert [(r.failed_plies, r.flagged) for r in ladder.rungs] == \
+            [((0, 2), False), ((1,), True)]
+        assert ladder.rungs[1].force_multiplier == \
+            ladder.rungs[0].force_multiplier
+        self.assert_same_ladder(lam, AXIAL)
+
+    def test_odd_stack_under_bending_has_no_loaded_ply_left(self):
+        """Symmetric [30/0/30] with exactly representable thicknesses and
+        equal tension and compression strengths, under a pure moment: the
+        outer plies tie and fail together, and the mid-plane ply left
+        alone carries exactly no stress."""
+        even = MaterialProperties(
+            e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
+            sigma1t_ult=1500e6, sigma1c_ult=1500e6,
+            sigma2t_ult=40e6, sigma2c_ult=40e6, tau12_ult=68e6)
+        lam = Laminate.from_angles(even, 2.0 ** -12, [30.0, 0.0, 30.0])
+        load = LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, -0.3, 0.2))
+        _, sr = first_ply_failure(lam, load)
+        assert sr[0] == sr[2] and math.isinf(sr[1])
+        with pytest.raises(NoLoadedPlyError):
+            simulate_progressive_failure(lam, load)
+        with pytest.raises(NoLoadedPlyError):
+            masked_ladder(lam, load)
 
 
 if __name__ == "__main__":

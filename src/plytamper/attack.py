@@ -201,7 +201,7 @@ class _Search:
                                         spec.target_sf)
         self.current = lam
         self.deltas = [0.0] * lam.n_plies
-        self.best = (self.mult, self.original_angles, tuple(self.deltas))
+        self.best = (self.mult, lam, tuple(self.deltas))
         self.prefetch_line = None
         self.prefetch_size = _FIRST_BATCH
 
@@ -235,14 +235,12 @@ class _Search:
             min(2 * self.prefetch_size, _MAX_BATCH)
             if line == self.prefetch_line else _FIRST_BATCH)
         self.prefetch_line = line
-        angles = self.current.angles
-        head, tail = angles[:ply], angles[ply + 1:]
-        rows = []
+        angles = []
         for _ in range(self.prefetch_size):
-            rows.append(head + (normalize_angle(
-                self.original_angles[ply] + delta),) + tail)
+            angles.append(normalize_angle(self.original_angles[ply] + delta))
             delta += step
-        first_ply_failure_batch(self.lam, self.spec.load, rows,
+        first_ply_failure_batch(self.current, self.spec.load,
+                                [ply] * self.prefetch_size, angles,
                                 self.lam.memo)
 
     def move(self, mult: float, state) -> None:
@@ -251,12 +249,11 @@ class _Search:
         self.deltas[ply] = delta
         self.mult = mult
         if mult < self.best[0]:
-            self.best = (mult, self.current.angles, tuple(self.deltas))
+            self.best = (mult, self.current, tuple(self.deltas))
 
     def result(self, status: AttackStatus) -> AttackResult:
         """The best state seen, with its ladder, as the search's result."""
-        mult, angles, deltas = self.best
-        final = self.lam.with_angles(angles)
+        mult, final, deltas = self.best
         return AttackResult(
             attack_type=self.attack_type,
             status=status,

@@ -204,12 +204,17 @@ class Laminate:
         old = self.plies[index]
         ply = Ply(angle, old.thickness, old.material)
         angles = self.angles
-        bits = self._angle_bits
         return self._copy(
             self.plies[:index] + (ply,) + self.plies[index + 1:],
             angles=angles[:index] + (ply.angle,) + angles[index + 1:],
-            _angle_bits=(bits[:8 * index] + struct.pack("d", ply.angle)
-                         + bits[8 * index + 8:]))
+            _angle_bits=self._angle_bits_with(index, ply.angle))
+
+    def _angle_bits_with(self, index: int, angle: float) -> bytes:
+        """:attr:`_angle_bits` with ply ``index`` at ``angle``, which must
+        already be normalized: the memo key bits of a one-ply variation."""
+        bits = self._angle_bits
+        return (bits[:8 * index] + struct.pack("d", angle)
+                + bits[8 * index + 8:])
 
     def _copy(self, plies: tuple, **cached) -> "Laminate":
         """A laminate of ``plies`` sharing this one's :attr:`prepared`.
@@ -295,14 +300,6 @@ class PreparedStack:
         rows = np.array([m.tsai_wu for m in self.materials]).T.copy()
         rows.setflags(write=False)
         return rows
-
-    @cached_property
-    def material_columns(self) -> tuple:
-        """``(material, ply indices)`` for each distinct material object."""
-        columns: dict[int, tuple] = {}
-        for k, material in enumerate(self.materials):
-            columns.setdefault(id(material), (material, []))[1].append(k)
-        return tuple((m, np.array(ks)) for m, ks in columns.values())
 
 
 @dataclass(frozen=True)
@@ -459,24 +456,6 @@ def ply_stiffness(mat: MaterialProperties, angle_deg: float) -> np.ndarray:
 def stiffness_stack(lam: Laminate) -> np.ndarray:
     """Per-ply [Qbar] as an (n, 3, 3) array, top to bottom."""
     return np.array([ply_stiffness(p.material, p.angle) for p in lam.plies])
-
-
-def stiffness_stacks(lam: Laminate, angle_rows: np.ndarray) -> np.ndarray:
-    """[Qbar] of ``lam``'s plies at each row of a (B, n) angle array.
-
-    Returns a (B, n, 3, 3) array whose row b is :func:`stiffness_stack` of
-    ``lam`` rotated to ``angle_rows[b]``, entry for entry: the same cached
-    :func:`ply_stiffness` arrays, looked up once per distinct (material,
-    angle) pair rather than once per ply of every row.
-    """
-    stacks = np.empty(angle_rows.shape + (3, 3))
-    for material, columns in lam.prepared.material_columns:
-        block = angle_rows[:, columns]
-        values, inverse = np.unique(block, return_inverse=True)
-        table = np.array([ply_stiffness(material, v)
-                          for v in values.tolist()])
-        stacks[:, columns] = table[inverse.reshape(block.shape)]
-    return stacks
 
 
 def assemble_abd(lam: Laminate) -> AbdMatrices:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -305,20 +306,52 @@ def parse_design(doc) -> DesignFile:
                       target_sf)
 
 
+class _UniqueKeys:
+    """Loader mixin: a mapping key given twice is an error, not a silent
+    override. A key that a merge (``<<``) brings in may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                if not isinstance(key, Hashable):
+                    continue  # the base class reports it
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+class _PyLoader(_UniqueKeys, yaml.SafeLoader):
+    """The pure-Python safe loader, rejecting repeated keys."""
+
+
+if hasattr(yaml, "CSafeLoader"):
+    class _CLoader(_UniqueKeys, yaml.CSafeLoader):
+        """The libyaml-backed safe loader, rejecting repeated keys."""
+
+
 def load_design(path) -> DesignFile:
     """Read and validate a design file.
 
-    YAML syntax errors are re-raised as :class:`DesignError` with the
-    parser's line/column diagnostics; missing files raise ``OSError``.
-    The libyaml-backed loader is used when PyYAML was built with it; it
-    shares the pure-Python loader's resolver and constructor, so both
-    give the same values.
+    Text that is not UTF-8, YAML syntax errors and repeated keys raise
+    :class:`DesignError` naming the file (with the parser's line/column
+    diagnostics); missing files raise ``OSError``. The libyaml-backed
+    loader is used when PyYAML was built with it; it shares the
+    pure-Python loader's resolver and constructor, so both give the same
+    values.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _CLoader if hasattr(yaml, "CSafeLoader") else _PyLoader
     try:
-        doc = yaml.load(text, Loader=loader)
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = yaml.load(handle.read(), Loader=loader)
+    except UnicodeDecodeError as exc:
+        raise DesignError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise DesignError(f"{path}: invalid YAML: {exc}") from exc
     return parse_design(doc)

@@ -33,9 +33,9 @@ from plytamper.clt import (
     StrengthRatioRootError,
     _stacked_abd,
     collapsed_rows,
+    ply_stiffness,
     require_nonsingular,
     stiffness_stack,
-    stiffness_stacks,
     transformation_matrix,
 )
 
@@ -343,14 +343,14 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
     return result
 
 
-def first_ply_failure_batch(lam: Laminate, load: LoadCase, angle_rows,
+def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
                             memo: dict | None = None):
-    """:func:`first_ply_failure` of ``lam`` at each of B angle rows at once.
+    """:func:`first_ply_failure` of B one-ply variations of ``lam`` at once.
 
-    ``angle_rows`` holds B rows of ``lam.n_plies`` angles in [-90, 90], as
-    :func:`~plytamper.clt.normalize_angle` gives them. Row b is evaluated
-    as ``lam.with_angles(angle_rows[b])``: one [Qbar] gather, one batched
-    SVD and one batched solve for all rows.
+    Row b is ``lam`` with ply ``plies[b]`` at ``angles[b]``, in [-90, 90]
+    as :func:`~plytamper.clt.normalize_angle` gives it: ``lam``'s [Qbar]
+    and [T] stacks, copied with one column replaced, and one batched SVD
+    and one batched solve for all rows.
 
     Returns ``(multipliers, sr, usable)``: (B,) multipliers, (B, n)
     strength ratios and a (B,) mask. A usable row is bit for bit what
@@ -363,34 +363,41 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, angle_rows,
     unusable row is not stored, and the sequential call solves and raises
     it as before.
     """
-    if load.is_zero:
-        raise ValueError("failure analysis needs a nonzero load")
-    rows = np.array(angle_rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != lam.n_plies:
-        raise ValueError(f"need rows of {lam.n_plies} angles, got an array "
-                         f"of shape {rows.shape}")
-    if not (np.abs(rows) <= 90.0).all():
-        raise ValueError("angle rows must lie in [-90, 90]")
-    prep = lam.prepared
-    multipliers = np.full(len(rows), np.nan)
-    sr = np.full(rows.shape, np.nan)
-    usable = np.zeros(len(rows), dtype=bool)
-    stacks = stiffness_stacks(lam, rows)
-    k6 = _system_matrix(stacks, prep.weights)
+    (stack, t_stack, z_mid, weights, coef), load_vec = _kernel_inputs(
+        lam, load)
+    plies, angles = np.asarray(plies), np.asarray(angles, dtype=float)
+    if plies.ndim != 1 or angles.shape != plies.shape:
+        raise ValueError(f"need one angle per ply index, got shapes "
+                         f"{plies.shape} and {angles.shape}")
+    if plies.size and not (plies.dtype.kind in "iu" and plies.min() >= 0
+                           and plies.max() < lam.n_plies):
+        raise ValueError(f"ply indices must lie in 0..{lam.n_plies - 1}")
+    if not (np.abs(angles) <= 90.0).all():
+        raise ValueError("angles must lie in [-90, 90]")
+    count = len(plies)
+    rows = np.arange(count)
+    ply_list, angle_list = plies.tolist(), angles.tolist()
+    stacks = np.repeat(stack[None], count, axis=0)
+    stacks[rows, ply_list] = np.reshape(
+        [ply_stiffness(lam.plies[k].material, a)
+         for k, a in zip(ply_list, angle_list)], (count, 3, 3))
+    t_stacks = np.repeat(t_stack[None], count, axis=0)
+    t_stacks[rows, ply_list] = transformation_matrix(angles)
+    multipliers = np.full(count, np.nan)
+    sr = np.full((count, lam.n_plies), np.nan)
+    usable = np.zeros(count, dtype=bool)
+    k6 = _system_matrix(stacks, weights)
     try:
         solved = ~collapsed_rows(k6)
-        rhs = np.broadcast_to(load.as_vector()[:, None],
-                              (int(solved.sum()), 6, 1))
+        rhs = np.broadcast_to(load_vec[:, None], (int(solved.sum()), 6, 1))
         solution = np.linalg.solve(k6[solved], rhs)[..., 0]
     except np.linalg.LinAlgError:
         # The sequential calls raise the same error row by row.
-        solved = np.zeros(len(rows), dtype=bool)
+        solved = np.zeros(count, dtype=bool)
     if solved.any():
         _, _, local_stress = _recover_stresses(
-            stacks[solved], prep.z_mid, transformation_matrix(rows[solved]),
-            solution)
-        ratios, bad = _strength_ratios_and_bad(
-            local_stress, _term_coefficients(prep.tsai_wu))
+            stacks[solved], z_mid, t_stacks[solved], solution)
+        ratios, bad = _strength_ratios_and_bad(local_stress, coef)
         lows = ratios.min(axis=1, where=np.isfinite(ratios),
                           initial=np.inf)
         good = lows < np.inf
@@ -403,8 +410,8 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, angle_rows,
     if memo is not None:
         sr.setflags(write=False)
         for b in np.flatnonzero(usable).tolist():
-            memo.setdefault(memo_key("first_ply_failure", rows[b].tobytes(),
-                                     load),
+            bits = lam._angle_bits_with(ply_list[b], angle_list[b])
+            memo.setdefault(memo_key("first_ply_failure", bits, load),
                             (float(multipliers[b]), sr[b]))
     return multipliers, sr, usable
 

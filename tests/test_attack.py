@@ -8,6 +8,7 @@ the same plies with the same deltas.
 
 import dataclasses
 import math
+import struct
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import ladder_oracle
 
-from plytamper.clt import Laminate, LoadCase, MaterialProperties
+from plytamper.clt import Laminate, LoadCase, MaterialProperties, Ply
 from plytamper.attack import (
     ATTACK_TYPES,
     AttackResult,
@@ -28,19 +29,14 @@ from plytamper.attack import (
     spread_attack,
     target_force,
 )
-from plytamper.attack import _Search
+from plytamper.attack import _FIRST_BATCH, _MAX_BATCH, _Search
 from plytamper.designfile import load_bundled_design
-from plytamper.failure import first_ply_failure, first_ply_failure_batch
+from plytamper.failure import (
+    first_ply_failure,
+    first_ply_failure_batch,
+    simulate_progressive_failure,
+)
 from plytamper.report import attack_block, render_report_text
-
-
-@pytest.fixture(scope="module")
-def graphite_epoxy():
-    return MaterialProperties(
-        e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
-        sigma1t_ult=1500e6, sigma1c_ult=1500e6,
-        sigma2t_ult=40e6, sigma2c_ult=246e6, tau12_ult=68e6,
-    )
 
 
 ORACLE_MATERIAL = dict(e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
@@ -745,17 +741,32 @@ class TestLinePrefetch:
 
     def assert_prefetch_changes_only_the_memo(self, monkeypatch, make,
                                               design_sf, load):
-        batches = []
+        lines, batches = [], []
+        prefetch = _Search._prefetch
+
+        def traced(search, ply, step, delta):
+            lines.append((search, (ply, step)))
+            prefetch(search, ply, step, delta)
 
         def counted(*args):
             batches.append(len(args[2]))
             return first_ply_failure_batch(*args)
 
+        monkeypatch.setattr(_Search, "_prefetch", traced)
         monkeypatch.setattr("plytamper.attack.first_ply_failure_batch",
                             counted)
         prefetched, prefetched_size = self.six_searches(make(), design_sf,
                                                         load)
-        assert batches and set(batches) <= {8, 16, 32, 64}
+        # A miss on a new line solves _FIRST_BATCH states; each further
+        # miss on the same line of the same search doubles the batch.
+        expected, last = [], {}
+        for search, line in lines:
+            previous = last.get(search)
+            size = (min(2 * previous[1], _MAX_BATCH)
+                    if previous and previous[0] == line else _FIRST_BATCH)
+            last[search] = (line, size)
+            expected.append(size)
+        assert batches and batches == expected
         monkeypatch.setattr(_Search, "_prefetch", lambda *args: None)
         sequential, sequential_size = self.six_searches(make(), design_sf,
                                                         load)
@@ -770,10 +781,83 @@ class TestLinePrefetch:
             lambda: Laminate.from_angles(graphite_epoxy, PLY_T, angles),
             1.5, LoadCase((1000.0, 0.0, 0.0)))
 
+    def test_criterion5_stack_bending(self, graphite_epoxy, monkeypatch):
+        # Under a moment only, the searches rotate the outer plies in
+        # turn, so lines interleave and most misses start a new line.
+        angles = criterion5_stacks(1)[0]
+        self.assert_prefetch_changes_only_the_memo(
+            monkeypatch,
+            lambda: Laminate.from_angles(graphite_epoxy, PLY_T, angles),
+            1.5, LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
+
     def test_bundled_spar(self, monkeypatch):
         design = load_bundled_design()
         self.assert_prefetch_changes_only_the_memo(
             monkeypatch, design.laminate, design.design_sf, design.load)
+
+
+class TestMemoSoundness:
+    """Every entry the six searches leave in a laminate's memo is what a
+    fresh laminate at the entry's angles gives, float for float. Entries
+    come from the sequential calls, the batched lines and the ladders, so
+    a key spliced at the wrong ply or stored for the wrong row shows
+    here."""
+
+    FORCE = LoadCase((1000.0, -300.0, 150.0), (0.05, 0.0, -0.02))
+    BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    GLASS = MaterialProperties(
+        e1=38.6e9, e2=8.27e9, g12=4.14e9, nu12=0.26,
+        sigma1t_ult=1062e6, sigma1c_ult=610e6,
+        sigma2t_ult=31e6, sigma2c_ult=118e6, tau12_ult=72e6)
+
+    @staticmethod
+    def assert_memo_sound(make, design_sf, loads) -> None:
+        """Run the six searches under each load on one laminate from
+        ``make()``, then check every memo entry against a fresh one."""
+        lam = make()
+        for spec, attack_type in TestSharedMemo.searches(
+                design_sf, [(load, None) for load in loads]):
+            outcome(attack_type, lam, spec)
+        assert len(lam.memo) > 50
+        fresh, n = make(), lam.n_plies
+        by_bits = {load._bits: load for load in loads}
+        for (kind, bits), value in lam.memo.items():
+            state = fresh.with_angles(struct.unpack(f"{n}d", bits[:8 * n]))
+            load = by_bits[bits[8 * n:]]
+            if kind == "first_ply_failure":
+                mult, sr = first_ply_failure(state, load)
+                assert exact((value[0], tuple(value[1].tolist()))) == \
+                    exact((mult, tuple(sr.tolist()))), (kind, state.angles)
+            else:
+                assert exact(value) == exact(
+                    simulate_progressive_failure(state, load)), \
+                    (kind, state.angles)
+
+    @pytest.mark.parametrize("stack", range(3))
+    def test_criterion5_stack(self, graphite_epoxy, stack):
+        angles = criterion5_stacks(stack + 1)[stack]
+        self.assert_memo_sound(
+            lambda: Laminate.from_angles(graphite_epoxy, PLY_T, angles),
+            1.5, [LoadCase((1000.0, 0.0, 0.0))])
+
+    def test_bundled_spar(self):
+        """The spar under its own load and under a moment-only one."""
+        design = load_bundled_design()
+        self.assert_memo_sound(design.laminate, design.design_sf,
+                               [design.load, self.BENDING])
+
+    def test_mixed_stack_with_signed_zeros(self, graphite_epoxy):
+        """Two materials, four thicknesses and both zeros, under N+M and
+        a moment-only load."""
+        g, e = graphite_epoxy, self.GLASS
+        angles = (0.0, -0.0, 15.0, -30.0, -0.0, 45.0, 0.0, -15.0, 10.0)
+        thickness = (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3,
+                     0.15e-3, 0.125e-3, 0.1e-3)
+        materials = (g, e, g, g, e, e, g, e, g)
+        self.assert_memo_sound(
+            lambda: Laminate(tuple(Ply(a, t, m) for a, t, m in
+                                   zip(angles, thickness, materials))),
+            1.5, [self.FORCE, self.BENDING])
 
 
 def render_attack_text(result):

@@ -499,6 +499,25 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "schema_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (yaml.safe_dump(crossply_doc(), sort_keys=False).replace(
+            "  design_sf: 1.5\n", "  design_sf: 1.5\n  design_sf: 3.0\n"
+        ).encode("utf-8"), "found duplicate key 'design_sf'"),
+        (b"\xff" + yaml.safe_dump(crossply_doc()).encode("utf-8"),
+         "not UTF-8 text"),
+    ], ids=["repeated-key", "not-utf8"])
+    def test_unreadable_design_is_a_usage_error(self, tmp_path, capsys,
+                                                content, message):
+        design = tmp_path / "bad.yaml"
+        design.write_bytes(content)
+        report = tmp_path / "report.json"
+        code = main(["analyze", str(design), "-o", str(report)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {design}: ")
+        assert message in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("field, value, path", [
         ("angle", float("inf"), "layup[1].angle.value"),
         ("angle", float("nan"), "layup[1].angle.value"),

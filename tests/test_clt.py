@@ -68,16 +68,6 @@ def fiber_strain(angle_deg, strain):
                                 np.diag([1.0, 1.0, 0.5]), strain])
 
 
-@pytest.fixture(scope="module")
-def graphite_epoxy():
-    """Unidirectional graphite/epoxy lamina used throughout the suite."""
-    return MaterialProperties(
-        e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
-        sigma1t_ult=1500e6, sigma1c_ult=1500e6,
-        sigma2t_ult=40e6, sigma2c_ult=246e6, tau12_ult=68e6,
-    )
-
-
 # Frozen by the scalar oracle for the material above.
 Q_FROZEN = np.array([
     [181811138844.4179, 2896924444.3497314, 0.0],

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -393,6 +394,61 @@ class TestLoadDesign:
         default = load_bundled_design()
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         assert load_bundled_design() == default
+
+    @pytest.fixture(params=["libyaml", "pure-python"])
+    def loader(self, request, monkeypatch):
+        """Run the test with the libyaml loader, where PyYAML has it,
+        and with the pure-Python fallback."""
+        if request.param == "pure-python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        return request.param
+
+    def test_repeated_key_is_rejected(self, tmp_path, doc, loader):
+        text = yaml.safe_dump(doc, sort_keys=False).replace(
+            "  design_sf: 1.5\n", "  design_sf: 1.5\n  design_sf: 2.5\n")
+        path = tmp_path / "twice.yaml"
+        path.write_text(text, encoding="utf-8")
+        line = text.splitlines().index("  design_sf: 2.5") + 1
+        with pytest.raises(DesignError) as raised:
+            load_design(path)
+        message = str(raised.value)
+        assert message.startswith(f"{path}: invalid YAML:")
+        assert "found duplicate key 'design_sf'" in message
+        assert f"line {line}, column 3" in message
+
+    def test_merge_keys_are_not_repeats(self, tmp_path, doc, loader):
+        """A key brought in by ``<<`` may be overridden, as YAML allows."""
+        doc["materials"]["stiffer"] = {"e1": quantity(200e9, "Pa")}
+        text = yaml.safe_dump(doc, sort_keys=False).replace(
+            "  graphite_epoxy:\n", "  graphite_epoxy: &base\n").replace(
+            "  stiffer:\n", "  stiffer:\n    <<: *base\n")
+        path = tmp_path / "merged.yaml"
+        path.write_text(text, encoding="utf-8")
+        materials = load_design(path).materials
+        assert materials["stiffer"].e1 == 200e9
+        assert materials["stiffer"].e2 == materials["graphite_epoxy"].e2
+
+    def test_non_utf8_file_names_the_file(self, tmp_path, loader):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"\xffschema_version: 1\n")
+        with pytest.raises(DesignError) as raised:
+            load_design(path)
+        assert str(raised.value).startswith(f"{path}: not UTF-8 text:")
+
+    def test_bundled_and_written_designs_load_unchanged(self, loader):
+        """The bundled design and the tampered designs the CLI wrote
+        for the benchmark's golden outputs parse as with the plain safe
+        loader."""
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / \
+            "golden" / "cli"
+        paths = [bundled_design_path(), *sorted(golden.glob("*.yaml"))]
+        assert len(paths) > 1
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert load_design(path) == parse_design(
+                yaml.load(text, Loader=yaml.SafeLoader))
 
     def test_top_level_list_file(self, tmp_path):
         path = tmp_path / "list.yaml"

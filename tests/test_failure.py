@@ -43,15 +43,6 @@ from plytamper.failure import (
 )
 
 
-@pytest.fixture(scope="module")
-def graphite_epoxy():
-    return MaterialProperties(
-        e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
-        sigma1t_ult=1500e6, sigma1c_ult=1500e6,
-        sigma2t_ult=40e6, sigma2c_ult=246e6, tau12_ult=68e6,
-    )
-
-
 ORACLE_MATERIAL = dict(e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
                        s1t=1500e6, s1c=1500e6, s2t=40e6, s2c=246e6,
                        t12u=68e6)
@@ -392,14 +383,15 @@ class TestMemo:
         for bit a fresh one, on every row, and solves one rung less."""
         g, e = graphite_epoxy, GLASS_EPOXY
         thickness = (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3)
-        lam = Laminate(tuple(Ply(0.0, t, m) for t, m in
-                             zip(thickness, (g, e, e, g, g, e))))
-        rows = [(15.0, -0.0, float(a), 45.0, 0.0, -60.0)
-                for a in range(-90, 91, 30)]
-        _, _, usable = first_ply_failure_batch(lam, self.LOAD, rows,
-                                               lam.memo)
+        base = (15.0, -0.0, 0.0, 45.0, 0.0, -60.0)
+        lam = Laminate(tuple(Ply(a, t, m) for a, t, m in
+                             zip(base, thickness, (g, e, e, g, g, e))))
+        angles = [float(a) for a in range(-90, 91, 30)]
+        _, _, usable = first_ply_failure_batch(
+            lam, self.LOAD, [2] * len(angles), angles, lam.memo)
         assert usable.all()
-        for row in rows:
+        for angle in angles:
+            row = base[:2] + (angle,) + base[3:]
             copy = lam.with_angles(row)
             fresh = Laminate(tuple(Ply(a, p.thickness, p.material)
                                    for a, p in zip(row, lam.plies)))
@@ -622,13 +614,25 @@ class TestBatchedKernel:
     BENDING = LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, -0.3, 0.2))
 
     @staticmethod
-    def assert_rows_match(lam, load, rows):
+    def rows(lam, plies, angles):
+        """The angles of each one-ply variation, as ``with_angles`` takes
+        them."""
+        rows = []
+        for k, a in zip(plies, angles):
+            row = list(lam.angles)
+            row[k] = a
+            rows.append(tuple(row))
+        return rows
+
+    def assert_rows_match(self, lam, load, plies, angles):
         """Every row bit-equal to the sequential call, and stored under
         the key that call looks up. Returns the usable mask."""
         memo = {}
-        mults, sr, usable = first_ply_failure_batch(lam, load, rows, memo)
-        assert mults.shape == usable.shape == (len(rows),)
-        assert sr.shape == (len(rows), lam.n_plies)
+        mults, sr, usable = first_ply_failure_batch(lam, load, plies, angles,
+                                                    memo)
+        assert mults.shape == usable.shape == (len(plies),)
+        assert sr.shape == (len(plies), lam.n_plies)
+        rows = self.rows(lam, plies, angles)
         for b, row in enumerate(rows):
             copy = lam.with_angles(row)
             if not usable[b]:
@@ -651,45 +655,50 @@ class TestBatchedKernel:
         """The bundled spar's critical ply 3 at every whole degree."""
         design = load_bundled_design()
         lam = design.laminate()
-        base = list(lam.angles)
-        rows = [tuple(base[:3] + [float(a)] + base[4:])
-                for a in range(-89, 91)]
-        assert self.assert_rows_match(lam, design.load, rows).all()
+        angles = [float(a) for a in range(-89, 91)]
+        assert self.assert_rows_match(lam, design.load, [3] * len(angles),
+                                      angles).all()
 
     @pytest.mark.parametrize("load", [FORCE, BENDING], ids=["N+M", "M"])
     def test_mixed_materials_and_signed_zeros(self, graphite_epoxy, load):
+        """Every ply of three mixed stacks at every angle of a grid with
+        both zeros, the stacks themselves holding 0.0 and -0.0."""
         g, e = graphite_epoxy, GLASS_EPOXY
         materials = (g, e, e, g, g, e, g)
         thickness = (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3,
                      0.15e-3)
-        lam = Laminate(tuple(Ply(0.0, t, m)
-                             for t, m in zip(thickness, materials)))
-        rng = np.random.default_rng(3)
         grid = [0.0, -0.0, 15.0, -15.0, 45.0, -45.0, 90.0, -90.0, 30.5]
-        rows = [tuple(float(rng.choice(grid)) for _ in range(7))
-                for _ in range(40)]
-        rows += [(0.0,) * 7, (-0.0,) * 7, (-0.0, 0.0) * 3 + (-0.0,)]
-        assert self.assert_rows_match(lam, load, rows).all()
+        rng = np.random.default_rng(3)
+        bases = [tuple(float(rng.choice(grid)) for _ in range(7)),
+                 (0.0,) * 7, (-0.0,) * 7, (-0.0, 0.0) * 3 + (-0.0,)]
+        plies = [k for k in range(7) for _ in grid]
+        for base in bases:
+            lam = Laminate(tuple(Ply(a, t, m) for a, t, m in
+                                 zip(base, thickness, materials)))
+            assert self.assert_rows_match(lam, load, plies,
+                                          grid * 7).all()
 
     def test_unstressed_mid_ply_gets_inf(self, graphite_epoxy):
         """Pure bending of a symmetric three-ply stack with exactly
         representable thicknesses: B is exactly zero, so the mid-plane ply
         carries no stress and comes back +inf, in the batch as in the
         sequence."""
-        lam = Laminate.from_angles(graphite_epoxy, 2.0 ** -12, [0.0] * 3)
-        rows = [(30.0, float(a), 30.0) for a in range(-90, 91, 15)]
+        lam = Laminate.from_angles(graphite_epoxy, 2.0 ** -12,
+                                   [30.0, 0.0, 30.0])
+        angles = [float(a) for a in range(-90, 91, 15)]
+        plies = [1] * len(angles)
         load = LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, -0.3, 0.2))
-        assert self.assert_rows_match(lam, load, rows).all()
-        _, sr, _ = first_ply_failure_batch(lam, load, rows)
+        assert self.assert_rows_match(lam, load, plies, angles).all()
+        _, sr, _ = first_ply_failure_batch(lam, load, plies, angles)
         assert np.isinf(sr[:, 1]).all()
         assert np.isfinite(sr[:, [0, 2]]).all()
 
-    def assert_unusable_rows_raise(self, lam, load, rows, error):
+    def assert_unusable_rows_raise(self, lam, load, plies, angles, error):
         memo = {}
-        usable = self.assert_rows_match(lam, load, rows)
-        first_ply_failure_batch(lam, load, rows, memo)
+        usable = self.assert_rows_match(lam, load, plies, angles)
+        first_ply_failure_batch(lam, load, plies, angles, memo)
         assert not usable.all()
-        for row, ok in zip(rows, usable):
+        for row, ok in zip(self.rows(lam, plies, angles), usable):
             if ok:
                 continue
             copy = lam.with_angles(row)
@@ -708,11 +717,11 @@ class TestBatchedKernel:
             sigma1c_ult=1e9, sigma2t_ult=1e7, sigma2c_ult=1e7,
             tau12_ult=1e7)
         lam = Laminate.from_angles(fibre, 1e-3, [0.0, 30.0, -30.0])
-        rows = [(0.0, 30.0, float(a)) for a in range(-90, 91, 10)]
+        angles = [float(a) for a in range(-90, 91, 10)]
         usable = self.assert_unusable_rows_raise(
-            lam, LoadCase(n=(1.0, 0.0, 0.0)), rows, LaminateSingularError)
-        assert [a for (_, _, a), ok in zip(rows, usable) if not ok] == \
-            [0.0, 30.0]
+            lam, LoadCase(n=(1.0, 0.0, 0.0)), [2] * len(angles), angles,
+            LaminateSingularError)
+        assert [a for a, ok in zip(angles, usable) if not ok] == [0.0, 30.0]
 
     def test_rows_without_a_root_are_not_stored(self, graphite_epoxy):
         """A material whose cached Tsai-Wu row is corrupt (h11 < 0): the
@@ -724,9 +733,9 @@ class TestBatchedKernel:
         row[2] = -row[2]
         corrupt.__dict__["tsai_wu"] = row
         lam = Laminate.from_angles(corrupt, 0.125e-3, [0.0, 90.0, 90.0])
-        rows = [(float(a), 90.0, 90.0) for a in range(-90, 91, 10)]
+        angles = [float(a) for a in range(-90, 91, 10)]
         usable = self.assert_unusable_rows_raise(
-            lam, LoadCase(n=(1000.0, 0.0, 0.0)), rows,
+            lam, LoadCase(n=(1000.0, 0.0, 0.0)), [0] * len(angles), angles,
             StrengthRatioRootError)
         assert usable.any()
 
@@ -734,18 +743,21 @@ class TestBatchedKernel:
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [30.0])
         self.assert_unusable_rows_raise(
             lam, LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, 0.0, 0.0)),
-            [(30.0,), (-0.0,)], NoLoadedPlyError)
+            [0, 0], [30.0, -0.0], NoLoadedPlyError)
 
     def test_rejects_bad_rows_and_zero_load(self, graphite_epoxy):
+        """Plies out of range or not integers, angles outside [-90, 90]
+        or NaN, unequal lengths and nested lists."""
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [0.0, 45.0])
-        for rows in ([(0.0, 135.0)], [(0.0, math.nan)], [(0.0,)],
-                     [0.0, 45.0], [(0.0, 45.0, 90.0)]):
+        for plies, angles in (([2], [0.0]), ([-1], [0.0]), ([1.0], [0.0]),
+                              ([1], [135.0]), ([1], [-90.5]),
+                              ([1], [math.nan]), ([0, 1], [0.0]),
+                              ([1], [0.0, 45.0]), ([[0, 1]], [[0.0, 45.0]])):
             with pytest.raises(ValueError):
-                first_ply_failure_batch(lam, AXIAL, rows)
+                first_ply_failure_batch(lam, AXIAL, plies, angles)
         with pytest.raises(ValueError):
             first_ply_failure_batch(lam, LoadCase(n=(0.0, 0.0, 0.0)),
-                                    [(0.0, 45.0)])
-
+                                    [1], [0.0])
 
 
 # =============================================================================

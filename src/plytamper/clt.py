@@ -113,7 +113,8 @@ class MaterialProperties:
 
     @cached_property
     def _qbar_by_angle(self) -> dict:
-        """This material's [Qbar] by angle; see :func:`ply_stiffness`."""
+        """This material's [Qbar] and its collapse-bound row by angle; see
+        :func:`ply_stiffness_entry`."""
         return {}
 
     @cached_property
@@ -272,8 +273,9 @@ class PreparedStack:
     from -H/2 to +H/2 (ply k occupies [h_{k-1}, h_k]), ``z_mid`` the ply
     mid-planes, ``weights`` the (3, n) A, B and D weights
     h_k^p - h_{k-1}^p for p = 1, 2, 3, and ``materials`` each ply's
-    material. All arrays are read-only; :attr:`tsai_wu` is built on first
-    use, since stiffness-only callers never read it.
+    material. All arrays are read-only; :attr:`tsai_wu` and
+    :attr:`weight_spectra` are built on first use, since stiffness-only
+    callers never read them.
     """
 
     h: np.ndarray
@@ -300,6 +302,21 @@ class PreparedStack:
         rows = np.array([m.tsai_wu for m in self.materials]).T.copy()
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def weight_spectra(self) -> np.ndarray:
+        """The extreme eigenvalues m_min, m_max of each ply's 2x2 weight
+        matrix M_k = [[w1, w2/2], [w2/2, w3/3]], as a read-only (n, 5)
+        array of rows (m_min, m_min, m_max, m_max, m_max), the factors
+        that :func:`ply_bounds` pairs with a [Qbar] row."""
+        w1, w2, w3 = self.weights
+        m = np.empty((len(w1), 2, 2))
+        m[:, 0, 0] = w1
+        m[:, 0, 1] = m[:, 1, 0] = w2 / 2.0
+        m[:, 1, 1] = w3 / 3.0
+        spectra = np.linalg.eigvalsh(m)[:, [0, 0, 1, 1, 1]]
+        spectra.setflags(write=False)
+        return spectra
 
 
 @dataclass(frozen=True)
@@ -440,13 +457,29 @@ def ply_stiffness(mat: MaterialProperties, angle_deg: float) -> np.ndarray:
     material. The cache makes repeated re-assembly over rotated stacks
     (failure iteration, tamper searches) cheap.
     """
+    return ply_stiffness_entry(mat, angle_deg)[0]
+
+
+def ply_stiffness_entry(mat: MaterialProperties, angle_deg: float):
+    """The cached ``(qbar, row)`` of a (material, angle) pair.
+
+    ``qbar`` is :func:`ply_stiffness`'s array. ``row`` is a read-only (14,)
+    array: the nine entries of ``qbar``, then mu_min, mu_max, mu_min,
+    mu_max and ||Qbar||_F, where mu_min and mu_max are the extreme
+    eigenvalues of sym(Qbar) = (Qbar + Qbar^T)/2. Gathering the rows of a
+    stack gives its [Qbar] and its :func:`ply_bounds` factors in one array.
+    """
     table = mat._qbar_by_angle
-    qbar = table.get(angle_deg)
-    if qbar is None:
+    entry = table.get(angle_deg)
+    if entry is None:
         qbar = transform_stiffness(reduced_stiffness(mat), angle_deg)
         qbar.setflags(write=False)
-        table[angle_deg] = qbar
-    return qbar
+        mu = np.linalg.eigvalsh((qbar + qbar.T) / 2.0)
+        row = np.concatenate([qbar.ravel(), mu[[0, 2, 0, 2]],
+                              [np.linalg.norm(qbar)]])
+        row.setflags(write=False)
+        entry = table[angle_deg] = qbar, row
+    return entry
 
 
 # =============================================================================
@@ -455,7 +488,26 @@ def ply_stiffness(mat: MaterialProperties, angle_deg: float) -> np.ndarray:
 
 def stiffness_stack(lam: Laminate) -> np.ndarray:
     """Per-ply [Qbar] as an (n, 3, 3) array, top to bottom."""
-    return np.array([ply_stiffness(p.material, p.angle) for p in lam.plies])
+    return _stack_of(_entry_rows(lam))
+
+
+def stiffness_stack_and_bounds(lam: Laminate):
+    """:func:`stiffness_stack` and the (2, n) :func:`ply_bounds` of
+    ``lam``, from one table lookup per ply."""
+    rows = _entry_rows(lam)
+    return (_stack_of(rows),
+            ply_bounds(lam.prepared.weight_spectra, rows[:, 9:]))
+
+
+def _entry_rows(lam: Laminate) -> np.ndarray:
+    """The (n, 14) :func:`ply_stiffness_entry` rows of ``lam``'s plies."""
+    return np.concatenate([ply_stiffness_entry(p.material, p.angle)[1]
+                           for p in lam.plies]).reshape(-1, 14)
+
+
+def _stack_of(rows: np.ndarray) -> np.ndarray:
+    """The contiguous (n, 3, 3) [Qbar] stack in (n, 14) entry rows."""
+    return np.ascontiguousarray(rows[:, :9].reshape(-1, 3, 3))
 
 
 def assemble_abd(lam: Laminate) -> AbdMatrices:
@@ -493,11 +545,88 @@ def _stacked_abd(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
 #: anywhere near this.
 RCOND_COLLAPSED = 1e-12
 
+#: The spacing of doubles at 1, twice the unit roundoff u.
+_EPS = float(np.finfo(float).eps)
+
+#: The range of the upper bound inside which :func:`rules_out_collapse`
+#: may decide: far from overflow, and far enough from underflow that the
+#: absolute error of a subnormal result is negligible against eps * U.
+_BOUND_RANGE = (1e-200, 1e200)
+
+
+def ply_bounds(weight_spectra: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
+    """Per-ply collapse bounds as a (2, ..., n) array: l_k, then u_k.
+
+    ``weight_spectra`` holds (n, 5) rows of
+    :attr:`PreparedStack.weight_spectra` and ``q_rows`` the (..., n, 5)
+    tails of :func:`ply_stiffness_entry` rows. Ply k contributes
+    M_k (x) Qbar_k to the 6x6 system. l_k, the smallest of the four
+    products of an extreme eigenvalue of M_k with one of sym(Qbar_k), is
+    the smallest eigenvalue of M_k (x) sym(Qbar_k), whatever their signs;
+    u_k = m_max * ||Qbar_k||_F bounds the spectral norm of M_k (x) Qbar_k.
+    """
+    products = weight_spectra * q_rows
+    bounds = np.empty((2,) + products.shape[:-1])
+    products[..., :4].min(axis=-1, out=bounds[0])
+    bounds[1] = products[..., 4]
+    return bounds
+
+
+def rules_out_collapse(lower, upper, n):
+    """True where a bound proves the 6x6 system not collapsed.
+
+    ``lower`` is L, the sum of the :func:`ply_bounds` l_k over the n
+    plies of the system, and ``upper`` is U, the sum of their u_k or any
+    larger sum of u's. Scalars or arrays. True means that
+    :func:`require_nonsingular` would not raise on the system
+    :mod:`plytamper.failure` assembles from the same plies; False
+    decides nothing, and the caller runs that test.
+
+    The rule is L > (2 * RCOND_COLLAPSED + 4 * (n + 8) * eps) * U with U
+    inside :data:`_BOUND_RANGE`. Why it holds, with u = eps/2 the unit
+    roundoff and gamma_m = m*u/(1 - m*u):
+
+    * Exactly, the system is K = sum_k M_k (x) Qbar_k over the stored
+      weights and [Qbar]. Since M_k is symmetric, sym(K) = sum_k
+      M_k (x) sym(Qbar_k), so by Weyl's inequality and the eigenvalues
+      of Kronecker products, sigma_min(K) >= lambda_min(sym K) >=
+      sum_k l_k; and ||K||_2 <= sum_k ||M_k||_2 ||Qbar_k||_2 <= sum_k u_k.
+    * The computed system is K + E: each entry is a sum of n products,
+      then a division by 1, 2 or 3, so |E| <= gamma_(n+1) sum_k
+      |M_k| (x) |Qbar_k| entrywise and ||E||_2 <= ||E||_F <=
+      sqrt(2) * gamma_(n+1) * sum_k u_k, as ||M_k||_F <= sqrt(2) m_max.
+    * The computed l_k and u_k are within c * u * u_k of their exact
+      values for a small c (symmetric 2x2 and 3x3 eigenvalues and a
+      Frobenius norm, then one product), and summing them adds
+      gamma_n * U. The batch forms a row's sums from its stack's, minus
+      the replaced ply's terms plus its new ones: two more roundings, on
+      sums that may hold the old u_k. A ply's u_k changes with its angle
+      by at most a factor of 2 (||Qbar||_F is that of the Mandel-form
+      Q rotated, with its shear row and column scaled by 1/sqrt(2)), so
+      those sums are at most 3 * U. Either way the exact sum of the l_k
+      is at least L - (3 * (n + 2) + c) * u * U.
+    * A backward-stable SVD returns each singular value within
+      p * u * sigma_max of the computed matrix's, with p small.
+
+    Together, the test's sv[-1] / sv[0] is at least
+    (L - (4.5 * n + 7.5 + c + p) * u * U) / (U * (1 + O(n * u))). The
+    factor 2 on RCOND_COLLAPSED absorbs the (1 + O(n * u)) factors, and
+    4 * (n + 8) * eps = (8 * n + 64) * u exceeds 4.5 * n + 7.5 + c + p
+    for any c + p up to 56. The rule is exact, not tuned: a state it
+    decides gets the decision the SVD would give. A NaN or infinite bound
+    decides nothing.
+    """
+    margin = 2.0 * RCOND_COLLAPSED + 4.0 * (n + 8) * _EPS
+    low, high = _BOUND_RANGE
+    return (lower > margin * upper) & (upper > low) & (upper < high)
+
 
 def require_nonsingular(matrix: np.ndarray, message: str) -> None:
     """Raise LaminateSingularError(message) if ``matrix`` has collapsed:
     its largest singular value is zero, or its reciprocal condition is
-    below :data:`RCOND_COLLAPSED`."""
+    below :data:`RCOND_COLLAPSED`. The test runs a full SVD; the laminate
+    kernels in :mod:`plytamper.failure` call it only for the states
+    :func:`rules_out_collapse` cannot decide."""
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED:
         raise LaminateSingularError(message)
@@ -505,7 +634,9 @@ def require_nonsingular(matrix: np.ndarray, message: str) -> None:
 
 def collapsed_rows(matrices: np.ndarray) -> np.ndarray:
     """:func:`require_nonsingular`'s test on a (B, m, m) stack: True for
-    each matrix it would raise on. Emits no divide warning."""
+    each matrix it would raise on. Emits no divide warning. The batch
+    kernel passes it only the rows :func:`rules_out_collapse` leaves
+    undecided."""
     sv = np.linalg.svd(matrices, compute_uv=False)
     top = sv[:, 0]
     zero = top == 0.0

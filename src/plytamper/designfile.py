@@ -412,15 +412,20 @@ def write_text(path, text: str, newline: str | None = None) -> None:
     regular file (a symlink's target) is replaced in one step: the text
     goes to a new file beside it, with the mode ``open`` gives, which an
     error removes, leaving ``path`` as it was. ``/dev/null``, a FIFO and
-    other non-regular targets are written through, as ``open`` does."""
-    path = Path(os.path.realpath(path))
+    other non-regular targets are written through, as ``open`` does.
+    An error creating the new file (a missing directory, no permission)
+    names ``path`` as given, not the hidden temporary name."""
+    given, path = os.fspath(path), Path(os.path.realpath(path))
     mode = path.stat().st_mode if path.exists() else None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline=newline) as handle:
             handle.write(text)
         return
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as error:
+        raise OSError(error.errno, error.strerror, given) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as handle:
             handle.write(text)

@@ -33,9 +33,11 @@ from plytamper.clt import (
     StrengthRatioRootError,
     _stacked_abd,
     collapsed_rows,
-    ply_stiffness,
+    ply_bounds,
+    ply_stiffness_entry,
     require_nonsingular,
-    stiffness_stack,
+    rules_out_collapse,
+    stiffness_stack_and_bounds,
     transformation_matrix,
 )
 
@@ -145,7 +147,10 @@ def classify_failure_mode(
 #
 # One laminate state is solved and scored in stages, each written once and
 # used with or without a leading batch axis: the 6x6 system, the collapse
-# test and solve, the per-ply stress recovery and the Tsai-Wu ratios.
+# test and solve, the per-ply stress recovery and the Tsai-Wu ratios. The
+# collapse test is decided by the per-ply bound of
+# :func:`~plytamper.clt.rules_out_collapse` where it can be, and by the
+# SVD only where it cannot.
 # :func:`_rung` chains them for one state, on its surviving plies only;
 # :func:`first_ply_failure_batch` chains them for many states at once.
 
@@ -244,10 +249,14 @@ def _recover_stresses(stack: np.ndarray, z_mid: np.ndarray,
 
 
 def _solve_plies(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
-                 load_vec: np.ndarray, t_stack: np.ndarray):
-    """:func:`ply_stresses` of a stack given its z weights and mid-planes."""
+                 load_vec: np.ndarray, t_stack: np.ndarray,
+                 bounded: bool = False):
+    """:func:`ply_stresses` of a stack given its z weights and mid-planes.
+    ``bounded`` skips the SVD collapse test, for a state that
+    :func:`~plytamper.clt.rules_out_collapse` has decided."""
     k6 = _system_matrix(stack, weights)
-    require_nonsingular(k6, "laminate system is numerically singular")
+    if not bounded:
+        require_nonsingular(k6, "laminate system is numerically singular")
     return _recover_stresses(stack, z_mid, t_stack,
                              np.linalg.solve(k6, load_vec))
 
@@ -269,8 +278,10 @@ def _kernel_inputs(lam: Laminate, load: LoadCase):
     if load.is_zero:
         raise ValueError("failure analysis needs a nonzero load")
     prep = lam.prepared
-    arrays = (stiffness_stack(lam), transformation_matrix(lam.angles),
-              prep.z_mid, prep.weights, _term_coefficients(prep.tsai_wu))
+    stack, bounds = stiffness_stack_and_bounds(lam)
+    arrays = (stack, transformation_matrix(lam.angles), prep.z_mid,
+              np.concatenate([prep.weights, bounds]),
+              _term_coefficients(prep.tsai_wu))
     return arrays, load.as_vector()
 
 
@@ -278,20 +289,25 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
           plies: np.ndarray | None = None) -> np.ndarray:
     """Strength ratios of one laminate state: the one rung kernel.
 
-    ``arrays`` are every ply's [Qbar], [T], mid-plane, (3, n) z weights
-    and term coefficients, from :func:`_kernel_inputs`; ``plies`` lists
-    the surviving plies in order (all when None). Failed plies are left
-    out of the solve: with zeroed stiffness their terms of every ply sum
-    would be exact zeros, so the bits are the same. Returns the
-    survivors' ratios; an error names the original ply indices.
+    ``arrays`` are every ply's [Qbar], [T] and mid-plane, the (5, n)
+    summands of its ply sums (z weights w1, w2, w3, then collapse bounds
+    l and u) and its term coefficients, from :func:`_kernel_inputs`, so
+    that one take gives a state's weights and bounds; ``plies`` lists the
+    surviving plies in order (all when None). Failed plies are left out
+    of the solve: with zeroed stiffness their terms of every ply sum
+    would be exact zeros, so the bits are the same. The survivors' bounds
+    decide the collapse test where they can. Returns the survivors'
+    ratios; an error names the original ply indices.
     """
-    stack, t_stack, z_mid, weights, coef = arrays
+    stack, t_stack, z_mid, summands, coef = arrays
     if plies is not None:
         stack, t_stack, z_mid, coef = (
             a.take(plies, axis=0) for a in (stack, t_stack, z_mid, coef))
-        weights = weights.take(plies, axis=1)
-    _, _, local_stress = _solve_plies(stack, weights, z_mid, load_vec,
-                                      t_stack)
+        summands = summands.take(plies, axis=1)
+    lower, upper = summands[3:].sum(axis=1).tolist()
+    _, _, local_stress = _solve_plies(
+        stack, summands[:3], z_mid, load_vec, t_stack,
+        rules_out_collapse(lower, upper, len(z_mid)))
     sr, bad = _strength_ratios_and_bad(local_stress, coef)
     _require_roots(bad, plies)
     return sr
@@ -349,8 +365,10 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
 
     Row b is ``lam`` with ply ``plies[b]`` at ``angles[b]``, in [-90, 90]
     as :func:`~plytamper.clt.normalize_angle` gives it: ``lam``'s [Qbar]
-    and [T] stacks, copied with one column replaced, and one batched SVD
-    and one batched solve for all rows.
+    and [T] stacks, copied with one column replaced, and one batched
+    solve for all rows. Each row's collapse bounds are ``lam``'s with the
+    replaced ply's terms swapped; one batched SVD tests the rows that
+    :func:`~plytamper.clt.rules_out_collapse` leaves undecided.
 
     Returns ``(multipliers, sr, usable)``: (B,) multipliers, (B, n)
     strength ratios and a (B,) mask. A usable row is bit for bit what
@@ -363,8 +381,9 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     unusable row is not stored, and the sequential call solves and raises
     it as before.
     """
-    (stack, t_stack, z_mid, weights, coef), load_vec = _kernel_inputs(
+    (stack, t_stack, z_mid, summands, coef), load_vec = _kernel_inputs(
         lam, load)
+    weights, bounds = summands[:3], summands[3:]
     plies, angles = np.asarray(plies), np.asarray(angles, dtype=float)
     if plies.ndim != 1 or angles.shape != plies.shape:
         raise ValueError(f"need one angle per ply index, got shapes "
@@ -377,18 +396,26 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     count = len(plies)
     rows = np.arange(count)
     ply_list, angle_list = plies.tolist(), angles.tolist()
+    entries = np.reshape(
+        [ply_stiffness_entry(lam.plies[k].material, a)[1]
+         for k, a in zip(ply_list, angle_list)], (count, 14))
     stacks = np.repeat(stack[None], count, axis=0)
-    stacks[rows, ply_list] = np.reshape(
-        [ply_stiffness(lam.plies[k].material, a)
-         for k, a in zip(ply_list, angle_list)], (count, 3, 3))
+    stacks[rows, ply_list] = entries[:, :9].reshape(count, 3, 3)
     t_stacks = np.repeat(t_stack[None], count, axis=0)
     t_stacks[rows, ply_list] = transformation_matrix(angles)
     multipliers = np.full(count, np.nan)
     sr = np.full((count, lam.n_plies), np.nan)
     usable = np.zeros(count, dtype=bool)
     k6 = _system_matrix(stacks, weights)
+    # Each row's bound sums: lam's, with the replaced ply's terms swapped.
+    lower, upper = (bounds.sum(axis=1)[:, None] - bounds[:, ply_list]
+                    + ply_bounds(lam.prepared.weight_spectra[ply_list],
+                                 entries[:, 9:]))
+    undecided = ~rules_out_collapse(lower, upper, lam.n_plies)
     try:
-        solved = ~collapsed_rows(k6)
+        solved = np.ones(count, dtype=bool)
+        if undecided.any():
+            solved[undecided] = ~collapsed_rows(k6[undecided])
         rhs = np.broadcast_to(load_vec[:, None], (int(solved.sum()), 6, 1))
         solution = np.linalg.solve(k6[solved], rhs)[..., 0]
     except np.linalg.LinAlgError:
@@ -458,6 +485,7 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     arrays, load_vec = _kernel_inputs(lam, load)
 
     alive = np.ones(lam.n_plies, dtype=bool)
+    unscored = np.full(lam.n_plies, np.inf)   # a failed ply's row entry
     plies = np.arange(lam.n_plies)   # the survivors, in order
     rungs: list[FailureRung] = []
     history: list[tuple[float, ...]] = []
@@ -477,12 +505,12 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
                     flagged=True,
                 ))
                 break
-        row = np.full(lam.n_plies, np.inf)
+        row = unscored.copy()
         row[plies] = sr
         history.append(tuple(row.tolist()))
         failed = plies[sorted(ties_at_minimum(sr))]
         alive[failed] = False
-        plies = np.flatnonzero(alive)
+        plies = alive.nonzero()[0]
         failed = failed.tolist()
         rungs.append(FailureRung(
             force_multiplier=min(history[-1][i] for i in failed),

@@ -490,6 +490,20 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
 
+    def test_missing_output_directory_names_the_given_path(
+            self, tmp_path, capsys, monkeypatch):
+        """The error names the report path as given, not the hidden
+        temporary file beside it, and nothing is left behind."""
+        monkeypatch.chdir(tmp_path)
+        code = main(["analyze", str(bundled_design_path()),
+                     "-o", "missing/a.json"])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("i/o error: ")
+        assert "'missing/a.json'" in err
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_design_file(self, tmp_path, capsys):
         doc = crossply_doc()
         doc["schema_version"] = 99

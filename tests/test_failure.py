@@ -24,6 +24,7 @@ from plytamper.clt import (
     NoLoadedPlyError,
     MaterialProperties,
     Ply,
+    RCOND_COLLAPSED,
     StrengthRatioRootError,
     stiffness_stack,
     transformation_matrix,
@@ -658,6 +659,8 @@ class TestBatchedKernel:
         angles = [float(a) for a in range(-89, 91)]
         assert self.assert_rows_match(lam, design.load, [3] * len(angles),
                                       angles).all()
+        # The empty batch: shapes (0,), (0, n) and (0,), nothing stored.
+        assert self.assert_rows_match(lam, design.load, [], []).size == 0
 
     @pytest.mark.parametrize("load", [FORCE, BENDING], ids=["N+M", "M"])
     def test_mixed_materials_and_signed_zeros(self, graphite_epoxy, load):
@@ -907,6 +910,179 @@ class TestRungKernel:
             simulate_progressive_failure(lam, load)
         with pytest.raises(NoLoadedPlyError):
             masked_ladder(lam, load)
+
+
+# =============================================================================
+# The collapse bound: the SVD runs only where the bound cannot decide
+# =============================================================================
+
+#: A material whose [Qbar] conditioning moves by a factor of four with the
+#: angle: E1 = E2 with nu12 near 1 leaves the normal block soft along
+#: (1, -1, 0), and at 45 degrees that direction takes the shear stiffness
+#: while the shear direction, halved by the engineering strain, takes the
+#: soft one.
+SHEAR_STIFF = MaterialProperties(
+    e1=1e9, e2=1e9, g12=2e15, nu12=0.999999, sigma1t_ult=1e7,
+    sigma1c_ult=1e7, sigma2t_ult=1e7, sigma2c_ult=1e7, tau12_ult=1e7)
+
+
+def svd_collapsed(lam, plies=None):
+    """``require_nonsingular``'s SVD test, written out, on the 6x6 system
+    of ``lam``'s plies ``plies`` (all when None)."""
+    plies = np.arange(lam.n_plies) if plies is None else np.asarray(plies)
+    k6 = failure._system_matrix(stiffness_stack(lam)[plies],
+                                lam.prepared.weights[:, plies])
+    sv = np.linalg.svd(k6, compute_uv=False)
+    return bool(sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED)
+
+
+def outcome(function, *args):
+    """What ``function(*args)`` returns, floats as hex, or what it raises."""
+    try:
+        result = function(*args)
+    except ArithmeticError as error:
+        return type(error).__name__, str(error)
+    if isinstance(result, FailureLadder):
+        return ladder_hex(result)
+    if function is first_ply_failure:
+        return result[0].hex(), result[1].tobytes()
+    mults, sr, usable = result
+    return [float(m).hex() for m in mults], sr.tobytes(), usable.tolist()
+
+
+class TestCollapseBound:
+    """Every state the bound of ``clt.rules_out_collapse`` decides is one
+    the SVD test calls not collapsed, and every ladder, error and batch
+    row is what the SVD-only kernels give."""
+
+    @staticmethod
+    def check(monkeypatch, lam, load, plies=(), angles=()):
+        """Run the ladder, ``first_ply_failure`` and the one-ply batch
+        (``plies`` at ``angles``) with the bound and SVD-only; assert the
+        above. Returns the bound's decisions: one (state, decided) pair
+        per rung (state: ply indices) and per batch row (state: angles)."""
+        states, decisions = [], []
+        rung, rule = failure._rung, failure.rules_out_collapse
+
+        def spy_rung(arrays, load_vec, survivors=None):
+            states.append(np.arange(lam.n_plies) if survivors is None
+                          else survivors)
+            return rung(arrays, load_vec, survivors)
+
+        def spy_rule(lower, upper, n):
+            decided = rule(lower, upper, n)
+            decisions.extend(np.atleast_1d(decided).tolist())
+            return decided
+
+        calls = ((simulate_progressive_failure, lam, load),
+                 (first_ply_failure, lam, load),
+                 (first_ply_failure_batch, lam, load, list(plies),
+                  list(angles)))
+        with monkeypatch.context() as patch:
+            patch.setattr(failure, "_rung", spy_rung)
+            patch.setattr(failure, "rules_out_collapse", spy_rule)
+            got = [outcome(*call) for call in calls]
+        with monkeypatch.context() as patch:
+            patch.setattr(failure, "rules_out_collapse",
+                          lambda lower, upper, n: np.zeros(np.shape(lower),
+                                                           dtype=bool))
+            assert [outcome(*call) for call in calls] == got
+        states += TestBatchedKernel.rows(lam, plies, angles)
+        assert len(states) == len(decisions)
+        for state, decided in zip(states, decisions):
+            if not decided:
+                continue
+            if isinstance(state, tuple):
+                assert not svd_collapsed(lam.with_angles(state))
+            else:
+                assert not svd_collapsed(lam, state)
+        return list(zip(states, decisions))
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_every_rung_of_deep_stacks(self, graphite_epoxy, monkeypatch,
+                                       seed):
+        """Every rung state of three 48-128-ply stacks per seed, built as
+        the ladder benchmark builds them."""
+        rng = np.random.default_rng(seed)
+        grid = [float(a) for a in range(-90, 91, 5)]
+        for _ in range(3):
+            n = int(rng.integers(48, 129))
+            angles = [float(a) for a in rng.choice(grid, size=n)]
+            moment = 1000.0 * n * 0.125e-3 / 6.0
+            load = LoadCase(tuple(rng.uniform(-1000.0, 1000.0, 3)),
+                            tuple(rng.uniform(-1.0, 1.0, 3) * moment))
+            lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+            decided = [d for _, d in self.check(monkeypatch, lam, load)]
+            assert len(decided) > n // 2 and all(decided)
+
+    def test_one_ply_scans_of_criterion_5_stacks(self, graphite_epoxy,
+                                                 monkeypatch):
+        """Every ply of criterion 5's stacks at 30-degree steps and both
+        zeros, under its axial load and a pure moment."""
+        rng = np.random.default_rng(55)
+        grid = [float(a) for a in range(-20, 21, 5)]
+        scan = [float(a) for a in range(-90, 91, 30)] + [-0.0]
+        for _ in range(8):
+            n = int(rng.integers(8, 35))
+            lam = Laminate.from_angles(
+                graphite_epoxy, 0.125e-3,
+                [float(rng.choice(grid)) for _ in range(n)])
+            for load in (LoadCase((1000.0, 0.0, 0.0)),
+                         LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))):
+                self.check(monkeypatch, lam, load,
+                           [k for k in range(n) for _ in scan], scan * n)
+
+    @pytest.mark.parametrize("load", [TestBatchedKernel.FORCE,
+                                      TestBatchedKernel.BENDING],
+                             ids=["N+M", "M"])
+    def test_mixed_materials_thicknesses_and_zeros(self, graphite_epoxy,
+                                                   monkeypatch, load):
+        g, e = graphite_epoxy, GLASS_EPOXY
+        rng = np.random.default_rng(15)
+        grid = [0.0, -0.0, 15.0, -15.0, 45.0, -45.0, 90.0, -90.0, 30.5]
+        for n in (1, 2, 5, 9, 16):
+            lam = Laminate(tuple(
+                Ply(float(rng.choice(grid)), float(t), (g, e)[int(k)])
+                for t, k in zip(rng.uniform(0.02e-3, 0.3e-3, size=n),
+                                rng.integers(0, 2, size=n))))
+            self.check(monkeypatch, lam, load,
+                       [k for k in range(n) for _ in grid], grid * n)
+
+    def test_wafer_thin_survivor(self, graphite_epoxy, monkeypatch):
+        """A thick 90 ply over a thin 0 ply under Nx: the 90 fails
+        first, and the thin ply's thickness is swept so that its lone
+        system's SVD reciprocal condition crosses 1e-12."""
+        flagged, lone = [], []
+        for t in np.geomspace(5e-6, 5e-5, 150).tolist():
+            lam = Laminate((Ply(90.0, 0.125e-3, graphite_epoxy),
+                            Ply(0.0, t, graphite_epoxy)))
+            decisions = self.check(monkeypatch, lam, AXIAL, [1, 1],
+                                   [0.0, 45.0])
+            ladder = simulate_progressive_failure(lam, AXIAL)
+            assert ladder.rungs[0].failed_plies == (0,)
+            flagged.append(ladder.rungs[-1].flagged)
+            lone.append(decisions[1][1])
+        assert True in flagged and False in flagged
+        # The lone thin ply is decided by the bound in the thick half of
+        # the sweep and by the SVD elsewhere.
+        assert True in lone and False in lone
+        assert not any(f and d for f, d in zip(flagged, lone))
+
+    def test_batch_swaps_the_replaced_plys_bound(self, monkeypatch):
+        """One ply of :data:`SHEAR_STIFF` whose 0-degree state the bound
+        decides, while its system has collapsed near 45 degrees: each
+        row must be bounded with its own angle's terms."""
+        lam = Laminate.from_angles(SHEAR_STIFF, 0.012, [0.0])
+        angles = [float(a) for a in range(-90, 91, 5)]
+        decisions = self.check(monkeypatch, lam, AXIAL,
+                               [0] * len(angles), angles)
+        assert decisions[0][1]   # the 0-degree ply alone: bounded
+        _, _, usable = first_ply_failure_batch(lam, AXIAL,
+                                               [0] * len(angles), angles)
+        collapsed = [svd_collapsed(lam.with_angles([a])) for a in angles]
+        assert usable.tolist() == [not c for c in collapsed]
+        assert collapsed[angles.index(45.0)]
+        assert not collapsed[angles.index(0.0)]
 
 
 if __name__ == "__main__":

@@ -105,6 +105,12 @@ class MaterialProperties:
                 "unstable material: 1 - nu12*nu21 must be positive "
                 f"(nu12={self.nu12}, nu21={self.nu21})"
             )
+        terms = self._tsai_wu_terms()
+        if not (all(map(math.isfinite, terms)) and min(terms[2:5]) > 0.0):
+            raise ValueError(
+                "strengths out of range: the Tsai-Wu parameters "
+                f"{list(terms)} must be finite, with h11, h22 and h66 "
+                "positive")
 
     @property
     def nu21(self) -> float:
@@ -125,18 +131,22 @@ class MaterialProperties:
         direction-independent in the 1-2 plane. h11, h22 and h66 are
         positive; h12 is the usual interaction term -0.5*sqrt(h11*h22).
         """
-        h11 = 1.0 / (self.sigma1t_ult * self.sigma1c_ult)
-        h22 = 1.0 / (self.sigma2t_ult * self.sigma2c_ult)
-        row = np.array([
-            1.0 / self.sigma1t_ult - 1.0 / self.sigma1c_ult,
-            1.0 / self.sigma2t_ult - 1.0 / self.sigma2c_ult,
-            h11,
-            h22,
-            1.0 / self.tau12_ult ** 2,
-            -0.5 * math.sqrt(h11 * h22),
-        ])
+        row = np.array(self._tsai_wu_terms())
         row.setflags(write=False)
         return row
+
+    def _tsai_wu_terms(self) -> tuple:
+        """:attr:`tsai_wu` as floats. Float products never raise, and one
+        that underflows to 0.0 gives an infinite term, which
+        :meth:`__post_init__` rejects."""
+        h11, h22, h66 = (
+            1.0 / p if p else math.inf
+            for p in (self.sigma1t_ult * self.sigma1c_ult,
+                      self.sigma2t_ult * self.sigma2c_ult,
+                      self.tau12_ult * self.tau12_ult))
+        return (1.0 / self.sigma1t_ult - 1.0 / self.sigma1c_ult,
+                1.0 / self.sigma2t_ult - 1.0 / self.sigma2c_ult,
+                h11, h22, h66, -0.5 * math.sqrt(h11 * h22))
 
 
 @dataclass(frozen=True)
@@ -448,22 +458,12 @@ def transform_stiffness(q: np.ndarray, angle_deg: float) -> np.ndarray:
     )
 
 
-def ply_stiffness(mat: MaterialProperties, angle_deg: float) -> np.ndarray:
-    """Cached [Qbar] for a (material, angle) pair.
-
-    The returned array is marked read-only; callers that need to modify it
-    must copy. Each material keeps its own table keyed by angle, so the
-    table lives only as long as the material and a lookup never hashes the
-    material. The cache makes repeated re-assembly over rotated stacks
-    (failure iteration, tamper searches) cheap.
-    """
-    return ply_stiffness_entry(mat, angle_deg)[0]
-
-
 def ply_stiffness_entry(mat: MaterialProperties, angle_deg: float):
     """The cached ``(qbar, row)`` of a (material, angle) pair.
 
-    ``qbar`` is :func:`ply_stiffness`'s array. ``row`` is a read-only (14,)
+    ``qbar`` is the ply's read-only [Qbar]. Each material keeps its own
+    table keyed by angle, so the table lives only as long as the material
+    and a lookup never hashes the material. ``row`` is a read-only (14,)
     array: the nine entries of ``qbar``, then mu_min, mu_max, mu_min,
     mu_max and ||Qbar||_F, where mu_min and mu_max are the extreme
     eigenvalues of sym(Qbar) = (Qbar + Qbar^T)/2. Gathering the rows of a
@@ -520,13 +520,8 @@ def assemble_abd(lam: Laminate) -> AbdMatrices:
         B = 1/2 sum Qbar_k (h_k^2 - h_{k-1}^2),
         D = 1/3 sum Qbar_k (h_k^3 - h_{k-1}^3).
     """
-    return AbdMatrices(*abd_blocks(stiffness_stack(lam), lam.prepared))
-
-
-def abd_blocks(stack: np.ndarray, prep: PreparedStack):
-    """A, B and D of an (..., n, 3, 3) [Qbar] stack over ``prep``'s z
-    weights, one (..., 3, 3) block each."""
-    return tuple(np.moveaxis(_stacked_abd(stack, prep.weights), -3, 0))
+    return AbdMatrices(*_stacked_abd(stiffness_stack(lam),
+                                     lam.prepared.weights))
 
 
 #: The 1, 1/2 and 1/3 of A, B and D, as divisors of the weighted sums.
@@ -580,7 +575,8 @@ def rules_out_collapse(lower, upper, n):
     larger sum of u's. Scalars or arrays. True means that
     :func:`require_nonsingular` would not raise on the system
     :mod:`plytamper.failure` assembles from the same plies; False
-    decides nothing, and the caller runs that test.
+    decides nothing. The rung kernel then runs that test, and the batch
+    kernel leaves the state to the rung kernel.
 
     The rule is L > (2 * RCOND_COLLAPSED + 4 * (n + 8) * eps) * U with U
     inside :data:`_BOUND_RANGE`. Why it holds, with u = eps/2 the unit
@@ -624,20 +620,10 @@ def rules_out_collapse(lower, upper, n):
 def require_nonsingular(matrix: np.ndarray, message: str) -> None:
     """Raise LaminateSingularError(message) if ``matrix`` has collapsed:
     its largest singular value is zero, or its reciprocal condition is
-    below :data:`RCOND_COLLAPSED`. The test runs a full SVD; the laminate
-    kernels in :mod:`plytamper.failure` call it only for the states
+    below :data:`RCOND_COLLAPSED`. The test runs a full SVD. It is the
+    only collapse test by SVD: :mod:`plytamper.detect` calls it on A, and
+    the rung kernel of :mod:`plytamper.failure` on the states
     :func:`rules_out_collapse` cannot decide."""
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED:
         raise LaminateSingularError(message)
-
-
-def collapsed_rows(matrices: np.ndarray) -> np.ndarray:
-    """:func:`require_nonsingular`'s test on a (B, m, m) stack: True for
-    each matrix it would raise on. Emits no divide warning. The batch
-    kernel passes it only the rows :func:`rules_out_collapse` leaves
-    undecided."""
-    sv = np.linalg.svd(matrices, compute_uv=False)
-    top = sv[:, 0]
-    zero = top == 0.0
-    return zero | (sv[:, -1] / np.where(zero, 1.0, top) < RCOND_COLLAPSED)

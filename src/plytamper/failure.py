@@ -32,7 +32,6 @@ from plytamper.clt import (
     PreparedStack,
     StrengthRatioRootError,
     _stacked_abd,
-    collapsed_rows,
     ply_bounds,
     ply_stiffness_entry,
     require_nonsingular,
@@ -152,7 +151,8 @@ def classify_failure_mode(
 # :func:`~plytamper.clt.rules_out_collapse` where it can be, and by the
 # SVD only where it cannot.
 # :func:`_rung` chains them for one state, on its surviving plies only;
-# :func:`first_ply_failure_batch` chains them for many states at once.
+# :func:`first_ply_failure_batch` chains them for many states at once,
+# the ones the bound clears.
 
 #: Where each entry of the 6x6 system, row by row, sits in the flattened
 #: (3, 3, 3) A, B, D array: block 0, 1 or 2, then row and column in it.
@@ -360,26 +360,20 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
 
 
 def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
-                            memo: dict | None = None):
-    """:func:`first_ply_failure` of B one-ply variations of ``lam`` at once.
+                            memo: dict) -> None:
+    """Store :func:`first_ply_failure` of B one-ply variations of ``lam``
+    in ``memo``, from one batched solve.
 
     Row b is ``lam`` with ply ``plies[b]`` at ``angles[b]``, in [-90, 90]
     as :func:`~plytamper.clt.normalize_angle` gives it: ``lam``'s [Qbar]
-    and [T] stacks, copied with one column replaced, and one batched
-    solve for all rows. Each row's collapse bounds are ``lam``'s with the
-    replaced ply's terms swapped; one batched SVD tests the rows that
-    :func:`~plytamper.clt.rules_out_collapse` leaves undecided.
-
-    Returns ``(multipliers, sr, usable)``: (B,) multipliers, (B, n)
-    strength ratios and a (B,) mask. A usable row is bit for bit what
-    :func:`first_ply_failure` returns for it. A row is unusable where
-    that call would raise: a collapsed system, a ply without a positive
-    root or no loaded ply. Its entries are NaN, and nothing is raised.
-
-    With a ``memo``, every usable row not yet in it is stored under the
-    key :func:`first_ply_failure` looks up, so that call then hits. An
-    unusable row is not stored, and the sequential call solves and raises
-    it as before.
+    and [T] stacks, copied with one column replaced. Each row's collapse
+    bounds are ``lam``'s with the replaced ply's terms swapped, and only
+    the rows that :func:`~plytamper.clt.rules_out_collapse` clears are
+    solved. A solved row with a loaded ply and a positive root on every
+    ply is stored, unless already there, under the key
+    :func:`first_ply_failure` looks up, bit for bit what that call
+    returns. Every other row is left to that call, which solves it or
+    raises. Nothing is returned.
     """
     (stack, t_stack, z_mid, summands, coef), load_vec = _kernel_inputs(
         lam, load)
@@ -393,54 +387,43 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
         raise ValueError(f"ply indices must lie in 0..{lam.n_plies - 1}")
     if not (np.abs(angles) <= 90.0).all():
         raise ValueError("angles must lie in [-90, 90]")
-    count = len(plies)
-    rows = np.arange(count)
-    ply_list, angle_list = plies.tolist(), angles.tolist()
+    ply_list = plies.tolist()
     entries = np.reshape(
         [ply_stiffness_entry(lam.plies[k].material, a)[1]
-         for k, a in zip(ply_list, angle_list)], (count, 14))
-    stacks = np.repeat(stack[None], count, axis=0)
-    stacks[rows, ply_list] = entries[:, :9].reshape(count, 3, 3)
-    t_stacks = np.repeat(t_stack[None], count, axis=0)
-    t_stacks[rows, ply_list] = transformation_matrix(angles)
-    multipliers = np.full(count, np.nan)
-    sr = np.full((count, lam.n_plies), np.nan)
-    usable = np.zeros(count, dtype=bool)
-    k6 = _system_matrix(stacks, weights)
+         for k, a in zip(ply_list, angles.tolist())], (len(ply_list), 14))
     # Each row's bound sums: lam's, with the replaced ply's terms swapped.
     lower, upper = (bounds.sum(axis=1)[:, None] - bounds[:, ply_list]
                     + ply_bounds(lam.prepared.weight_spectra[ply_list],
                                  entries[:, 9:]))
-    undecided = ~rules_out_collapse(lower, upper, lam.n_plies)
+    cleared = np.flatnonzero(
+        rules_out_collapse(lower, upper, lam.n_plies)).tolist()
+    ply_list = [ply_list[b] for b in cleared]
+    angles, entries = angles[cleared], entries[cleared]
+    count = len(ply_list)
+    rows = np.arange(count)
+    stacks = np.repeat(stack[None], count, axis=0)
+    stacks[rows, ply_list] = entries[:, :9].reshape(count, 3, 3)
+    t_stacks = np.repeat(t_stack[None], count, axis=0)
+    t_stacks[rows, ply_list] = transformation_matrix(angles)
+    k6 = _system_matrix(stacks, weights)
+    rhs = np.broadcast_to(load_vec[:, None], (count, 6, 1))
     try:
-        solved = np.ones(count, dtype=bool)
-        if undecided.any():
-            solved[undecided] = ~collapsed_rows(k6[undecided])
-        rhs = np.broadcast_to(load_vec[:, None], (int(solved.sum()), 6, 1))
-        solution = np.linalg.solve(k6[solved], rhs)[..., 0]
+        solution = np.linalg.solve(k6, rhs)
     except np.linalg.LinAlgError:
-        # The sequential calls raise the same error row by row.
-        solved = np.zeros(count, dtype=bool)
-    if solved.any():
-        _, _, local_stress = _recover_stresses(
-            stacks[solved], z_mid, t_stacks[solved], solution)
-        ratios, bad = _strength_ratios_and_bad(local_stress, coef)
-        lows = ratios.min(axis=1, where=np.isfinite(ratios),
-                          initial=np.inf)
-        good = lows < np.inf
-        if bad is not None:
-            good &= ~bad.any(axis=1)
-        index = np.flatnonzero(solved)[good]
-        multipliers[index] = lows[good]
-        sr[index] = ratios[good]
-        usable[index] = True
-    if memo is not None:
-        sr.setflags(write=False)
-        for b in np.flatnonzero(usable).tolist():
-            bits = lam._angle_bits_with(ply_list[b], angle_list[b])
-            memo.setdefault(memo_key("first_ply_failure", bits, load),
-                            (float(multipliers[b]), sr[b]))
-    return multipliers, sr, usable
+        return   # first_ply_failure solves the rows one by one
+    _, _, local_stress = _recover_stresses(stacks, z_mid, t_stacks,
+                                           solution[..., 0])
+    sr, bad = _strength_ratios_and_bad(local_stress, coef)
+    lows = sr.min(axis=1, where=np.isfinite(sr), initial=np.inf)
+    clean = lows < np.inf
+    if bad is not None:
+        clean &= ~bad.any(axis=1)
+    sr.setflags(write=False)
+    angle_list = angles.tolist()
+    for b in np.flatnonzero(clean).tolist():
+        bits = lam._angle_bits_with(ply_list[b], angle_list[b])
+        memo.setdefault(memo_key("first_ply_failure", bits, load),
+                        (float(lows[b]), sr[b]))
 
 
 def simulate_progressive_failure(lam: Laminate, load: LoadCase,

@@ -482,6 +482,79 @@ class TestExportLadder:
 # exit codes and argument handling
 # =============================================================================
 
+def set_strengths(value_mpa):
+    """An edit giving every strength of the spar's material one value."""
+    def edit(doc):
+        material = doc["materials"]["graphite_epoxy"]
+        for field in ("sigma1t_ult", "sigma1c_ult", "sigma2t_ult",
+                      "sigma2c_ult", "tau12_ult"):
+            material[field] = {"value": value_mpa, "unit": "MPa"}
+    return edit
+
+
+def set_load(n, m):
+    def edit(doc):
+        doc["load"] = {"n": {"value": n, "unit": "N/m"},
+                       "m": {"value": m, "unit": "N"}}
+    return edit
+
+
+def lone_first_ply_under_moment(doc):
+    doc["layup"] = doc["layup"][:1]
+    set_load([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])(doc)
+
+
+def wafer_thin_plies(doc):
+    for ply in doc["layup"]:
+        ply["thickness"] = {"value": 1e-200, "unit": "m"}
+
+
+#: spar34 edits that still parse, with the exit codes of analyze, attack
+#: --type 1, attack --type 2 and detect, and what stderr says on a
+#: nonzero exit.
+PATHOLOGICAL_SPARS = [
+    pytest.param(set_strengths(1e150), (1, 1, 1, 1),
+                 "materials.graphite_epoxy", id="strengths-1e150-MPa"),
+    pytest.param(set_strengths(1e-200), (1, 1, 1, 1),
+                 "materials.graphite_epoxy", id="strengths-1e-200-MPa"),
+    pytest.param(set_strengths(1e-160), (1, 1, 1, 1),
+                 "materials.graphite_epoxy", id="strengths-1e-160-MPa"),
+    pytest.param(set_load([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), (1, 1, 1, 0),
+                 "nonzero", id="zero-load"),
+    pytest.param(lone_first_ply_under_moment, (2, 2, 2, 0),
+                 "numerical failure: no loaded ply", id="lone-ply-moment"),
+    pytest.param(wafer_thin_plies, (2, 2, 2, 0),
+                 "numerical failure: laminate system is numerically "
+                 "singular", id="plies-1e-200-m"),
+]
+
+
+class TestPathologicalInputs:
+
+    @pytest.mark.parametrize("edit, codes, message", PATHOLOGICAL_SPARS)
+    def test_documented_exit_and_no_traceback(self, tmp_path, capsys, edit,
+                                              codes, message):
+        """Each command returns its code and raises nothing; a nonzero
+        exit leaves no output file."""
+        doc = yaml.safe_load(bundled_design_path().read_text(
+            encoding="utf-8"))
+        edit(doc)
+        design = str(write_yaml(tmp_path / "design.yaml", doc))
+        commands = (["analyze", design], ["attack", design, "--type", "1"],
+                    ["attack", design, "--type", "2"],
+                    ["detect", design, design])
+        for index, (command, want) in enumerate(zip(commands, codes)):
+            out = tmp_path / f"run{index}"
+            out.mkdir()
+            code = main(command + ["-o", str(out / "report.json")])
+            err = capsys.readouterr().err
+            assert code == want, command
+            if code:
+                assert message in err
+                assert list(out.iterdir()) == []
+            else:
+                assert (out / "report.json").is_file()
+
 class TestExitCodes:
 
     def test_missing_design_file(self, tmp_path, capsys):

@@ -22,10 +22,10 @@ from plytamper.clt import (
     MaterialProperties,
     Ply,
     StrengthRatioRootError,
-    abd_blocks,
+    _stacked_abd,
     assemble_abd,
     normalize_angle,
-    ply_stiffness,
+    ply_stiffness_entry,
     reduced_stiffness,
     stiffness_stack,
     transform_stiffness,
@@ -168,6 +168,17 @@ class TestMaterialProperties:
                 sigma1t_ult=1e9, sigma1c_ult=1e9,
                 sigma2t_ult=1e8, sigma2c_ult=1e8, tau12_ult=1e8,
             )
+
+    @pytest.mark.parametrize("strength", [1e156, 1e-194, 1e-154])
+    def test_strengths_out_of_float_range_rejected(self, strength):
+        """Strengths whose Tsai-Wu terms overflow, underflow to zero or
+        come out infinite: a ValueError, never an arithmetic error."""
+        with pytest.raises(ValueError, match="Tsai-Wu parameters"):
+            MaterialProperties(
+                e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
+                sigma1t_ult=strength, sigma1c_ult=strength,
+                sigma2t_ult=strength, sigma2c_ult=strength,
+                tau12_ult=strength)
 
     def test_hashable(self, graphite_epoxy):
         """Materials key stiffness caches, so they must hash."""
@@ -326,8 +337,8 @@ class TestTransformedStiffness:
         assert transformation_matrix(np.zeros((2, 4))).shape == (2, 4, 3, 3)
 
     def test_cache_returns_readonly(self, graphite_epoxy):
-        qbar = ply_stiffness(graphite_epoxy, 30.0)
-        assert qbar is ply_stiffness(graphite_epoxy, 30.0)
+        qbar = ply_stiffness_entry(graphite_epoxy, 30.0)[0]
+        assert qbar is ply_stiffness_entry(graphite_epoxy, 30.0)[0]
         with pytest.raises(ValueError):
             qbar[0, 0] = 0.0
 
@@ -404,12 +415,12 @@ class TestAbdAssembly:
         """A failed ply keeps its z band but adds zero stiffness."""
         lam = Laminate.from_angles(graphite_epoxy, 1e-4, [0, 45, 90])
         active = np.array([True, False, True])
-        a, _, _ = abd_blocks(
+        a = _stacked_abd(
             np.where(active[:, None, None], stiffness_stack(lam), 0.0),
-            lam.prepared)
+            lam.prepared.weights)[0]
         h = lam.prepared.h
-        q0 = ply_stiffness(graphite_epoxy, 0.0)
-        q90 = ply_stiffness(graphite_epoxy, 90.0)
+        q0 = ply_stiffness_entry(graphite_epoxy, 0.0)[0]
+        q90 = ply_stiffness_entry(graphite_epoxy, 90.0)[0]
         expected_a = q0 * (h[1] - h[0]) + q90 * (h[3] - h[2])
         np.testing.assert_allclose(a, expected_a, rtol=RTOL)
 
@@ -433,8 +444,9 @@ class TestAbdAssembly:
                     / 3.0)
             k6 = _system_matrix(stack, prep.weights)
             assert k6.shape == batch + (6, 6)
-            for got, block in zip(abd_blocks(stack, prep), want):
-                assert got.tobytes() == block.tobytes()
+            abd = _stacked_abd(stack, prep.weights)
+            for p, block in enumerate(want):
+                assert abd[..., p, :, :].tobytes() == block.tobytes()
             for (rows, cols), block in zip(
                     (((0, 3), (0, 3)), ((0, 3), (3, 6)), ((3, 6), (0, 3)),
                      ((3, 6), (3, 6))), (want[0], want[1], want[1], want[2])):

@@ -37,6 +37,7 @@ from plytamper.failure import (
     classify_failure_mode,
     first_ply_failure,
     first_ply_failure_batch,
+    memo_key,
     ply_stresses,
     simulate_progressive_failure,
     strength_ratios,
@@ -388,9 +389,9 @@ class TestMemo:
         lam = Laminate(tuple(Ply(a, t, m) for a, t, m in
                              zip(base, thickness, (g, e, e, g, g, e))))
         angles = [float(a) for a in range(-90, 91, 30)]
-        _, _, usable = first_ply_failure_batch(
-            lam, self.LOAD, [2] * len(angles), angles, lam.memo)
-        assert usable.all()
+        assert first_ply_failure_batch(
+            lam, self.LOAD, [2] * len(angles), angles, lam.memo) is None
+        assert len(lam.memo) == len(angles)
         for angle in angles:
             row = base[:2] + (angle,) + base[3:]
             copy = lam.with_angles(row)
@@ -626,31 +627,29 @@ class TestBatchedKernel:
         return rows
 
     def assert_rows_match(self, lam, load, plies, angles):
-        """Every row bit-equal to the sequential call, and stored under
-        the key that call looks up. Returns the usable mask."""
+        """The batch returns None and stores only rows, each under the key
+        the sequential call looks up; through its memo every row gives
+        what that call gives without one, a stored row bit for bit and
+        read-only, a row left out the same value or the same error.
+        Returns the mask of stored rows."""
         memo = {}
-        mults, sr, usable = first_ply_failure_batch(lam, load, plies, angles,
-                                                    memo)
-        assert mults.shape == usable.shape == (len(plies),)
-        assert sr.shape == (len(plies), lam.n_plies)
-        rows = self.rows(lam, plies, angles)
-        for b, row in enumerate(rows):
+        assert first_ply_failure_batch(lam, load, plies, angles, memo) is None
+        batch = dict(memo)
+        stored, keys = [], set()
+        for row in self.rows(lam, plies, angles):
             copy = lam.with_angles(row)
-            if not usable[b]:
-                continue
-            want_mult, want_sr = first_ply_failure(copy, load)
-            assert float(mults[b]).hex() == want_mult.hex()
-            assert sr[b].tobytes() == want_sr.tobytes()
-            stored = len(memo)
-            hit = first_ply_failure(copy, load, memo)
-            assert len(memo) == stored
-            assert hit[0].hex() == want_mult.hex()
-            assert hit[1].tobytes() == want_sr.tobytes()
-            assert not hit[1].flags.writeable
-        # One entry per distinct usable row, 0.0 and -0.0 apart.
-        assert len(memo) == len({tuple(a.hex() for a in row)
-                                 for row, ok in zip(rows, usable) if ok})
-        return usable
+            key = memo_key("first_ply_failure", copy._angle_bits, load)
+            keys.add(key)
+            stored.append(key in batch)
+            if stored[-1]:
+                assert not batch[key][1].flags.writeable
+            entries = len(memo)
+            assert outcome(first_ply_failure, copy, load, memo) == \
+                outcome(first_ply_failure, copy, load)
+            if stored[-1]:
+                assert len(memo) == entries
+        assert set(batch) <= keys
+        return np.array(stored, dtype=bool)
 
     def test_spar_full_line_of_one_ply(self):
         """The bundled spar's critical ply 3 at every whole degree."""
@@ -659,7 +658,7 @@ class TestBatchedKernel:
         angles = [float(a) for a in range(-89, 91)]
         assert self.assert_rows_match(lam, design.load, [3] * len(angles),
                                       angles).all()
-        # The empty batch: shapes (0,), (0, n) and (0,), nothing stored.
+        # The empty batch: nothing stored.
         assert self.assert_rows_match(lam, design.load, [], []).size == 0
 
     @pytest.mark.parametrize("load", [FORCE, BENDING], ids=["N+M", "M"])
@@ -692,27 +691,31 @@ class TestBatchedKernel:
         plies = [1] * len(angles)
         load = LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, -0.3, 0.2))
         assert self.assert_rows_match(lam, load, plies, angles).all()
-        _, sr, _ = first_ply_failure_batch(lam, load, plies, angles)
+        memo = {}
+        first_ply_failure_batch(lam, load, plies, angles, memo)
+        sr = np.array([ratios for _, ratios in memo.values()])
+        assert sr.shape == (len(angles), 3)
         assert np.isinf(sr[:, 1]).all()
         assert np.isfinite(sr[:, [0, 2]]).all()
 
-    def assert_unusable_rows_raise(self, lam, load, plies, angles, error):
-        memo = {}
-        usable = self.assert_rows_match(lam, load, plies, angles)
-        first_ply_failure_batch(lam, load, plies, angles, memo)
-        assert not usable.all()
-        for row, ok in zip(self.rows(lam, plies, angles), usable):
-            if ok:
-                continue
-            copy = lam.with_angles(row)
-            with pytest.raises(error) as sequential:
-                first_ply_failure(copy, load)
-            with pytest.raises(error) as through_memo:
-                first_ply_failure(copy, load, memo)
-            assert str(through_memo.value) == str(sequential.value)
-        return usable
+    def assert_left_out_rows(self, monkeypatch, lam, load, plies, angles,
+                             error):
+        """:meth:`assert_rows_match` and :meth:`TestCollapseBound.check`;
+        returns the mask of stored rows and that of the rows whose
+        sequential call raises ``error``."""
+        stored = self.assert_rows_match(lam, load, plies, angles)
+        TestCollapseBound.check(monkeypatch, lam, load, plies, angles)
+        raising = []
+        for row in self.rows(lam, plies, angles):
+            try:
+                first_ply_failure(lam.with_angles(row), load)
+            except error:
+                raising.append(True)
+            else:
+                raising.append(False)
+        return stored, np.array(raising)
 
-    def test_collapsed_rows_are_not_stored(self):
+    def test_collapsed_rows_are_not_stored(self, monkeypatch):
         """A near-rank-one material: a third ply at the angle of one of
         the other two leaves the system collapsed."""
         fibre = MaterialProperties(
@@ -721,12 +724,14 @@ class TestBatchedKernel:
             tau12_ult=1e7)
         lam = Laminate.from_angles(fibre, 1e-3, [0.0, 30.0, -30.0])
         angles = [float(a) for a in range(-90, 91, 10)]
-        usable = self.assert_unusable_rows_raise(
-            lam, LoadCase(n=(1.0, 0.0, 0.0)), [2] * len(angles), angles,
-            LaminateSingularError)
-        assert [a for a, ok in zip(angles, usable) if not ok] == [0.0, 30.0]
+        stored, raising = self.assert_left_out_rows(
+            monkeypatch, lam, LoadCase(n=(1.0, 0.0, 0.0)),
+            [2] * len(angles), angles, LaminateSingularError)
+        assert [a for a, r in zip(angles, raising) if r] == [0.0, 30.0]
+        assert not (stored & raising).any()
 
-    def test_rows_without_a_root_are_not_stored(self, graphite_epoxy):
+    def test_rows_without_a_root_are_not_stored(self, graphite_epoxy,
+                                                monkeypatch):
         """A material whose cached Tsai-Wu row is corrupt (h11 < 0): the
         fibre-loaded rows have no positive root."""
         corrupt = MaterialProperties(**{
@@ -737,16 +742,19 @@ class TestBatchedKernel:
         corrupt.__dict__["tsai_wu"] = row
         lam = Laminate.from_angles(corrupt, 0.125e-3, [0.0, 90.0, 90.0])
         angles = [float(a) for a in range(-90, 91, 10)]
-        usable = self.assert_unusable_rows_raise(
-            lam, LoadCase(n=(1000.0, 0.0, 0.0)), [0] * len(angles), angles,
-            StrengthRatioRootError)
-        assert usable.any()
+        stored, raising = self.assert_left_out_rows(
+            monkeypatch, lam, LoadCase(n=(1000.0, 0.0, 0.0)),
+            [0] * len(angles), angles, StrengthRatioRootError)
+        assert stored.any() and raising.any()
+        assert (stored == ~raising).all()
 
-    def test_row_without_a_loaded_ply_is_not_stored(self, graphite_epoxy):
+    def test_row_without_a_loaded_ply_is_not_stored(self, graphite_epoxy,
+                                                    monkeypatch):
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [30.0])
-        self.assert_unusable_rows_raise(
-            lam, LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, 0.0, 0.0)),
+        stored, raising = self.assert_left_out_rows(
+            monkeypatch, lam, LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, 0.0, 0.0)),
             [0, 0], [30.0, -0.0], NoLoadedPlyError)
+        assert raising.all() and not stored.any()
 
     def test_rejects_bad_rows_and_zero_load(self, graphite_epoxy):
         """Plies out of range or not integers, angles outside [-90, 90]
@@ -757,10 +765,10 @@ class TestBatchedKernel:
                               ([1], [math.nan]), ([0, 1], [0.0]),
                               ([1], [0.0, 45.0]), ([[0, 1]], [[0.0, 45.0]])):
             with pytest.raises(ValueError):
-                first_ply_failure_batch(lam, AXIAL, plies, angles)
+                first_ply_failure_batch(lam, AXIAL, plies, angles, {})
         with pytest.raises(ValueError):
             first_ply_failure_batch(lam, LoadCase(n=(0.0, 0.0, 0.0)),
-                                    [1], [0.0])
+                                    [1], [0.0], {})
 
 
 # =============================================================================
@@ -944,16 +952,28 @@ def outcome(function, *args):
         return type(error).__name__, str(error)
     if isinstance(result, FailureLadder):
         return ladder_hex(result)
-    if function is first_ply_failure:
-        return result[0].hex(), result[1].tobytes()
-    mults, sr, usable = result
-    return [float(m).hex() for m in mults], sr.tobytes(), usable.tolist()
+    return result[0].hex(), result[1].tobytes()
+
+
+def bound_spy(decisions):
+    """``failure.rules_out_collapse``, recording each decision it makes
+    in the list ``decisions``."""
+    rule = failure.rules_out_collapse
+
+    def spy(lower, upper, n):
+        decided = rule(lower, upper, n)
+        decisions.extend(np.atleast_1d(decided).tolist())
+        return decided
+
+    return spy
 
 
 class TestCollapseBound:
     """Every state the bound of ``clt.rules_out_collapse`` decides is one
-    the SVD test calls not collapsed, and every ladder, error and batch
-    row is what the SVD-only kernels give."""
+    the SVD test calls not collapsed, every ladder and error is what the
+    SVD-only kernels give, and the batch stores exactly the rows the
+    bound clears that score cleanly, each as the SVD-only
+    ``first_ply_failure`` scores it."""
 
     @staticmethod
     def check(monkeypatch, lam, load, plies=(), angles=()):
@@ -962,32 +982,35 @@ class TestCollapseBound:
         above. Returns the bound's decisions: one (state, decided) pair
         per rung (state: ply indices) and per batch row (state: angles)."""
         states, decisions = [], []
-        rung, rule = failure._rung, failure.rules_out_collapse
+        rung = failure._rung
 
         def spy_rung(arrays, load_vec, survivors=None):
             states.append(np.arange(lam.n_plies) if survivors is None
                           else survivors)
             return rung(arrays, load_vec, survivors)
 
-        def spy_rule(lower, upper, n):
-            decided = rule(lower, upper, n)
-            decisions.extend(np.atleast_1d(decided).tolist())
-            return decided
-
         calls = ((simulate_progressive_failure, lam, load),
-                 (first_ply_failure, lam, load),
-                 (first_ply_failure_batch, lam, load, list(plies),
-                  list(angles)))
+                 (first_ply_failure, lam, load))
+        batch = (lam, load, list(plies), list(angles))
+        memo, svd_only = {}, {}
         with monkeypatch.context() as patch:
             patch.setattr(failure, "_rung", spy_rung)
-            patch.setattr(failure, "rules_out_collapse", spy_rule)
+            patch.setattr(failure, "rules_out_collapse",
+                          bound_spy(decisions))
             got = [outcome(*call) for call in calls]
+            first_ply_failure_batch(*batch, memo)
+        rows = TestBatchedKernel.rows(lam, plies, angles)
+        copies = [lam.with_angles(row) for row in rows]
         with monkeypatch.context() as patch:
             patch.setattr(failure, "rules_out_collapse",
                           lambda lower, upper, n: np.zeros(np.shape(lower),
                                                            dtype=bool))
             assert [outcome(*call) for call in calls] == got
-        states += TestBatchedKernel.rows(lam, plies, angles)
+            first_ply_failure_batch(*batch, svd_only)
+            wants = [outcome(first_ply_failure, copy, load)
+                     for copy in copies]
+        assert not svd_only
+        states += rows
         assert len(states) == len(decisions)
         for state, decided in zip(states, decisions):
             if not decided:
@@ -996,6 +1019,13 @@ class TestCollapseBound:
                 assert not svd_collapsed(lam.with_angles(state))
             else:
                 assert not svd_collapsed(lam, state)
+        stored = set(memo)
+        for copy, decided, want in zip(
+                copies, decisions[len(decisions) - len(rows):], wants):
+            key = memo_key("first_ply_failure", copy._angle_bits, load)
+            assert (key in stored) == (decided and isinstance(want[1],
+                                                              bytes))
+            assert outcome(first_ply_failure, copy, load, memo) == want
         return list(zip(states, decisions))
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -1029,8 +1059,32 @@ class TestCollapseBound:
                 [float(rng.choice(grid)) for _ in range(n)])
             for load in (LoadCase((1000.0, 0.0, 0.0)),
                          LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))):
-                self.check(monkeypatch, lam, load,
-                           [k for k in range(n) for _ in scan], scan * n)
+                decisions = self.check(
+                    monkeypatch, lam, load,
+                    [k for k in range(n) for _ in scan], scan * n)
+                # The bound clears every row: none falls back to a
+                # sequential solve.
+                assert all(d for _, d in decisions[-n * len(scan):])
+
+    def test_bound_clears_the_spars_full_scan(self, monkeypatch):
+        """Every ply of the bundled spar at every whole degree, the scan a
+        fewest-plies search runs: the bound clears all 34 x 180 rows, and
+        the batch stores every one."""
+        design = load_bundled_design()
+        lam = design.laminate()
+        angles = [float(a) for a in range(-89, 91)]
+        plies = [k for k in range(lam.n_plies) for _ in angles]
+        angles = angles * lam.n_plies
+        decisions = []
+        monkeypatch.setattr(failure, "rules_out_collapse",
+                            bound_spy(decisions))
+        memo = {}
+        first_ply_failure_batch(lam, design.load, plies, angles, memo)
+        assert len(decisions) == len(plies) == 34 * 180
+        assert all(decisions)
+        assert set(memo) == {
+            memo_key("first_ply_failure", lam._angle_bits_with(k, a),
+                     design.load) for k, a in zip(plies, angles)}
 
     @pytest.mark.parametrize("load", [TestBatchedKernel.FORCE,
                                       TestBatchedKernel.BENDING],
@@ -1077,12 +1131,11 @@ class TestCollapseBound:
         decisions = self.check(monkeypatch, lam, AXIAL,
                                [0] * len(angles), angles)
         assert decisions[0][1]   # the 0-degree ply alone: bounded
-        _, _, usable = first_ply_failure_batch(lam, AXIAL,
-                                               [0] * len(angles), angles)
+        cleared = [d for _, d in decisions[-len(angles):]]
         collapsed = [svd_collapsed(lam.with_angles([a])) for a in angles]
-        assert usable.tolist() == [not c for c in collapsed]
         assert collapsed[angles.index(45.0)]
         assert not collapsed[angles.index(0.0)]
+        assert cleared[angles.index(0.0)]
 
 
 if __name__ == "__main__":

@@ -21,10 +21,11 @@ error, 2 numerical failure or no solution found, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from plytamper import __version__
 from plytamper.attack import (
@@ -33,11 +34,6 @@ from plytamper.attack import (
     DEFAULT_MAX_SWEEPS,
     AttackSpec,
     AttackStatus,
-)
-from plytamper.clt import (
-    LaminateSingularError,
-    NoLoadedPlyError,
-    StrengthRatioRootError,
 )
 from plytamper.designfile import (
     DesignError,
@@ -255,17 +251,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # An overflow raises FloatingPointError instead of passing an inf
+        # on, to end as a wrong cause further down the chain.
+        with np.errstate(over="raise"):
+            return args.func(args)
     except DesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LaminateSingularError, NoLoadedPlyError,
-            StrengthRatioRootError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except json.JSONDecodeError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

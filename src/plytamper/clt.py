@@ -119,7 +119,7 @@ class MaterialProperties:
 
     @cached_property
     def _qbar_by_angle(self) -> dict:
-        """This material's [Qbar] and its collapse-bound row by angle; see
+        """This material's stiffness rows by angle; see
         :func:`ply_stiffness_entry`."""
         return {}
 
@@ -459,27 +459,25 @@ def transform_stiffness(q: np.ndarray, angle_deg: float) -> np.ndarray:
 
 
 def ply_stiffness_entry(mat: MaterialProperties, angle_deg: float):
-    """The cached ``(qbar, row)`` of a (material, angle) pair.
+    """The cached stiffness row of a (material, angle) pair.
 
-    ``qbar`` is the ply's read-only [Qbar]. Each material keeps its own
-    table keyed by angle, so the table lives only as long as the material
-    and a lookup never hashes the material. ``row`` is a read-only (14,)
-    array: the nine entries of ``qbar``, then mu_min, mu_max, mu_min,
-    mu_max and ||Qbar||_F, where mu_min and mu_max are the extreme
-    eigenvalues of sym(Qbar) = (Qbar + Qbar^T)/2. Gathering the rows of a
-    stack gives its [Qbar] and its :func:`ply_bounds` factors in one array.
+    Each material keeps its own table keyed by angle, so the table lives
+    only as long as the material and a lookup never hashes the material.
+    The row is a read-only (14,) array: the nine entries of the ply's
+    [Qbar], then mu_min, mu_max, mu_min, mu_max and ||Qbar||_F, where
+    mu_min and mu_max are the extreme eigenvalues of sym(Qbar) =
+    (Qbar + Qbar^T)/2. :func:`_split_rows` splits gathered rows into a
+    stack's [Qbar] and its :func:`ply_bounds` factors.
     """
     table = mat._qbar_by_angle
-    entry = table.get(angle_deg)
-    if entry is None:
+    row = table.get(angle_deg)
+    if row is None:
         qbar = transform_stiffness(reduced_stiffness(mat), angle_deg)
-        qbar.setflags(write=False)
         mu = np.linalg.eigvalsh((qbar + qbar.T) / 2.0)
-        row = np.concatenate([qbar.ravel(), mu[[0, 2, 0, 2]],
-                              [np.linalg.norm(qbar)]])
+        row = table[angle_deg] = np.concatenate(
+            [qbar.ravel(), mu[[0, 2, 0, 2]], [np.linalg.norm(qbar)]])
         row.setflags(write=False)
-        entry = table[angle_deg] = qbar, row
-    return entry
+    return row
 
 
 # =============================================================================
@@ -488,26 +486,28 @@ def ply_stiffness_entry(mat: MaterialProperties, angle_deg: float):
 
 def stiffness_stack(lam: Laminate) -> np.ndarray:
     """Per-ply [Qbar] as an (n, 3, 3) array, top to bottom."""
-    return _stack_of(_entry_rows(lam))
+    return _split_rows(_entry_rows(lam.prepared.materials, lam.angles))[0]
 
 
 def stiffness_stack_and_bounds(lam: Laminate):
     """:func:`stiffness_stack` and the (2, n) :func:`ply_bounds` of
     ``lam``, from one table lookup per ply."""
-    rows = _entry_rows(lam)
-    return (_stack_of(rows),
-            ply_bounds(lam.prepared.weight_spectra, rows[:, 9:]))
+    prep = lam.prepared
+    stack, tails = _split_rows(_entry_rows(prep.materials, lam.angles))
+    return stack, ply_bounds(prep.weight_spectra, tails)
 
 
-def _entry_rows(lam: Laminate) -> np.ndarray:
-    """The (n, 14) :func:`ply_stiffness_entry` rows of ``lam``'s plies."""
-    return np.concatenate([ply_stiffness_entry(p.material, p.angle)[1]
-                           for p in lam.plies]).reshape(-1, 14)
+def _entry_rows(materials, angles) -> np.ndarray:
+    """The (m, 14) :func:`ply_stiffness_entry` rows of m plies, given
+    their materials and angles."""
+    return np.array([ply_stiffness_entry(mat, angle)
+                     for mat, angle in zip(materials, angles)]).reshape(-1, 14)
 
 
-def _stack_of(rows: np.ndarray) -> np.ndarray:
-    """The contiguous (n, 3, 3) [Qbar] stack in (n, 14) entry rows."""
-    return np.ascontiguousarray(rows[:, :9].reshape(-1, 3, 3))
+def _split_rows(rows: np.ndarray):
+    """The contiguous (m, 3, 3) [Qbar] stack in (m, 14) entry rows, and
+    the (m, 5) tails that :func:`ply_bounds` takes."""
+    return np.ascontiguousarray(rows[:, :9].reshape(-1, 3, 3)), rows[:, 9:]
 
 
 def assemble_abd(lam: Laminate) -> AbdMatrices:

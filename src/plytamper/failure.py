@@ -29,11 +29,11 @@ from plytamper.clt import (
     LaminateSingularError,
     LoadCase,
     NoLoadedPlyError,
-    PreparedStack,
     StrengthRatioRootError,
+    _entry_rows,
+    _split_rows,
     _stacked_abd,
     ply_bounds,
-    ply_stiffness_entry,
     require_nonsingular,
     rules_out_collapse,
     stiffness_stack_and_bounds,
@@ -144,9 +144,11 @@ def classify_failure_mode(
 # The rung kernel
 # =============================================================================
 #
-# One laminate state is solved and scored in stages, each written once and
-# used with or without a leading batch axis: the 6x6 system, the collapse
-# test and solve, the per-ply stress recovery and the Tsai-Wu ratios. The
+# One laminate state is solved and scored in two stages, each written once
+# and used with or without a leading batch axis: :func:`ply_stresses`
+# (the 6x6 system, the collapse test, the solve and the per-ply stress
+# recovery) and the Tsai-Wu ratios. The stiffness rows they start from
+# are gathered and split by :mod:`plytamper.clt`. The
 # collapse test is decided by the per-ply bound of
 # :func:`~plytamper.clt.rules_out_collapse` where it can be, and by the
 # SVD only where it cannot.
@@ -237,40 +239,30 @@ def _require_roots(bad, plies: np.ndarray | None = None) -> None:
             f"no positive strength-ratio root for plies {named}")
 
 
-def _recover_stresses(stack: np.ndarray, z_mid: np.ndarray,
-                      t_stack: np.ndarray, solution: np.ndarray):
-    """Per-ply mid-thickness strain and stresses from (..., 6) solutions
-    (eps0, kappa) of (..., n, 3, 3) stacks; see :func:`ply_stresses`."""
+def ply_stresses(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
+                 rhs: np.ndarray, t_stack: np.ndarray, bounded: bool = False):
+    """Solve the laminate and recover each ply's mid-thickness state: the
+    one solve stage of every evaluation.
+
+    ``stack`` holds each ply's [Qbar] and ``t_stack`` its [T], as
+    (n, 3, 3) arrays or (B, n, 3, 3) batches of them; ``weights`` are the
+    plies' (3, n) z weights and ``z_mid`` their mid-planes. ``rhs`` is the
+    (6,) load vector of one state, or (B, 6, 1) for a batch. Returns the
+    (..., n, 3) global strain (eps_x, eps_y, gamma_xy), global stress and
+    fiber-axis stress (sigma_1, sigma_2, tau_12), with eps(z) = eps0 + z*k.
+    Raises LaminateSingularError when one state's 6x6 system has
+    collapsed; ``bounded`` skips that test, for states that
+    :func:`~plytamper.clt.rules_out_collapse` has decided.
+    """
+    k6 = _system_matrix(stack, weights)
+    if not bounded:
+        require_nonsingular(k6, "laminate system is numerically singular")
+    solution = np.linalg.solve(k6, rhs).reshape(k6.shape[:-1])
     eps0, kappa = solution[..., None, :3], solution[..., None, 3:]
     global_strain = eps0 + z_mid[:, None] * kappa
     global_stress = np.einsum("...kij,...kj->...ki", stack, global_strain)
     local_stress = np.einsum("...kij,...kj->...ki", t_stack, global_stress)
     return global_strain, global_stress, local_stress
-
-
-def _solve_plies(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
-                 load_vec: np.ndarray, t_stack: np.ndarray,
-                 bounded: bool = False):
-    """:func:`ply_stresses` of a stack given its z weights and mid-planes.
-    ``bounded`` skips the SVD collapse test, for a state that
-    :func:`~plytamper.clt.rules_out_collapse` has decided."""
-    k6 = _system_matrix(stack, weights)
-    if not bounded:
-        require_nonsingular(k6, "laminate system is numerically singular")
-    return _recover_stresses(stack, z_mid, t_stack,
-                             np.linalg.solve(k6, load_vec))
-
-
-def ply_stresses(stack: np.ndarray, prep: PreparedStack,
-                 load_vec: np.ndarray, t_stack: np.ndarray):
-    """Solve the laminate and recover each ply's mid-thickness state.
-
-    Returns the (n, 3) global strain (eps_x, eps_y, gamma_xy), global
-    stress and fiber-axis stress (sigma_1, sigma_2, tau_12), with
-    eps(z) = eps0 + z*k, and ``t_stack`` holds each ply's [T]. Raises
-    LaminateSingularError when the 6x6 system has collapsed.
-    """
-    return _solve_plies(stack, prep.weights, prep.z_mid, load_vec, t_stack)
 
 
 def _kernel_inputs(lam: Laminate, load: LoadCase):
@@ -305,7 +297,7 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
             a.take(plies, axis=0) for a in (stack, t_stack, z_mid, coef))
         summands = summands.take(plies, axis=1)
     lower, upper = summands[3:].sum(axis=1).tolist()
-    _, _, local_stress = _solve_plies(
+    _, _, local_stress = ply_stresses(
         stack, summands[:3], z_mid, load_vec, t_stack,
         rules_out_collapse(lower, upper, len(z_mid)))
     sr, bad = _strength_ratios_and_bad(local_stress, coef)
@@ -388,31 +380,28 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     if not (np.abs(angles) <= 90.0).all():
         raise ValueError("angles must lie in [-90, 90]")
     ply_list = plies.tolist()
-    entries = np.reshape(
-        [ply_stiffness_entry(lam.plies[k].material, a)[1]
-         for k, a in zip(ply_list, angles.tolist())], (len(ply_list), 14))
+    qbars, tails = _split_rows(_entry_rows(
+        [lam.plies[k].material for k in ply_list], angles.tolist()))
     # Each row's bound sums: lam's, with the replaced ply's terms swapped.
     lower, upper = (bounds.sum(axis=1)[:, None] - bounds[:, ply_list]
                     + ply_bounds(lam.prepared.weight_spectra[ply_list],
-                                 entries[:, 9:]))
+                                 tails))
     cleared = np.flatnonzero(
         rules_out_collapse(lower, upper, lam.n_plies)).tolist()
     ply_list = [ply_list[b] for b in cleared]
-    angles, entries = angles[cleared], entries[cleared]
+    angles = angles[cleared]
     count = len(ply_list)
     rows = np.arange(count)
     stacks = np.repeat(stack[None], count, axis=0)
-    stacks[rows, ply_list] = entries[:, :9].reshape(count, 3, 3)
+    stacks[rows, ply_list] = qbars[cleared]
     t_stacks = np.repeat(t_stack[None], count, axis=0)
     t_stacks[rows, ply_list] = transformation_matrix(angles)
-    k6 = _system_matrix(stacks, weights)
     rhs = np.broadcast_to(load_vec[:, None], (count, 6, 1))
     try:
-        solution = np.linalg.solve(k6, rhs)
+        _, _, local_stress = ply_stresses(stacks, weights, z_mid, rhs,
+                                          t_stacks, bounded=True)
     except np.linalg.LinAlgError:
         return   # first_ply_failure solves the rows one by one
-    _, _, local_stress = _recover_stresses(stacks, z_mid, t_stacks,
-                                           solution[..., 0])
     sr, bad = _strength_ratios_and_bad(local_stress, coef)
     lows = sr.min(axis=1, where=np.isfinite(sr), initial=np.inf)
     clean = lows < np.inf

@@ -155,8 +155,18 @@ def write_report(report: dict, path) -> None:
 
 
 def load_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """Read a report written by :func:`write_report`.
+
+    Text that is not UTF-8 or not JSON raises ``OSError`` naming the
+    file, as a missing file does.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise OSError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # =====================================================================

@@ -469,13 +469,26 @@ class TestExportLadder:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
-    def test_invalid_json_is_an_io_error(self, tmp_path, capsys):
+    @staticmethod
+    def assert_unreadable(tmp_path, capsys, content: bytes, message: str):
+        """Exporting a report of ``content`` is an I/O error whose message
+        starts with the report's path, and writes no CSV."""
         report = tmp_path / "report.json"
-        report.write_text("{not json", encoding="utf-8")
+        report.write_bytes(content)
         code = main(["export-ladder", str(report),
                      "-o", str(tmp_path / "ladder.csv")])
         assert code == EXIT_IO
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith(
+            f"i/o error: {report}: {message}: ")
+        assert not (tmp_path / "ladder.csv").exists()
+
+    def test_invalid_json_is_an_io_error(self, tmp_path, capsys):
+        self.assert_unreadable(tmp_path, capsys, b"{not json",
+                               "invalid JSON")
+
+    def test_non_utf8_report_is_an_io_error(self, tmp_path, capsys):
+        self.assert_unreadable(tmp_path, capsys, b"\xff{}",
+                               "not UTF-8 text")
 
 
 # =============================================================================
@@ -504,9 +517,17 @@ def lone_first_ply_under_moment(doc):
     set_load([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])(doc)
 
 
-def wafer_thin_plies(doc):
-    for ply in doc["layup"]:
-        ply["thickness"] = {"value": 1e-200, "unit": "m"}
+def set_thicknesses(value_m):
+    """An edit giving every ply of the spar one thickness."""
+    def edit(doc):
+        for ply in doc["layup"]:
+            ply["thickness"] = {"value": value_m, "unit": "m"}
+    return edit
+
+
+def huge_axial_load(doc):
+    """The spar's 100 kN/m axial load raised to 1e300 kN/m."""
+    doc["load"]["n"]["value"] = [1e300, 0.0, 0.0]
 
 
 #: spar34 edits that still parse, with the exit codes of analyze, attack
@@ -523,19 +544,28 @@ PATHOLOGICAL_SPARS = [
                  "nonzero", id="zero-load"),
     pytest.param(lone_first_ply_under_moment, (2, 2, 2, 0),
                  "numerical failure: no loaded ply", id="lone-ply-moment"),
-    pytest.param(wafer_thin_plies, (2, 2, 2, 0),
+    pytest.param(set_thicknesses(1e-200), (2, 2, 2, 0),
                  "numerical failure: laminate system is numerically "
                  "singular", id="plies-1e-200-m"),
+    # Every ply is loaded, and the strength-ratio products overflow.
+    pytest.param(huge_axial_load, (2, 2, 2, 0),
+                 "numerical failure: overflow encountered in multiply",
+                 id="load-1e300-kN-per-m"),
+    # The collapse bounds overflow before the SVD; detect's A and B
+    # stay finite.
+    pytest.param(set_thicknesses(1e100), (2, 2, 2, 0),
+                 "numerical failure: overflow encountered in multiply",
+                 id="plies-1e100-m"),
 ]
 
 
 class TestPathologicalInputs:
 
     @pytest.mark.parametrize("edit, codes, message", PATHOLOGICAL_SPARS)
-    def test_documented_exit_and_no_traceback(self, tmp_path, capsys, edit,
-                                              codes, message):
-        """Each command returns its code and raises nothing; a nonzero
-        exit leaves no output file."""
+    def test_documented_exit_and_no_traceback(self, tmp_path, capsys,
+                                              recwarn, edit, codes, message):
+        """Each command returns its code and raises and warns nothing; a
+        nonzero exit leaves no output file."""
         doc = yaml.safe_load(bundled_design_path().read_text(
             encoding="utf-8"))
         edit(doc)
@@ -554,6 +584,7 @@ class TestPathologicalInputs:
                 assert list(out.iterdir()) == []
             else:
                 assert (out / "report.json").is_file()
+        assert not recwarn.list
 
 class TestExitCodes:
 

@@ -38,8 +38,9 @@ RTOL = 1e-9
 
 def solve(lam, load, stack=None):
     """Per-ply global strain, global stress and fiber-axis stress."""
+    prep = lam.prepared
     return ply_stresses(stiffness_stack(lam) if stack is None else stack,
-                        lam.prepared, load.as_vector(),
+                        prep.weights, prep.z_mid, load.as_vector(),
                         transformation_matrix(lam.angles))
 
 
@@ -337,10 +338,10 @@ class TestTransformedStiffness:
         assert transformation_matrix(np.zeros((2, 4))).shape == (2, 4, 3, 3)
 
     def test_cache_returns_readonly(self, graphite_epoxy):
-        qbar = ply_stiffness_entry(graphite_epoxy, 30.0)[0]
-        assert qbar is ply_stiffness_entry(graphite_epoxy, 30.0)[0]
+        row = ply_stiffness_entry(graphite_epoxy, 30.0)
+        assert row is ply_stiffness_entry(graphite_epoxy, 30.0)
         with pytest.raises(ValueError):
-            qbar[0, 0] = 0.0
+            row[0] = 0.0
 
 
 # =============================================================================
@@ -419,8 +420,8 @@ class TestAbdAssembly:
             np.where(active[:, None, None], stiffness_stack(lam), 0.0),
             lam.prepared.weights)[0]
         h = lam.prepared.h
-        q0 = ply_stiffness_entry(graphite_epoxy, 0.0)[0]
-        q90 = ply_stiffness_entry(graphite_epoxy, 90.0)[0]
+        q = reduced_stiffness(graphite_epoxy)
+        q0, q90 = transform_stiffness(q, 0.0), transform_stiffness(q, 90.0)
         expected_a = q0 * (h[1] - h[0]) + q90 * (h[3] - h[2])
         np.testing.assert_allclose(a, expected_a, rtol=RTOL)
 

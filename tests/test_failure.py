@@ -771,6 +771,57 @@ class TestBatchedKernel:
                                     [1], [0.0], {})
 
 
+class TestSolveStage:
+    """``ply_stresses`` over a leading batch axis, as the batch kernel
+    calls it, against one call per state."""
+
+    @staticmethod
+    def assert_batch_matches_states(lam, load, plies, angles):
+        """The (B, n, 3, 3) stacks of B one-ply variations of ``lam``,
+        solved with the (B, 6, 1) right-hand side and ``bounded``, give
+        each state's strain, stress and fiber stress float for float."""
+        prep, load_vec = lam.prepared, load.as_vector()
+        copies = [lam.with_angles(row)
+                  for row in TestBatchedKernel.rows(lam, plies, angles)]
+        stacks = np.stack([stiffness_stack(copy) for copy in copies])
+        t_stacks = np.stack([transformation_matrix(copy.angles)
+                             for copy in copies])
+        rhs = np.broadcast_to(load_vec[:, None], (len(copies), 6, 1))
+        batch = ply_stresses(stacks, prep.weights, prep.z_mid, rhs,
+                             t_stacks, bounded=True)
+        for output in batch:
+            assert output.shape == (len(copies), lam.n_plies, 3)
+        for b in range(len(copies)):
+            states = ply_stresses(stacks[b], prep.weights, prep.z_mid,
+                                  load_vec, t_stacks[b])
+            for got, want in zip(batch, states):
+                assert [v.hex() for v in got[b].ravel().tolist()] == \
+                    [v.hex() for v in want.ravel().tolist()]
+
+    def test_spar_one_ply_variations(self):
+        design = load_bundled_design()
+        lam = design.laminate()
+        angles = [float(a) for a in range(-90, 91, 15)]
+        plies = [k for k in (0, 3, 4, 16, 33) for _ in angles]
+        for load in (design.load, TestBatchedKernel.FORCE):
+            self.assert_batch_matches_states(lam, load, plies,
+                                             angles * 5)
+
+    def test_mixed_materials_under_force_and_moment(self, graphite_epoxy):
+        g, e = graphite_epoxy, GLASS_EPOXY
+        lam = Laminate(tuple(
+            Ply(a, t, m) for a, t, m in zip(
+                (30.0, -45.0, 0.0, 90.0, -0.0, 60.0, 15.0),
+                (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3,
+                 0.15e-3),
+                (g, e, e, g, g, e, g))))
+        grid = [0.0, -0.0, 15.0, -15.0, 45.0, -45.0, 90.0, -90.0, 30.5]
+        self.assert_batch_matches_states(
+            lam, TestBatchedKernel.FORCE,
+            [k for k in range(lam.n_plies) for _ in grid],
+            grid * lam.n_plies)
+
+
 # =============================================================================
 # The rung kernel: failed plies leave the solve
 # =============================================================================
@@ -785,7 +836,8 @@ def masked_ladder(lam, load):
     while active.any():
         stack = np.where(active[:, None, None], intact, 0.0)
         try:
-            _, _, local = ply_stresses(stack, prep, load.as_vector(), t_stack)
+            _, _, local = ply_stresses(stack, prep.weights, prep.z_mid,
+                                       load.as_vector(), t_stack)
         except LaminateSingularError:
             if not rungs:
                 raise

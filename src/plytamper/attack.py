@@ -96,7 +96,13 @@ class AttackSpec:
             )
         if self.load.is_zero:
             raise ValueError("attack load must be nonzero")
-        if self.budget is not None and self.budget < 1:
+        if self.budget is None:
+            return
+        # bool is an int subclass; budget=True is not a budget of 1
+        if isinstance(self.budget, bool) or not isinstance(self.budget, int):
+            raise ValueError(
+                f"budget must be an integer (got budget={self.budget!r})")
+        if self.budget < 1:
             raise ValueError(
                 f"budget must be at least 1 (got budget={self.budget})")
 
@@ -306,12 +312,13 @@ def spread_attack(lam: Laminate, spec: AttackSpec) -> AttackResult:
 
     for sweep in range(1, max_sweeps + 1):
         search.sweeps = sweep
-        critical = ties_at_minimum(search.sr, CRITICAL_REL_TOL)
+        critical = ties_at_minimum(search.sr, search.mult, CRITICAL_REL_TOL)
         for ply in order:
             if ply not in critical:
                 continue
             search.move(*search.trial(ply, STEP_DEG * signs[ply]))
-            critical = ties_at_minimum(search.sr, CRITICAL_REL_TOL)
+            critical = ties_at_minimum(search.sr, search.mult,
+                                       CRITICAL_REL_TOL)
             # Every earlier state was above the target, so this one is
             # also the best.
             if search.mult <= search.target_mult:
@@ -347,7 +354,7 @@ def focused_attack(lam: Laminate, spec: AttackSpec) -> AttackResult:
     processed: set[int] = set()
 
     while True:
-        critical = ties_at_minimum(search.sr, CRITICAL_REL_TOL)
+        critical = ties_at_minimum(search.sr, search.mult, CRITICAL_REL_TOL)
         ply = next((p for p in order
                     if p not in processed and p in critical), None)
         if ply is None:

@@ -197,9 +197,10 @@ def _cmd_attack(args) -> int:
     report = make_report("attack",
                          {"design": design_to_mapping(design)},
                          {"attacks": blocks})
-    write_report(report, args.output)
     for tampered_design, tampered_path in tampered:
         save_design(tampered_design, tampered_path)
+    # Last, so that a report on disk names only designs that exist.
+    write_report(report, args.output)
     sys.stdout.write(render_report_text(report))
     ok = all(AttackStatus(b["status"]) in _OK_STATUSES for b in blocks)
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -255,9 +256,6 @@ def main(argv=None) -> int:
         # on, to end as a wrong cause further down the chain.
         with np.errstate(over="raise"):
             return args.func(args)
-    except DesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

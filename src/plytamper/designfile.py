@@ -260,7 +260,8 @@ def parse_design(doc) -> DesignFile:
                                    "load", "safety"))
 
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # 1.0 and true compare equal to 1, but only the integer is the version
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise DesignError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 

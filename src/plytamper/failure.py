@@ -87,38 +87,29 @@ class FailureLadder:
         return self.rungs[-1].force_multiplier
 
 
-def ties_at_minimum(sr_values, rel_tol: float = TIE_REL_TOL) -> set[int]:
-    """Indices whose strength ratio ties the minimum within ``rel_tol``.
-
-    An entry ties when ``v - low <= rel_tol * low`` for the finite minimum
-    ``low``. Infinite entries (unloaded or failed plies) are skipped.
-    Raises NoLoadedPlyError when every entry is infinite — nothing carries
-    load.
-    """
-    values = np.asarray(sr_values, dtype=float).tolist()
-    low = min(values, default=math.inf)
-    # Python's min skips a NaN after the first entry, and -inf or an
-    # all-infinite list would come out non-finite: then look again at the
-    # finite entries only.
-    if not -math.inf < low < math.inf:
-        low = min([v for v in values if -math.inf < v < math.inf],
-                  default=math.inf)
-        if low == math.inf:
-            raise NoLoadedPlyError(
-                "no loaded ply: all strength ratios are infinite")
-    bound = rel_tol * low
-    # inf - low and NaN - low never pass the test; -inf is excluded.
-    return {i for i, v in enumerate(values)
-            if v - low <= bound and v > -math.inf}
-
-
-def _finite_minimum(values: np.ndarray) -> float:
-    """Smallest finite entry; NoLoadedPlyError if none is finite."""
-    low = values.min(where=np.isfinite(values), initial=np.inf)
+def _first_failure(sr: np.ndarray):
+    """The first-failure multiplier of strength-ratio rows: each row's
+    smallest finite entry along the last axis, or +inf where it has none.
+    One state's (n,) row gives a float, and raises NoLoadedPlyError when
+    no entry is finite: no ply carries load."""
+    low = sr.min(axis=-1, where=np.isfinite(sr), initial=np.inf)
+    if sr.ndim > 1:
+        return low
     if low == np.inf:
         raise NoLoadedPlyError(
             "no loaded ply: all strength ratios are infinite")
     return float(low)
+
+
+def ties_at_minimum(sr_values, low: float,
+                    rel_tol: float = TIE_REL_TOL) -> set[int]:
+    """Indices whose strength ratio ties ``low``, the row's
+    :func:`_first_failure`, within ``rel_tol``: ``v - low <= rel_tol * low``.
+    inf - low and NaN - low never pass the test; -inf is excluded."""
+    values = np.asarray(sr_values, dtype=float).tolist()
+    bound = rel_tol * low
+    return {i for i, v in enumerate(values)
+            if v - low <= bound and v > -math.inf}
 
 
 def classify_failure_mode(
@@ -344,7 +335,7 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
         if hit is not None:
             return hit
     sr = _rung(*_kernel_inputs(lam, load))
-    result = _finite_minimum(sr), sr
+    result = _first_failure(sr), sr
     if memo is not None:
         sr.setflags(write=False)
         memo[key] = result
@@ -403,7 +394,7 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     except np.linalg.LinAlgError:
         return   # first_ply_failure solves the rows one by one
     sr, bad = _strength_ratios_and_bad(local_stress, coef)
-    lows = sr.min(axis=1, where=np.isfinite(sr), initial=np.inf)
+    lows = _first_failure(sr)
     clean = lows < np.inf
     if bad is not None:
         clean &= ~bad.any(axis=1)
@@ -456,15 +447,13 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
         first = memo.get(memo_key("first_ply_failure", lam._angle_bits, load))
     arrays, load_vec = _kernel_inputs(lam, load)
 
-    alive = np.ones(lam.n_plies, dtype=bool)
-    unscored = np.full(lam.n_plies, np.inf)   # a failed ply's row entry
     plies = np.arange(lam.n_plies)   # the survivors, in order
     rungs: list[FailureRung] = []
     history: list[tuple[float, ...]] = []
 
     while plies.size:
         if first is not None:
-            sr, first = first[1], None
+            (low, sr), first = first, None
         else:
             try:
                 sr = _rung(arrays, load_vec, plies)
@@ -477,17 +466,18 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
                     flagged=True,
                 ))
                 break
-        row = unscored.copy()
+            low = _first_failure(sr)
+        row = np.full(lam.n_plies, np.inf)   # a failed ply's entry is inf
         row[plies] = sr
         history.append(tuple(row.tolist()))
-        failed = plies[sorted(ties_at_minimum(sr))]
-        alive[failed] = False
-        plies = alive.nonzero()[0]
-        failed = failed.tolist()
+        tied = sorted(ties_at_minimum(sr, low))
         rungs.append(FailureRung(
-            force_multiplier=min(history[-1][i] for i in failed),
-            failed_plies=tuple(failed),
+            force_multiplier=low,
+            failed_plies=tuple(plies[tied].tolist()),
         ))
+        keep = np.ones(plies.size, dtype=bool)
+        keep[tied] = False
+        plies = plies[keep]
 
     ladder = FailureLadder(rungs=tuple(rungs), load=load,
                            sr_history=tuple(history))

@@ -35,6 +35,7 @@ from plytamper.failure import (
     first_ply_failure,
     first_ply_failure_batch,
     simulate_progressive_failure,
+    ties_at_minimum,
 )
 from plytamper.report import attack_block, render_report_text
 
@@ -220,6 +221,14 @@ class TestAttackSpec:
         with pytest.raises(ValueError, match=r"budget=-3\)"):
             make_spec(1.0, budget=-3)
         assert make_spec(1.0, budget=1).budget == 1
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, False, "7"])
+    def test_budget_must_be_an_integer(self, budget):
+        """A float budget would run 2.5 evaluations of type 2 and crash
+        type 1's sweep range; a bool would run as 1 or 0."""
+        with pytest.raises(ValueError, match=r"budget must be an integer "
+                                             r"\(got budget="):
+            make_spec(1.0, budget=budget)
 
     def test_fields_are_pinned(self):
         assert [f.name for f in dataclasses.fields(AttackSpec)] == [
@@ -858,6 +867,46 @@ class TestMemoSoundness:
             lambda: Laminate(tuple(Ply(a, t, m) for a, t, m in
                                    zip(angles, thickness, materials))),
             1.5, [self.FORCE, self.BENDING])
+
+
+class TestFirstFailureRule:
+    """A result's first rung is the first-failure rule of a fresh
+    laminate at its new angles: the multiplier the search reports, and
+    the plies tied at it."""
+
+    BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+    @staticmethod
+    def assert_first_rung_is_the_rule(lam, design_sf, loads) -> None:
+        """Run the six searches under each load on ``lam``, skipping
+        those that raise, and check each result's first rung."""
+        checked = 0
+        for spec, attack_type in TestSharedMemo.searches(
+                design_sf, [(load, None) for load in loads]):
+            try:
+                result = ATTACK_TYPES[attack_type](lam, spec)
+            except ArithmeticError:
+                continue
+            state = lam.with_angles(result.new_angles)
+            mult, sr = first_ply_failure(state, spec.load)
+            first = result.ladder.rungs[0]
+            assert first.force_multiplier == result.achieved_multiplier \
+                == mult, (attack_type, spec)
+            assert set(first.failed_plies) == ties_at_minimum(sr, mult)
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("stack", range(10))
+    def test_criterion5_stack(self, graphite_epoxy, stack):
+        angles = criterion5_stacks(stack + 1)[stack]
+        self.assert_first_rung_is_the_rule(
+            Laminate.from_angles(graphite_epoxy, PLY_T, angles), 1.5,
+            [LoadCase((1000.0, 0.0, 0.0)), self.BENDING])
+
+    def test_bundled_spar(self):
+        design = load_bundled_design()
+        self.assert_first_rung_is_the_rule(
+            design.laminate(), design.design_sf, [design.load])
 
 
 def render_attack_text(result):

@@ -222,6 +222,20 @@ class TestAttack:
         assert (tmp_path / "report.tampered-type2-sf1.yaml").is_file()
         assert (tmp_path / "report.tampered-type2-sf0.9.yaml").is_file()
 
+    def test_failed_design_write_leaves_no_report(self, crossply_file,
+                                                  tmp_path, capsys):
+        """A directory where the second tampered design goes: exit 3
+        names it, and no report names a design that was never written."""
+        out = tmp_path / "report.json"
+        blocker = tmp_path / "report.tampered-type2-sf0.9.yaml"
+        blocker.mkdir()
+        code = main(["attack", str(crossply_file), "--type", "2",
+                     "--target-sf", "1.0", "0.9", "-o", str(out)])
+        assert code == EXIT_IO
+        assert os.path.realpath(blocker) in capsys.readouterr().err
+        assert not out.exists()
+        assert blocker.is_dir()
+
     def test_later_target_that_raises_leaves_no_files(self, crossply_file,
                                                       tmp_path, capsys,
                                                       monkeypatch):
@@ -678,10 +692,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, failing_write, target", [
         (["analyze"], 1, "report.json"),
-        (["attack", "--type", "2"], 1, "report.json"),
-        (["attack", "--type", "2"], 2, "report.tampered-type2-sf1.yaml"),
+        (["attack", "--type", "2"], 1, "report.tampered-type2-sf1.yaml"),
+        (["attack", "--type", "2"], 2, "report.json"),
         (["export-ladder"], 1, "ladder.csv"),
-    ], ids=["analyze-report", "attack-report", "attack-tampered-design",
+    ], ids=["analyze-report", "attack-tampered-design", "attack-report",
             "export-ladder-csv"])
     def test_failed_write_keeps_the_old_file(self, tmp_path, capsys,
                                              crossply_file, monkeypatch,
@@ -733,8 +747,9 @@ class TestExitCodes:
         assert "No space left on device" in capsys.readouterr().err
         assert old.read_bytes() == b"old contents\n"
         after = sorted(p.name for p in tmp_path.iterdir())
+        # attack writes its tampered design first and its report last
         assert [n for n in after if n not in before] == (
-            ["report.json"] if failing_write == 2 else [])
+            ["report.tampered-type2-sf1.yaml"] if failing_write == 2 else [])
 
     def test_written_files_get_the_mode_open_gives(self, tmp_path, capsys,
                                                    crossply_file):

@@ -165,6 +165,15 @@ class TestValidationErrors:
                            match="schema_version: expected 1, got 2"):
             parse_design(doc)
 
+    @pytest.mark.parametrize("version, shown", [(1.0, "1.0"),
+                                                (True, "True")])
+    def test_schema_version_must_be_the_integer(self, doc, version, shown):
+        """1.0 and true equal 1 in Python, but only the integer loads."""
+        doc["schema_version"] = version
+        with pytest.raises(DesignError,
+                           match=f"schema_version: expected 1, got {shown}$"):
+            parse_design(doc)
+
     def test_missing_schema_version(self, doc):
         del doc["schema_version"]
         with pytest.raises(DesignError,

@@ -56,28 +56,34 @@ AXIAL = LoadCase(n=(1.0, 0.0, 0.0))
 # Tie detection
 # =============================================================================
 
+def ties(values, rel_tol=failure.TIE_REL_TOL):
+    """:func:`ties_at_minimum` at the row's first-failure multiplier."""
+    low = failure._first_failure(np.asarray(values, dtype=float))
+    return ties_at_minimum(values, low, rel_tol)
+
+
 class TestTiesAtMinimum:
 
     def test_single_minimum(self):
-        assert ties_at_minimum([3.0, 1.0, 2.0]) == {1}
+        assert ties([3.0, 1.0, 2.0]) == {1}
 
     def test_exact_tie(self):
-        assert ties_at_minimum([2.0, 1.0, 1.0, 5.0]) == {1, 2}
+        assert ties([2.0, 1.0, 1.0, 5.0]) == {1, 2}
 
     def test_tie_within_relative_tolerance(self):
         low = 100.0
-        assert ties_at_minimum([low, low * (1.0 + 1e-10), low * 1.01]) == {0, 1}
+        assert ties([low, low * (1.0 + 1e-10), low * 1.01]) == {0, 1}
 
     def test_just_outside_tolerance_not_tied(self):
         low = 100.0
-        assert ties_at_minimum([low, low * (1.0 + 1e-8)]) == {0}
+        assert ties([low, low * (1.0 + 1e-8)]) == {0}
 
     def test_infinities_skipped(self):
-        assert ties_at_minimum([math.inf, 2.0, math.inf]) == {1}
+        assert ties([math.inf, 2.0, math.inf]) == {1}
 
     def test_all_infinite_raises(self):
         with pytest.raises(NoLoadedPlyError):
-            ties_at_minimum([math.inf, math.inf])
+            ties([math.inf, math.inf])
 
     @staticmethod
     def numpy_ties(values, rel_tol):
@@ -109,7 +115,7 @@ class TestTiesAtMinimum:
             near = finite & (rng.random(n) < 0.4)
             values[near] = low * (1.0 + rng.choice(offsets, size=near.sum()))
             try:
-                got = ties_at_minimum(values, rel_tol)
+                got = ties(values, rel_tol)
             except NoLoadedPlyError:
                 got = "raise"
             assert got == self.numpy_ties(values, rel_tol), values
@@ -847,7 +853,7 @@ def masked_ladder(lam, load):
             break
         sr = strength_ratios(local, prep.tsai_wu)
         history.append(tuple(sr.tolist()))
-        group = ties_at_minimum(sr)
+        group = ties_at_minimum(sr, failure._first_failure(sr))
         rungs.append(FailureRung(min(float(sr[i]) for i in group),
                                  tuple(sorted(group))))
         active[list(group)] = False

@@ -191,7 +191,9 @@ class _Search:
     counted evaluation is still one ``first_ply_failure`` call, hit or
     miss. A trial that misses first solves the states further along its
     line (the same ply, rotated on by the same step) in one batch, so
-    the steps after it hit; see :meth:`_prefetch`.
+    the steps after it hit; see :meth:`_prefetch`. A state evaluated
+    before on the laminate keeps its rotated copy and its critical set
+    in :attr:`~Laminate._search_states`, so a revisit builds neither.
     """
 
     def __init__(self, attack_type: int, lam: Laminate, spec: AttackSpec):
@@ -199,7 +201,9 @@ class _Search:
         self.lam = lam
         self.spec = spec
         self.original_angles = lam.angles
-        self.mult, self.sr = first_ply_failure(lam, spec.load, lam.memo)
+        self.mult, sr = first_ply_failure(lam, spec.load, lam.memo)
+        self.critical = ties_at_minimum(sr, self.mult, CRITICAL_REL_TOL)
+        self.states = lam._search_states
         self.evaluations = 1
         self.sweeps = 0
         self.original_mult = self.mult
@@ -215,17 +219,28 @@ class _Search:
         """Evaluate the design with ``ply`` rotated ``step`` degrees further.
 
         Returns the candidate's multiplier and the state :meth:`move` takes.
+        A new state's copy and critical set are stored only once its
+        evaluation has returned.
         """
         delta = self.deltas[ply] + step
-        candidate = self.current._with_ply_angle(
-            ply, normalize_angle(self.original_angles[ply] + delta))
-        if memo_key("first_ply_failure", candidate._angle_bits,
-                    self.spec.load) not in self.lam.memo:
-            self._prefetch(ply, step, delta)
-        mult, sr = first_ply_failure(candidate, self.spec.load,
-                                     self.lam.memo)
+        angle = normalize_angle(self.original_angles[ply] + delta)
+        key = memo_key("first_ply_failure",
+                       self.current._angle_bits_with(ply, angle),
+                       self.spec.load)
+        known = self.states.get(key)
+        if known is None:
+            candidate = self.current._with_ply_angle(ply, angle)
+            if key not in self.lam.memo:
+                self._prefetch(ply, step, delta)
+            mult, sr = first_ply_failure(candidate, self.spec.load,
+                                         self.lam.memo)
+            known = self.states[key] = (
+                candidate, ties_at_minimum(sr, mult, CRITICAL_REL_TOL))
+        else:
+            mult, _ = first_ply_failure(known[0], self.spec.load,
+                                        self.lam.memo)
         self.evaluations += 1
-        return mult, (ply, delta, candidate, sr)
+        return mult, (ply, delta) + known
 
     def _prefetch(self, ply: int, step: float, delta: float) -> None:
         """Solve the current design with ``ply`` at ``delta``, ``delta +
@@ -251,7 +266,7 @@ class _Search:
 
     def move(self, mult: float, state) -> None:
         """Make a candidate from :meth:`trial` the current design."""
-        ply, delta, self.current, self.sr = state
+        ply, delta, self.current, self.critical = state
         self.deltas[ply] = delta
         self.mult = mult
         if mult < self.best[0]:
@@ -312,13 +327,10 @@ def spread_attack(lam: Laminate, spec: AttackSpec) -> AttackResult:
 
     for sweep in range(1, max_sweeps + 1):
         search.sweeps = sweep
-        critical = ties_at_minimum(search.sr, search.mult, CRITICAL_REL_TOL)
         for ply in order:
-            if ply not in critical:
+            if ply not in search.critical:
                 continue
             search.move(*search.trial(ply, STEP_DEG * signs[ply]))
-            critical = ties_at_minimum(search.sr, search.mult,
-                                       CRITICAL_REL_TOL)
             # Every earlier state was above the target, so this one is
             # also the best.
             if search.mult <= search.target_mult:
@@ -354,9 +366,8 @@ def focused_attack(lam: Laminate, spec: AttackSpec) -> AttackResult:
     processed: set[int] = set()
 
     while True:
-        critical = ties_at_minimum(search.sr, search.mult, CRITICAL_REL_TOL)
         ply = next((p for p in order
-                    if p not in processed and p in critical), None)
+                    if p not in processed and p in search.critical), None)
         if ply is None:
             return search.result(AttackStatus.NO_SOLUTION)
 

@@ -256,6 +256,18 @@ class Laminate:
         """
         return {}
 
+    @cached_property
+    def _search_states(self) -> dict:
+        """The states the tamper searches evaluated on this laminate.
+
+        Maps a state's ``first_ply_failure`` memo key to its rotated copy
+        and its critical ply set, so a search that comes back to a state
+        reuses both instead of rebuilding them. Like :attr:`memo` it
+        grows by one entry per distinct state, lives as long as this
+        laminate and is not shared with copies.
+        """
+        return {}
+
     @property
     def n_plies(self) -> int:
         return len(self.plies)

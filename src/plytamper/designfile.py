@@ -414,12 +414,13 @@ def write_text(path, text: str, newline: str | None = None) -> None:
     goes to a new file beside it, with the mode ``open`` gives, which an
     error removes, leaving ``path`` as it was. ``/dev/null``, a FIFO and
     other non-regular targets are written through, as ``open`` does.
-    An error creating the new file (a missing directory, no permission)
-    names ``path`` as given, not the hidden temporary name."""
+    An error opening the target or creating the new file (a directory
+    in the way, a missing directory, no permission) names ``path`` as
+    given, not its resolved or hidden temporary name."""
     given, path = os.fspath(path), Path(os.path.realpath(path))
     mode = path.stat().st_mode if path.exists() else None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+        with open(given, "w", encoding="utf-8", newline=newline) as handle:
             handle.write(text)
         return
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")

@@ -14,6 +14,11 @@ on two trees to check that a change keeps every output::
     python3 tests/output_digest.py <parent>/src
     python3 tests/output_digest.py <change>/src
 
+CI pins the line this tree prints, on its Python 3.11 leg with the
+pinned numpy and PyYAML. A change that means to alter an output updates
+the pinned line in ``.github/workflows/tests.yml`` and says why in
+``CHANGES.md``.
+
 The records are:
 
 * criterion 5's 50 random stacks at seeds 55, 7 and 101, each searched by

@@ -31,9 +31,11 @@ from plytamper.attack import (
 )
 from plytamper.attack import _FIRST_BATCH, _MAX_BATCH, _Search
 from plytamper.designfile import load_bundled_design
+from plytamper.clt import NoLoadedPlyError
 from plytamper.failure import (
     first_ply_failure,
     first_ply_failure_batch,
+    memo_key,
     simulate_progressive_failure,
     ties_at_minimum,
 )
@@ -867,6 +869,134 @@ class TestMemoSoundness:
             lambda: Laminate(tuple(Ply(a, t, m) for a, t, m in
                                    zip(angles, thickness, materials))),
             1.5, [self.FORCE, self.BENDING])
+
+
+class TestSearchStates:
+    """A laminate keeps each state its searches evaluated: the rotated
+    copy, built once, and the critical set, reused on every revisit."""
+
+    FORCE = LoadCase((1000.0, 0.0, 0.0))
+    BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+    @staticmethod
+    def traced_searches(monkeypatch, lam, design_sf, loads, fail=None):
+        """Run the six searches under each load on ``lam``, in suite
+        order. Returns the copies :meth:`Laminate._with_ply_angle` built
+        and each kernel call's (state, memo key, raised). A kernel call
+        whose key is ``fail`` raises instead of returning."""
+        built, calls = [], []
+        with_ply_angle = Laminate._with_ply_angle
+
+        def build(self, index, angle):
+            built.append(with_ply_angle(self, index, angle))
+            return built[-1]
+
+        def kernel(state, load, memo=None):
+            key = memo_key("first_ply_failure", state._angle_bits, load)
+            calls.append((state, key, key == fail))
+            if key == fail:
+                raise NoLoadedPlyError("no loaded ply: injected")
+            return first_ply_failure(state, load, memo)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Laminate, "_with_ply_angle", build)
+            patch.setattr("plytamper.attack.first_ply_failure", kernel)
+            for spec, attack_type in TestSharedMemo.searches(
+                    design_sf, [(load, None) for load in loads]):
+                outcome(attack_type, lam, spec)
+        return built, calls
+
+    def assert_states_reused(self, monkeypatch, make, design_sf, loads,
+                             fail=None) -> Laminate:
+        """Check the table the searches leave on a laminate from
+        ``make()`` against the calls they made; returns the laminate."""
+        lam = make()
+        built, calls = self.traced_searches(monkeypatch, lam, design_sf,
+                                            loads, fail)
+        table = lam._search_states
+        trials = [call for call in calls if call[0] is not lam]
+        raised = [key for _, key, failed in trials if failed]
+        assert bool(raised) == (fail is not None)
+        assert not table.keys() & set(raised)
+        # Each stored state's copy was built once, and every call on
+        # the state was passed that one object.
+        assert len(built) == len(table) + len(raised)
+        for state, key, failed in trials:
+            assert failed or state is table[key][0], state.angles
+        assert len(trials) - len(raised) > 2 * len(table)
+        assert table.keys() <= lam.memo.keys()
+        fresh, n = make(), lam.n_plies
+        by_bits = {load._bits: load for load in loads}
+        for (_, bits), (copy, critical) in table.items():
+            assert copy._angle_bits == bits[:8 * n]
+            state = fresh.with_angles(struct.unpack(f"{n}d", bits[:8 * n]))
+            mult, sr = first_ply_failure(state, by_bits[bits[8 * n:]])
+            assert critical == ties_at_minimum(sr, mult, CRIT_TOL), \
+                state.angles
+        return lam
+
+    @pytest.mark.parametrize("stack", range(3))
+    def test_criterion5_stack(self, graphite_epoxy, monkeypatch, stack):
+        angles = criterion5_stacks(stack + 1)[stack]
+        self.assert_states_reused(
+            monkeypatch,
+            lambda: Laminate.from_angles(graphite_epoxy, PLY_T, angles),
+            1.5, [self.FORCE])
+
+    def test_bundled_spar(self, monkeypatch):
+        """The spar under its own load and a moment-only one."""
+        design = load_bundled_design()
+        self.assert_states_reused(monkeypatch, design.laminate,
+                                  design.design_sf,
+                                  [design.load, self.BENDING])
+
+    @pytest.mark.parametrize("stack", [0, 2])
+    def test_two_loads_keep_their_own_states(self, graphite_epoxy, stack):
+        """Under N and then M these stacks come back to angle states of
+        the other load whose critical sets differ; every search still
+        gives a fresh run's bits, in either order."""
+        angles = criterion5_stacks(stack + 1)[stack]
+
+        def make():
+            return Laminate.from_angles(graphite_epoxy, PLY_T, angles)
+
+        searches = TestSharedMemo.searches(
+            1.5, [(self.FORCE, None), (self.BENDING, None)])
+        TestSharedMemo.assert_shared_matches_fresh(make, searches)
+        lam = make()
+        for spec, attack_type in searches:
+            outcome(attack_type, lam, spec)
+        by_angles = {}
+        for (_, bits), (_, critical) in lam._search_states.items():
+            by_angles.setdefault(bits[:8 * lam.n_plies], []).append(critical)
+        assert any(len(sets) == 2 and sets[0] != sets[1]
+                   for sets in by_angles.values())
+
+    def test_raising_evaluation_stores_nothing(self, graphite_epoxy,
+                                               monkeypatch):
+        """Criterion 5's 14th stack under N, then M, where searches
+        raise. One state revisited under M is made to raise on every
+        visit: it is never stored, its copy is rebuilt per visit, and the
+        laminate then runs every search as a fresh one does."""
+        angles = criterion5_stacks(14)[13]
+
+        def make():
+            return Laminate.from_angles(graphite_epoxy, PLY_T, angles)
+
+        lam = make()
+        _, calls = self.traced_searches(monkeypatch, lam, 1.5,
+                                        [self.FORCE, self.BENDING])
+        under_m = [key for state, key, _ in calls if state is not lam
+                   and key[1].endswith(self.BENDING._bits)]
+        fail = next(key for key in under_m if under_m.count(key) > 1)
+        lam = self.assert_states_reused(monkeypatch, make, 1.5,
+                                        [self.FORCE, self.BENDING], fail)
+        searches = TestSharedMemo.searches(
+            1.5, [(self.FORCE, None), (self.BENDING, None)])
+        results = [outcome(t, lam, spec) for spec, t in searches]
+        assert fail in lam._search_states
+        assert results == [outcome(t, make(), spec) for spec, t in searches]
+        assert any(r[0] != "AttackResult" for r in results)
 
 
 class TestFirstFailureRule:

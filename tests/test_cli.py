@@ -232,9 +232,25 @@ class TestAttack:
         code = main(["attack", str(crossply_file), "--type", "2",
                      "--target-sf", "1.0", "0.9", "-o", str(out)])
         assert code == EXIT_IO
-        assert os.path.realpath(blocker) in capsys.readouterr().err
+        assert str(blocker) in capsys.readouterr().err
         assert not out.exists()
         assert blocker.is_dir()
+
+    def test_failed_design_write_names_the_path_as_given(
+            self, crossply_file, tmp_path, capsys, monkeypatch):
+        """Through a symlinked output directory, the error names the
+        tampered design under the link, not under its target."""
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to("real")
+        (tmp_path / "real" / "report.tampered-type2-sf0.9.yaml").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code = main(["attack", str(crossply_file), "--type", "2",
+                     "--target-sf", "1.0", "0.9", "-o", "link/report.json"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "'link/report.tampered-type2-sf0.9.yaml'" in err
+        assert "real/" not in err
+        assert not (tmp_path / "real" / "report.json").exists()
 
     def test_later_target_that_raises_leaves_no_files(self, crossply_file,
                                                       tmp_path, capsys,

@@ -224,12 +224,11 @@ class _Search:
         """
         delta = self.deltas[ply] + step
         angle = normalize_angle(self.original_angles[ply] + delta)
-        key = memo_key("first_ply_failure",
-                       self.current._angle_bits_with(ply, angle),
-                       self.spec.load)
+        bits = self.current._angle_bits_with(ply, angle)
+        key = memo_key("first_ply_failure", bits, self.spec.load)
         known = self.states.get(key)
         if known is None:
-            candidate = self.current._with_ply_angle(ply, angle)
+            candidate = self.current._with_ply_angle(ply, angle, bits)
             if key not in self.lam.memo:
                 self._prefetch(ply, step, delta)
             mult, sr = first_ply_failure(candidate, self.spec.load,

@@ -205,12 +205,16 @@ class Laminate:
             for a, p in zip(angles, self.plies)
         ))
 
-    def _with_ply_angle(self, index: int, angle: float) -> "Laminate":
+    def _with_ply_angle(self, index: int, angle: float,
+                        angle_bits: bytes) -> "Laminate":
         """Copy with ply ``index`` at ``angle`` and every other ply reused.
 
         The one-ply form of :meth:`with_angles` for search loops: it skips
         the per-ply comparison and slices :attr:`angles` instead of
         rebuilding them. The changed ply is always a new :class:`Ply`.
+        ``angle`` must already be normalized, and ``angle_bits`` must be
+        ``self._angle_bits_with(index, angle)``, which the caller has
+        packed for its memo key: the copy takes them as its own.
         """
         old = self.plies[index]
         ply = Ply(angle, old.thickness, old.material)
@@ -218,7 +222,7 @@ class Laminate:
         return self._copy(
             self.plies[:index] + (ply,) + self.plies[index + 1:],
             angles=angles[:index] + (ply.angle,) + angles[index + 1:],
-            _angle_bits=self._angle_bits_with(index, ply.angle))
+            _angle_bits=angle_bits)
 
     def _angle_bits_with(self, index: int, angle: float) -> bytes:
         """:attr:`_angle_bits` with ply ``index`` at ``angle``, which must
@@ -250,9 +254,12 @@ class Laminate:
 
         The searches pass it to :func:`~plytamper.failure.first_ply_failure`
         and :func:`~plytamper.failure.simulate_progressive_failure`, so
-        every search on this object reuses the states the others solved.
-        It grows by one entry per distinct state; :meth:`with_angles`
-        copies do not share it, and a fresh laminate starts empty.
+        every search on this object reuses the states the others solved,
+        and every ladder the tail of any ladder that passed through one
+        of its rung states. It grows by one entry per distinct state, per
+        distinct ladder and per distinct rung state a ladder solved past
+        its first; :meth:`with_angles` copies do not share it, and a
+        fresh laminate starts empty.
         """
         return {}
 

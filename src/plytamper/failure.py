@@ -19,6 +19,7 @@ multiplier than the one before it.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,6 +47,10 @@ TIE_REL_TOL = 1e-9
 
 #: Default ladder-gap threshold separating catastrophic from progressive.
 GAP_RATIO_THRESHOLD = 0.05
+
+#: The 8 bytes that stand for a failed ply in a rung state's angle bits:
+#: a NaN, which no :class:`~plytamper.clt.Ply` angle can be.
+_FAILED_BITS = struct.pack("d", math.nan)
 
 
 class FailureMode(Enum):
@@ -301,10 +306,13 @@ def memo_key(kind: str, angle_bits: bytes, load: LoadCase) -> tuple:
 
     ``kind`` is ``"first_ply_failure"`` or
     ``"simulate_progressive_failure"``, and ``angle_bits`` the state's
-    packed ply angles (a laminate's are packed once, on first use). The
-    key holds the exact bits of the angles and the load, so 0.0 and -0.0
-    are separate entries. Materials and thicknesses are not part of it:
-    a memo serves one laminate and its rotated copies, which share them.
+    packed ply angles (a laminate's are packed once, on first use). A
+    ladder's rung state, the survivors of its earlier knockouts, packs
+    each failed ply as :data:`_FAILED_BITS`; the intact state has none.
+    The key holds the exact bits of the angles and the load, so 0.0 and
+    -0.0 are separate entries. Materials and thicknesses are not part of
+    it: a memo serves one laminate and its rotated copies, which share
+    them.
     """
     return kind, angle_bits + load._bits
 
@@ -417,9 +425,17 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     load : LoadCase
         Reference load; must be nonzero. Rung multipliers scale this load.
     memo : dict, optional
-        As for :func:`first_ply_failure`: a state already in it returns
-        the stored (immutable) ladder, a new one is simulated and stored,
-        and a state that raises stores nothing. ``None`` always simulates.
+        As for :func:`first_ply_failure`, keyed by rung state: the
+        survivors of the knockouts so far, at their angles (see
+        :func:`memo_key`). The intact state's entry is the whole ladder,
+        a later state's the tail of rungs from it on. A state in the memo
+        ends the ladder with its stored rungs; a ladder that returns
+        stores itself and the tail of every state it solved past the
+        first, except a flagged one, whose multiplier is the rung's
+        before it. A ladder that raises stores nothing. ``None`` always
+        simulates. Everything after a rung state depends only on its
+        survivors, their angles and the load, so a tail from another
+        ladder is bit for bit what the simulation would give.
 
     Returns
     -------
@@ -437,7 +453,7 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     NoLoadedPlyError
         If an iteration leaves surviving plies that carry no stress.
     """
-    first = None
+    first = arrays = None
     if memo is not None:
         key = memo_key("simulate_progressive_failure", lam._angle_bits, load)
         hit = memo.get(key)
@@ -445,7 +461,8 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
             return hit
         # The first rung solves the state first_ply_failure solved.
         first = memo.get(memo_key("first_ply_failure", lam._angle_bits, load))
-    arrays, load_vec = _kernel_inputs(lam, load)
+        state = bytearray(lam._angle_bits)   # the rung state's angle bits
+        solved = []   # (rung index, key) of each state solved past the first
 
     plies = np.arange(lam.n_plies)   # the survivors, in order
     rungs: list[FailureRung] = []
@@ -455,6 +472,17 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
         if first is not None:
             (low, sr), first = first, None
         else:
+            if memo is not None and rungs:
+                state_key = memo_key("simulate_progressive_failure",
+                                     bytes(state), load)
+                tail = memo.get(state_key)
+                if tail is not None:
+                    rungs += tail.rungs
+                    history += tail.sr_history
+                    break
+                solved.append((len(rungs), state_key))
+            if arrays is None:
+                arrays, load_vec = _kernel_inputs(lam, load)
             try:
                 sr = _rung(arrays, load_vec, plies)
             except LaminateSingularError:
@@ -471,16 +499,24 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
         row[plies] = sr
         history.append(tuple(row.tolist()))
         tied = sorted(ties_at_minimum(sr, low))
+        failed = plies[tied].tolist()
         rungs.append(FailureRung(
             force_multiplier=low,
-            failed_plies=tuple(plies[tied].tolist()),
+            failed_plies=tuple(failed),
         ))
         keep = np.ones(plies.size, dtype=bool)
         keep[tied] = False
         plies = plies[keep]
+        if memo is not None:
+            for ply in failed:
+                state[8 * ply:8 * ply + 8] = _FAILED_BITS
 
     ladder = FailureLadder(rungs=tuple(rungs), load=load,
                            sr_history=tuple(history))
     if memo is not None:
         memo[key] = ladder
+        for i, state_key in solved:
+            if not ladder.rungs[i].flagged:
+                memo[state_key] = FailureLadder(ladder.rungs[i:], load,
+                                                ladder.sr_history[i:])
     return ladder

@@ -25,7 +25,13 @@ The records are:
   both strategies at target safety factors 1.0, 0.9 and 0.8 under
   N = (1000, 0, 0), under M = (1, 0, 0), and under N with ``budget=7``;
 * the bundled spar's six attacks;
-* fresh ladders of mixed-material, signed-zero and wafer-thin stacks.
+* fresh ladders of mixed-material, signed-zero and wafer-thin stacks;
+* the ladders of each of those stacks and of its one-ply variations
+  (each ply rotated -5 and +5 degrees), run through the stack's memo, so
+  that later ladders take their tails from earlier ones. In the two
+  thinner "wafer pair" stacks the thin glass ply fails first, then the
+  two 90 plies together, which leaves a lone wafer: the variations of
+  the glass ply share the tail that ends in the flagged rung.
 
 pytest does not collect this file, and it writes no files.
 """
@@ -122,11 +128,28 @@ def records(pkg):
     for thin in (1e-9, 1e-7, 1e-5):
         stacks.append(("wafer", thin, axial, Laminate((
             Ply(90.0, 0.1, mat), Ply(0.0, thin, mat), Ply(90.0, 0.1, mat)))))
+    for thin in (1e-9, 1e-7, 1e-5):
+        stacks.append(("wafer pair", thin, axial, Laminate((
+            Ply(90.0, 0.1, mat), Ply(90.0, thin, glass), Ply(0.0, thin, mat),
+            Ply(90.0, 0.1, mat)))))
     for kind, what, load, lam in stacks:
         yield attempt(
             (kind, repr(what)),
             lambda: pkg.failure.simulate_progressive_failure(lam, load),
             ladder_record)
+    for kind, what, load, lam in stacks:
+        variations = [(None, 0.0, lam)]
+        for ply in range(lam.n_plies):
+            for step in (-5.0, 5.0):
+                angles = list(lam.angles)
+                angles[ply] += step
+                variations.append((ply, step, lam.with_angles(angles)))
+        for ply, step, state in variations:
+            yield attempt(
+                ("memo", kind, repr(what), ply, step),
+                lambda: pkg.failure.simulate_progressive_failure(
+                    state, load, lam.memo),
+                ladder_record)
 
 
 def main(argv) -> int:

@@ -17,6 +17,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import ladder_oracle
+from test_failure import masked_ladder, memo_counts, rung_states, tail_keys
 
 from plytamper.clt import Laminate, LoadCase, MaterialProperties, Ply
 from plytamper.attack import (
@@ -32,6 +33,7 @@ from plytamper.attack import (
 from plytamper.attack import _FIRST_BATCH, _MAX_BATCH, _Search
 from plytamper.designfile import load_bundled_design
 from plytamper.clt import NoLoadedPlyError
+from plytamper import failure
 from plytamper.failure import (
     first_ply_failure,
     first_ply_failure_batch,
@@ -727,15 +729,22 @@ class TestSharedMemo:
 
         monkeypatch.setattr("plytamper.attack.first_ply_failure", counted)
         design = load_bundled_design()
-        lam = design.laminate()
+        lam, results = design.laminate(), []
         for spec, attack_type in self.searches(
                 design.design_sf, [(design.load, None)]):
             before = len(calls)
-            result = ATTACK_TYPES[attack_type](lam, spec)
-            assert len(calls) - before == result.evaluations
+            results.append(ATTACK_TYPES[attack_type](lam, spec))
+            assert len(calls) - before == results[-1].evaluations
         assert all(memo is lam.memo for memo in calls)
-        # Entries: one per distinct state plus one per distinct ladder.
-        assert len(lam.memo) < len(calls) / 2
+        # Entries: one per distinct state plus one per distinct ladder,
+        # and one tail per distinct rung state past a ladder's first.
+        counts = memo_counts(lam.memo)
+        assert counts["first_ply_failure"] + counts["ladder"] < len(calls) / 2
+        states = {key for result in results
+                  for key in rung_states(result.new_angles,
+                                         result.ladder)}
+        assert counts["tail"] == len(states)
+        assert tail_keys(lam.memo) == states
 
 
 class TestLinePrefetch:
@@ -812,7 +821,8 @@ class TestMemoSoundness:
     fresh laminate at the entry's angles gives, float for float. Entries
     come from the sequential calls, the batched lines and the ladders, so
     a key spliced at the wrong ply or stored for the wrong row shows
-    here."""
+    here. A ladder tail's key marks its failed plies, and its entry is
+    the knockout loop started with those plies failed."""
 
     FORCE = LoadCase((1000.0, -300.0, 150.0), (0.05, 0.0, -0.02))
     BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
@@ -833,16 +843,24 @@ class TestMemoSoundness:
         fresh, n = make(), lam.n_plies
         by_bits = {load._bits: load for load in loads}
         for (kind, bits), value in lam.memo.items():
-            state = fresh.with_angles(struct.unpack(f"{n}d", bits[:8 * n]))
+            angles = struct.unpack(f"{n}d", bits[:8 * n])
+            failed = [k for k, a in enumerate(angles) if math.isnan(a)]
+            assert all(bits[8 * k:8 * k + 8] == failure._FAILED_BITS
+                       for k in failed)
+            # A failed ply's angle is not in the key: any angle will do.
+            state = fresh.with_angles(
+                [fresh.angles[k] if k in failed else a
+                 for k, a in enumerate(angles)])
             load = by_bits[bits[8 * n:]]
             if kind == "first_ply_failure":
+                assert not failed
                 mult, sr = first_ply_failure(state, load)
                 assert exact((value[0], tuple(value[1].tolist()))) == \
                     exact((mult, tuple(sr.tolist()))), (kind, state.angles)
             else:
                 assert exact(value) == exact(
-                    simulate_progressive_failure(state, load)), \
-                    (kind, state.angles)
+                    masked_ladder(state, load, failed)), \
+                    (kind, state.angles, failed)
 
     @pytest.mark.parametrize("stack", range(3))
     def test_criterion5_stack(self, graphite_epoxy, stack):
@@ -857,18 +875,22 @@ class TestMemoSoundness:
         self.assert_memo_sound(design.laminate, design.design_sf,
                                [design.load, self.BENDING])
 
-    def test_mixed_stack_with_signed_zeros(self, graphite_epoxy):
-        """Two materials, four thicknesses and both zeros, under N+M and
-        a moment-only load."""
-        g, e = graphite_epoxy, self.GLASS
+    @classmethod
+    def mixed_stack(cls, graphite_epoxy):
+        """A maker of a stack of two materials, four thicknesses and
+        both zeros."""
+        g, e = graphite_epoxy, cls.GLASS
         angles = (0.0, -0.0, 15.0, -30.0, -0.0, 45.0, 0.0, -15.0, 10.0)
         thickness = (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3,
                      0.15e-3, 0.125e-3, 0.1e-3)
         materials = (g, e, g, g, e, e, g, e, g)
-        self.assert_memo_sound(
-            lambda: Laminate(tuple(Ply(a, t, m) for a, t, m in
-                                   zip(angles, thickness, materials))),
-            1.5, [self.FORCE, self.BENDING])
+        return lambda: Laminate(tuple(Ply(a, t, m) for a, t, m in
+                                      zip(angles, thickness, materials)))
+
+    def test_mixed_stack_with_signed_zeros(self, graphite_epoxy):
+        """The mixed stack under N+M and a moment-only load."""
+        self.assert_memo_sound(self.mixed_stack(graphite_epoxy), 1.5,
+                               [self.FORCE, self.BENDING])
 
 
 class TestSearchStates:
@@ -887,8 +909,8 @@ class TestSearchStates:
         built, calls = [], []
         with_ply_angle = Laminate._with_ply_angle
 
-        def build(self, index, angle):
-            built.append(with_ply_angle(self, index, angle))
+        def build(self, index, angle, angle_bits):
+            built.append(with_ply_angle(self, index, angle, angle_bits))
             return built[-1]
 
         def kernel(state, load, memo=None):

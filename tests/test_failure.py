@@ -16,7 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import ladder_oracle
 
-from plytamper import failure
+from plytamper import attack, failure
 from plytamper.clt import (
     Laminate,
     LaminateSingularError,
@@ -323,7 +323,13 @@ class TestMemo:
                              first_ply_failure(fresh, load))
             assert simulate_progressive_failure(lam, load, lam.memo) == \
                 simulate_progressive_failure(fresh, load)
-        assert len(lam.memo) == 4
+        counts = memo_counts(lam.memo)
+        assert counts["first_ply_failure"] + counts["ladder"] == 4
+        states = {key for load in (self.LOAD, doubled)
+                  for key in rung_states(angles, simulate_progressive_failure(
+                      lam, load))}
+        assert counts["tail"] == len(states)
+        assert tail_keys(lam.memo) == states
 
     def test_zero_and_negative_zero_are_separate_entries(self,
                                                          graphite_epoxy):
@@ -403,12 +409,20 @@ class TestMemo:
             copy = lam.with_angles(row)
             fresh = Laminate(tuple(Ply(a, p.thickness, p.material)
                                    for a, p in zip(row, lam.plies)))
-            entries = len(lam.memo)
+            counts, tails = memo_counts(lam.memo), tail_keys(lam.memo)
             calls = self.solves(monkeypatch)
             got = simulate_progressive_failure(copy, self.LOAD, lam.memo)
-            assert len(calls) == len(got.rungs) - 1
             monkeypatch.undo()
-            assert len(lam.memo) == entries + 1
+            after = memo_counts(lam.memo)
+            assert after["first_ply_failure"] + after["ladder"] == \
+                counts["first_ply_failure"] + counts["ladder"] + 1
+            # It solves the rung states past its first that no earlier
+            # row's ladder solved: all of them on the first row.
+            new_tails = set(rung_states(row, got)) - tails
+            assert len(calls) == len(new_tails) <= len(got.rungs) - 1
+            assert tails or len(calls) == len(got.rungs) - 1
+            assert after["tail"] == counts["tail"] + len(new_tails)
+            assert tail_keys(lam.memo) == tails | new_tails
             assert ladder_hex(got) == ladder_hex(
                 simulate_progressive_failure(fresh, self.LOAD))
 
@@ -436,6 +450,189 @@ def ladder_hex(ladder):
     return ([(r.force_multiplier.hex(), r.failed_plies, r.flagged)
              for r in ladder.rungs],
             [[v.hex() for v in row] for row in ladder.sr_history])
+
+
+def is_tail(key) -> bool:
+    """Whether a memo key is a ladder tail's: a rung state with a failed
+    ply, whose slot holds a NaN (the load's six values never do)."""
+    kind, bits = key
+    return kind == "simulate_progressive_failure" and any(
+        math.isnan(v) for v in struct.unpack(f"{len(bits) // 8}d", bits))
+
+
+def tail_keys(memo) -> set:
+    """The keys of a memo's ladder tails."""
+    return {key for key in memo if is_tail(key)}
+
+
+def memo_counts(memo) -> dict:
+    """A memo's entries by kind: intact ``first_ply_failure`` states,
+    whole ladders and ladder tails."""
+    counts = dict.fromkeys(("first_ply_failure", "ladder", "tail"), 0)
+    for key in memo:
+        kind = key[0] if key[0] == "first_ply_failure" else (
+            "tail" if is_tail(key) else "ladder")
+        counts[kind] += 1
+    return counts
+
+
+def rung_states(angles, ladder) -> list:
+    """The memo keys of ``ladder``'s computed rung states past the first,
+    for a ladder of a laminate at ``angles``: their bits with the slot of
+    each ply failed so far set to the failed marker. A flagged rung's
+    state has none."""
+    slots = [struct.pack("d", a) for a in angles]
+    keys = []
+    for before, rung in zip(ladder.rungs, ladder.rungs[1:]):
+        for ply in before.failed_plies:
+            slots[ply] = failure._FAILED_BITS
+        if not rung.flagged:
+            keys.append(memo_key("simulate_progressive_failure",
+                                 b"".join(slots), ladder.load))
+    return keys
+
+
+class TestLadderTails:
+    """A ladder takes the rest of its rungs from any ladder of the
+    laminate that already passed through the same rung state, and gives
+    a fresh ladder's bits."""
+
+    AXIAL = LoadCase(n=(1000.0, 0.0, 0.0))
+
+    @staticmethod
+    def fresh(lam):
+        return Laminate(tuple(Ply(p.angle, p.thickness, p.material)
+                              for p in lam.plies))
+
+    def test_copy_shares_the_state_after_its_first_knockout(
+            self, graphite_epoxy, monkeypatch):
+        """The 90 ply of [0/45/90/-45/0], and the 80 ply of its copy,
+        fail alone in rung 1, so the copy's ladder solves rung 1 and
+        takes the rest from the first ladder."""
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3,
+                                   [0.0, 45.0, 90.0, -45.0, 0.0])
+        copy = lam.with_angles([0.0, 45.0, 80.0, -45.0, 0.0])
+        first = simulate_progressive_failure(lam, self.AXIAL, lam.memo)
+        calls = TestMemo.solves(monkeypatch)
+        got = simulate_progressive_failure(copy, self.AXIAL, lam.memo)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert got.rungs[0].failed_plies == first.rungs[0].failed_plies \
+            == (2,)
+        assert got.rungs[1:] == first.rungs[1:]
+        assert ladder_hex(got) == ladder_hex(
+            simulate_progressive_failure(self.fresh(copy), self.AXIAL))
+
+    @staticmethod
+    def assert_each_state_solved_once(monkeypatch, make, design_sf, loads):
+        """Run the six searches under each load on one laminate from
+        ``make()``: every result ladder is a fresh one, the ladders
+        solve each rung state once, and the memo's tails are exactly
+        their states."""
+        from test_attack import TestSharedMemo   # it imports this module
+        solves, in_ladder = [], []
+        rung, ladder = failure._rung, attack.simulate_progressive_failure
+
+        def counted(*args):
+            solves.append(bool(in_ladder))
+            return rung(*args)
+
+        def traced(*args):
+            in_ladder.append(True)
+            try:
+                return ladder(*args)
+            finally:
+                in_ladder.pop()
+
+        lam, results = make(), []
+        with monkeypatch.context() as patch:
+            patch.setattr(failure, "_rung", counted)
+            patch.setattr(attack, "simulate_progressive_failure", traced)
+            for spec, attack_type in TestSharedMemo.searches(
+                    design_sf, [(load, None) for load in loads]):
+                results.append(attack.ATTACK_TYPES[attack_type](lam, spec))
+        states = set()
+        for result in results:
+            fresh = make().with_angles(result.new_angles)
+            assert ladder_hex(result.ladder) == ladder_hex(
+                simulate_progressive_failure(fresh, result.spec.load))
+            states.update(rung_states(result.new_angles, result.ladder))
+        assert sum(solves) == len(states)
+        assert tail_keys(lam.memo) == states
+        return len(states)
+
+    @pytest.mark.parametrize("stack", range(10))
+    def test_criterion5_stack(self, graphite_epoxy, monkeypatch, stack):
+        """Under N and then M, criterion 5's load and a moment-only one."""
+        from test_attack import criterion5_stacks
+        angles = criterion5_stacks(stack + 1)[stack]
+        assert self.assert_each_state_solved_once(
+            monkeypatch,
+            lambda: Laminate.from_angles(graphite_epoxy, 0.125e-3, angles),
+            1.5, [self.AXIAL, LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))])
+
+    def test_mixed_stack_with_signed_zeros(self, graphite_epoxy,
+                                           monkeypatch):
+        from test_attack import TestMemoSoundness
+        make = TestMemoSoundness.mixed_stack(graphite_epoxy)
+        assert self.assert_each_state_solved_once(
+            monkeypatch, make, 1.5,
+            [TestMemoSoundness.FORCE, TestMemoSoundness.BENDING])
+
+    def test_spar(self, monkeypatch):
+        design = load_bundled_design()
+        assert self.assert_each_state_solved_once(
+            monkeypatch, design.laminate, design.design_sf, [design.load])
+
+    def test_no_tail_starts_at_a_flagged_rung(self, graphite_epoxy,
+                                              monkeypatch):
+        """A wafer-thin mid-plane ply between two 90 plies and two
+        45 plies: the 90s fail first, then the 45s, and the lone wafer's
+        system has collapsed. The copy with the 90s at 85 passes through
+        the state after the 45s fail, from the first ladder's tail."""
+        def make(outer):
+            return Laminate(tuple(
+                Ply(a, t, graphite_epoxy) for a, t in zip(
+                    (45.0, outer, 0.0, outer, 45.0),
+                    (0.01, 0.1, 1e-9, 0.1, 0.01))))
+
+        lam, copy = make(90.0), make(85.0)
+        first = simulate_progressive_failure(lam, self.AXIAL, lam.memo)
+        assert [(r.failed_plies, r.flagged) for r in first.rungs] == \
+            [((1, 3), False), ((0, 4), False), ((2,), True)]
+        states = rung_states(lam.angles, first)
+        assert tail_keys(lam.memo) == set(states) and len(states) == 1
+        assert memo_key("simulate_progressive_failure",
+                        failure._FAILED_BITS * 2 + struct.pack("d", 0.0)
+                        + failure._FAILED_BITS * 2, self.AXIAL) \
+            not in lam.memo
+        calls = TestMemo.solves(monkeypatch)
+        got = simulate_progressive_failure(copy, self.AXIAL, lam.memo)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert got.rungs[1:] == first.rungs[1:]
+        assert ladder_hex(got) == ladder_hex(
+            simulate_progressive_failure(make(85.0), self.AXIAL))
+
+    def test_ladder_that_raises_adds_nothing(self, graphite_epoxy,
+                                             monkeypatch):
+        """The stack of ``test_unloaded_survivor_is_a_numerical_failure``
+        stores its tails under N; under its moment it then solves 11
+        rungs and raises, and the memo is as it was."""
+        angles = [90, 15, 60, -30, 60, 90, -90, 0, -30, -90, -75, -45]
+        moment = LoadCase(n=(0.0, 0.0, 0.0), m=(0.7172838643318087,
+                                                 -0.7464900405633892,
+                                                 -0.4064844632211011))
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
+        simulate_progressive_failure(lam, self.AXIAL, lam.memo)
+        assert memo_counts(lam.memo)["tail"] > 0
+        before = dict(lam.memo)
+        calls = TestMemo.solves(monkeypatch)
+        with pytest.raises(NoLoadedPlyError):
+            simulate_progressive_failure(lam, moment, lam.memo)
+        assert len(calls) == 12
+        assert lam.memo.keys() == before.keys()
+        assert all(lam.memo[key] is value for key, value in before.items())
 
 
 # =============================================================================
@@ -595,7 +792,8 @@ class TestRotatedCopies:
         packed angle bits of its memo keys seeded."""
         base = lam.with_angles((0.0, 45.0, -30.0, 90.0, -0.0, 15.0, 61.0))
         for index, angle in ((4, 0.0), (0, -0.0), (6, -90.0), (2, 12.5)):
-            copy = base._with_ply_angle(index, angle)
+            copy = base._with_ply_angle(
+                index, angle, base._angle_bits_with(index, angle))
             angles = list(base.angles)
             angles[index] = angle
             want = base.with_angles(angles)
@@ -832,12 +1030,14 @@ class TestSolveStage:
 # The rung kernel: failed plies leave the solve
 # =============================================================================
 
-def masked_ladder(lam, load):
+def masked_ladder(lam, load, failed=()):
     """The knockout loop with failed plies kept in the solve at zero
-    stiffness: every rung solves and scores all n plies."""
+    stiffness: every rung solves and scores all n plies. It starts with
+    the plies ``failed`` already failed."""
     intact, prep = stiffness_stack(lam), lam.prepared
     t_stack = transformation_matrix(lam.angles)
     active = np.ones(lam.n_plies, dtype=bool)
+    active[list(failed)] = False
     rungs, history = [], []
     while active.any():
         stack = np.where(active[:, None, None], intact, 0.0)

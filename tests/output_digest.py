@@ -31,7 +31,14 @@ The records are:
   that later ladders take their tails from earlier ones. In the two
   thinner "wafer pair" stacks the thin glass ply fails first, then the
   two 90 plies together, which leaves a lone wafer: the variations of
-  the glass ply share the tail that ends in the flagged rung.
+  the glass ply share the tail that ends in the flagged rung;
+* the ladders of a "wafer core" stack, (45, 90, 0, 90, 45) with a 1 nm
+  0 ply between two 90 plies, and of its mirrored variations, both outer
+  plies at 40 and at 50 degrees, through the stack's memo. Each ladder
+  fails the two 90 plies, then the outer pair, and ends in a flagged
+  rung on the lone wafer, the same rung state in all three. The one-ply
+  variations above never reach a lone wafer twice, so only these show
+  whether a tail is stored at a flagged rung.
 
 pytest does not collect this file, and it writes no files.
 """
@@ -150,6 +157,19 @@ def records(pkg):
                 lambda: pkg.failure.simulate_progressive_failure(
                     state, load, lam.memo),
                 ladder_record)
+
+    core = Laminate(tuple(
+        Ply(angle, thickness, mat) for angle, thickness in zip(
+            (45.0, 90.0, 0.0, 90.0, 45.0), (0.01, 0.1, 1e-9, 0.1, 0.01))))
+    for outer in (45.0, 40.0, 50.0):
+        angles = list(core.angles)
+        angles[0] = angles[4] = outer
+        state = core.with_angles(angles)
+        yield attempt(
+            ("wafer core", outer),
+            lambda: pkg.failure.simulate_progressive_failure(
+                state, axial, core.memo),
+            ladder_record)
 
 
 def main(argv) -> int:

@@ -193,17 +193,16 @@ class _Search:
     line (the same ply, rotated on by the same step) in one batch, so
     the steps after it hit; see :meth:`_prefetch`. A state evaluated
     before on the laminate keeps its rotated copy and its critical set
-    in :attr:`~Laminate._search_states`, so a revisit builds neither.
+    in its memo record, so a revisit builds neither.
     """
 
     def __init__(self, attack_type: int, lam: Laminate, spec: AttackSpec):
         self.attack_type = attack_type
-        self.lam = lam
+        self.memo = lam.memo
         self.spec = spec
         self.original_angles = lam.angles
-        self.mult, sr = first_ply_failure(lam, spec.load, lam.memo)
+        self.mult, sr = first_ply_failure(lam, spec.load, self.memo)
         self.critical = ties_at_minimum(sr, self.mult, CRITICAL_REL_TOL)
-        self.states = lam._search_states
         self.evaluations = 1
         self.sweeps = 0
         self.original_mult = self.mult
@@ -219,27 +218,26 @@ class _Search:
         """Evaluate the design with ``ply`` rotated ``step`` degrees further.
 
         Returns the candidate's multiplier and the state :meth:`move` takes.
-        A new state's copy and critical set are stored only once its
-        evaluation has returned.
+        A new state's copy and critical set are stored in its memo record
+        only once its evaluation has returned.
         """
         delta = self.deltas[ply] + step
         angle = normalize_angle(self.original_angles[ply] + delta)
         bits = self.current._angle_bits_with(ply, angle)
-        key = memo_key("first_ply_failure", bits, self.spec.load)
-        known = self.states.get(key)
-        if known is None:
-            candidate = self.current._with_ply_angle(ply, angle, bits)
-            if key not in self.lam.memo:
+        key = memo_key(bits, self.spec.load)
+        record = self.memo.get(key)
+        if record is None or record.copy is None:
+            if record is None or record.first is None:
                 self._prefetch(ply, step, delta)
-            mult, sr = first_ply_failure(candidate, self.spec.load,
-                                         self.lam.memo)
-            known = self.states[key] = (
-                candidate, ties_at_minimum(sr, mult, CRITICAL_REL_TOL))
+            candidate = self.current._with_ply_angle(ply, angle, bits)
+            mult, sr = first_ply_failure(candidate, self.spec.load, self.memo)
+            record = self.memo[key]
+            record.copy = candidate
+            record.critical = ties_at_minimum(sr, mult, CRITICAL_REL_TOL)
         else:
-            mult, _ = first_ply_failure(known[0], self.spec.load,
-                                        self.lam.memo)
+            mult, _ = first_ply_failure(record.copy, self.spec.load, self.memo)
         self.evaluations += 1
-        return mult, (ply, delta) + known
+        return mult, (ply, delta, record.copy, record.critical)
 
     def _prefetch(self, ply: int, step: float, delta: float) -> None:
         """Solve the current design with ``ply`` at ``delta``, ``delta +
@@ -261,7 +259,7 @@ class _Search:
             delta += step
         first_ply_failure_batch(self.current, self.spec.load,
                                 [ply] * self.prefetch_size, angles,
-                                self.lam.memo)
+                                self.memo)
 
     def move(self, mult: float, state) -> None:
         """Make a candidate from :meth:`trial` the current design."""
@@ -284,7 +282,7 @@ class _Search:
             original_multiplier=self.original_mult,
             achieved_multiplier=mult,
             ladder=simulate_progressive_failure(final, self.spec.load,
-                                                self.lam.memo),
+                                                self.memo),
             evaluations=self.evaluations,
             sweeps=self.sweeps,
         )

@@ -256,22 +256,10 @@ class Laminate:
         and :func:`~plytamper.failure.simulate_progressive_failure`, so
         every search on this object reuses the states the others solved,
         and every ladder the tail of any ladder that passed through one
-        of its rung states. It grows by one entry per distinct state, per
-        distinct ladder and per distinct rung state a ladder solved past
-        its first; :meth:`with_angles` copies do not share it, and a
-        fresh laminate starts empty.
-        """
-        return {}
-
-    @cached_property
-    def _search_states(self) -> dict:
-        """The states the tamper searches evaluated on this laminate.
-
-        Maps a state's ``first_ply_failure`` memo key to its rotated copy
-        and its critical ply set, so a search that comes back to a state
-        reuses both instead of rebuilding them. Like :attr:`memo` it
-        grows by one entry per distinct state, lives as long as this
-        laminate and is not shared with copies.
+        of its rung states. It holds one record per distinct state and
+        per distinct rung state a ladder solved past its first (see
+        :func:`~plytamper.failure.memo_key`); :meth:`with_angles` copies
+        do not share it, and a fresh laminate starts empty.
         """
         return {}
 

@@ -301,20 +301,31 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
     return sr
 
 
-def memo_key(kind: str, angle_bits: bytes, load: LoadCase) -> tuple:
-    """The memo key of a ``kind`` evaluation of a state under ``load``.
+@dataclass(slots=True, eq=False)
+class _State:
+    """A memo's record of one state, each field ``None`` until first
+    computed: the ``(mult, sr)`` that :func:`first_ply_failure` returns,
+    the state's ladder (a tail, for a rung state), and the rotated copy
+    and critical ply set a tamper search keeps."""
 
-    ``kind`` is ``"first_ply_failure"`` or
-    ``"simulate_progressive_failure"``, and ``angle_bits`` the state's
-    packed ply angles (a laminate's are packed once, on first use). A
-    ladder's rung state, the survivors of its earlier knockouts, packs
-    each failed ply as :data:`_FAILED_BITS`; the intact state has none.
-    The key holds the exact bits of the angles and the load, so 0.0 and
-    -0.0 are separate entries. Materials and thicknesses are not part of
-    it: a memo serves one laminate and its rotated copies, which share
-    them.
+    first: tuple | None = None
+    ladder: FailureLadder | None = None
+    copy: Laminate | None = None
+    critical: set | None = None
+
+
+def memo_key(angle_bits: bytes, load: LoadCase) -> bytes:
+    """The memo key of a state's :class:`_State` record under ``load``.
+
+    ``angle_bits`` are the state's packed ply angles (a laminate's are
+    packed once, on first use). A ladder's rung state, the survivors of
+    its earlier knockouts, packs each failed ply as
+    :data:`_FAILED_BITS`; the intact state has none. The key holds the
+    exact bits of the angles and the load, so 0.0 and -0.0 are separate
+    records. Materials and thicknesses are not part of it: a memo serves
+    one laminate and its rotated copies, which share them.
     """
-    return kind, angle_bits + load._bits
+    return angle_bits + load._bits
 
 
 def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
@@ -323,9 +334,9 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
     The cheap entry point for search loops that only monitor the first
     rung: one system solve, no knockout iteration.
 
-    ``memo`` (for example :attr:`Laminate.memo`) is a dict shared by
-    evaluations of one laminate and its rotated copies. A state whose
-    exact angles and load are already in it returns the stored result
+    ``memo`` (for example :attr:`Laminate.memo`) is a dict of
+    :func:`memo_key` records shared by evaluations of one laminate and
+    its rotated copies. A state whose record holds ``first`` returns it
     without solving; a new state is solved and stored. Through a memo the
     strength-ratio array is read-only, since every hit returns the same
     one. An evaluation that raises stores nothing. Without a memo every
@@ -338,15 +349,15 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
         given load) and the full per-ply strength-ratio array.
     """
     if memo is not None:
-        key = memo_key("first_ply_failure", lam._angle_bits, load)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        key = memo_key(lam._angle_bits, load)
+        record = memo.get(key)
+        if record is not None and record.first is not None:
+            return record.first
     sr = _rung(*_kernel_inputs(lam, load))
     result = _first_failure(sr), sr
     if memo is not None:
         sr.setflags(write=False)
-        memo[key] = result
+        memo.setdefault(key, _State()).first = result
     return result
 
 
@@ -361,10 +372,9 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     bounds are ``lam``'s with the replaced ply's terms swapped, and only
     the rows that :func:`~plytamper.clt.rules_out_collapse` clears are
     solved. A solved row with a loaded ply and a positive root on every
-    ply is stored, unless already there, under the key
-    :func:`first_ply_failure` looks up, bit for bit what that call
-    returns. Every other row is left to that call, which solves it or
-    raises. Nothing is returned.
+    ply is stored as its record's ``first``, unless one is there, bit
+    for bit what :func:`first_ply_failure` returns. Every other row is
+    left to that call, which solves it or raises. Nothing is returned.
     """
     (stack, t_stack, z_mid, summands, coef), load_vec = _kernel_inputs(
         lam, load)
@@ -410,8 +420,9 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     angle_list = angles.tolist()
     for b in np.flatnonzero(clean).tolist():
         bits = lam._angle_bits_with(ply_list[b], angle_list[b])
-        memo.setdefault(memo_key("first_ply_failure", bits, load),
-                        (float(lows[b]), sr[b]))
+        record = memo.setdefault(memo_key(bits, load), _State())
+        if record.first is None:
+            record.first = float(lows[b]), sr[b]
 
 
 def simulate_progressive_failure(lam: Laminate, load: LoadCase,
@@ -427,15 +438,16 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     memo : dict, optional
         As for :func:`first_ply_failure`, keyed by rung state: the
         survivors of the knockouts so far, at their angles (see
-        :func:`memo_key`). The intact state's entry is the whole ladder,
-        a later state's the tail of rungs from it on. A state in the memo
-        ends the ladder with its stored rungs; a ladder that returns
-        stores itself and the tail of every state it solved past the
-        first, except a flagged one, whose multiplier is the rung's
-        before it. A ladder that raises stores nothing. ``None`` always
-        simulates. Everything after a rung state depends only on its
-        survivors, their angles and the load, so a tail from another
-        ladder is bit for bit what the simulation would give.
+        :func:`memo_key`). The intact state's record holds the whole
+        ladder, beside the ``first`` its first rung reads; a later
+        state's holds the tail of rungs from it on. A stored ladder ends
+        the ladder with its rungs; a ladder that returns stores itself and
+        the tail of every state it solved past the first, except a
+        flagged one, whose multiplier is the rung's before it. A ladder
+        that raises stores nothing. ``None`` always simulates. Everything
+        after a rung state depends only on its survivors, their angles and
+        the load, so a tail from another ladder is bit for bit what the
+        simulation would give.
 
     Returns
     -------
@@ -455,12 +467,12 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     """
     first = arrays = None
     if memo is not None:
-        key = memo_key("simulate_progressive_failure", lam._angle_bits, load)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        key = memo_key(lam._angle_bits, load)
+        record = memo.get(key) or _State()   # a lookup stores nothing
+        if record.ladder is not None:
+            return record.ladder
         # The first rung solves the state first_ply_failure solved.
-        first = memo.get(memo_key("first_ply_failure", lam._angle_bits, load))
+        first = record.first
         state = bytearray(lam._angle_bits)   # the rung state's angle bits
         solved = []   # (rung index, key) of each state solved past the first
 
@@ -473,12 +485,11 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
             (low, sr), first = first, None
         else:
             if memo is not None and rungs:
-                state_key = memo_key("simulate_progressive_failure",
-                                     bytes(state), load)
+                state_key = memo_key(bytes(state), load)
                 tail = memo.get(state_key)
-                if tail is not None:
-                    rungs += tail.rungs
-                    history += tail.sr_history
+                if tail is not None:   # a rung state's record is a tail
+                    rungs += tail.ladder.rungs
+                    history += tail.ladder.sr_history
                     break
                 solved.append((len(rungs), state_key))
             if arrays is None:
@@ -514,9 +525,9 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     ladder = FailureLadder(rungs=tuple(rungs), load=load,
                            sr_history=tuple(history))
     if memo is not None:
-        memo[key] = ladder
+        memo.setdefault(key, _State()).ladder = ladder
         for i, state_key in solved:
             if not ladder.rungs[i].flagged:
-                memo[state_key] = FailureLadder(ladder.rungs[i:], load,
-                                                ladder.sr_history[i:])
+                memo[state_key] = _State(ladder=FailureLadder(
+                    ladder.rungs[i:], load, ladder.sr_history[i:]))
     return ladder

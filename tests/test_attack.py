@@ -17,7 +17,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import ladder_oracle
-from test_failure import masked_ladder, memo_counts, rung_states, tail_keys
+from test_failure import (
+    masked_ladder,
+    memo_counts,
+    record_fields,
+    rung_states,
+    tail_keys,
+)
 
 from plytamper.clt import Laminate, LoadCase, MaterialProperties, Ply
 from plytamper.attack import (
@@ -736,10 +742,11 @@ class TestSharedMemo:
             results.append(ATTACK_TYPES[attack_type](lam, spec))
             assert len(calls) - before == results[-1].evaluations
         assert all(memo is lam.memo for memo in calls)
-        # Entries: one per distinct state plus one per distinct ladder,
-        # and one tail per distinct rung state past a ladder's first.
+        # Records: one per distinct state, whose ladder (if any) sits in
+        # the same record, and one tail per distinct rung state past a
+        # ladder's first.
         counts = memo_counts(lam.memo)
-        assert counts["first_ply_failure"] + counts["ladder"] < len(calls) / 2
+        assert counts["first"] + counts["ladder"] < len(calls) / 2
         states = {key for result in results
                   for key in rung_states(result.new_angles,
                                          result.ladder)}
@@ -817,12 +824,13 @@ class TestLinePrefetch:
 
 
 class TestMemoSoundness:
-    """Every entry the six searches leave in a laminate's memo is what a
-    fresh laminate at the entry's angles gives, float for float. Entries
-    come from the sequential calls, the batched lines and the ladders, so
-    a key spliced at the wrong ply or stored for the wrong row shows
-    here. A ladder tail's key marks its failed plies, and its entry is
-    the knockout loop started with those plies failed."""
+    """Every ``first`` and ``ladder`` the six searches leave in a
+    laminate's memo records is what a fresh laminate at the record's
+    angles gives, float for float. They come from the sequential calls,
+    the batched lines and the ladders, so a key spliced at the wrong ply
+    or stored for the wrong row shows here. A ladder tail's key marks its
+    failed plies, and its ``ladder`` is the knockout loop started with
+    those plies failed."""
 
     FORCE = LoadCase((1000.0, -300.0, 150.0), (0.05, 0.0, -0.02))
     BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
@@ -834,7 +842,7 @@ class TestMemoSoundness:
     @staticmethod
     def assert_memo_sound(make, design_sf, loads) -> None:
         """Run the six searches under each load on one laminate from
-        ``make()``, then check every memo entry against a fresh one."""
+        ``make()``, then check every memo record against a fresh one."""
         lam = make()
         for spec, attack_type in TestSharedMemo.searches(
                 design_sf, [(load, None) for load in loads]):
@@ -842,7 +850,7 @@ class TestMemoSoundness:
         assert len(lam.memo) > 50
         fresh, n = make(), lam.n_plies
         by_bits = {load._bits: load for load in loads}
-        for (kind, bits), value in lam.memo.items():
+        for bits, record in lam.memo.items():
             angles = struct.unpack(f"{n}d", bits[:8 * n])
             failed = [k for k, a in enumerate(angles) if math.isnan(a)]
             assert all(bits[8 * k:8 * k + 8] == failure._FAILED_BITS
@@ -852,15 +860,17 @@ class TestMemoSoundness:
                 [fresh.angles[k] if k in failed else a
                  for k, a in enumerate(angles)])
             load = by_bits[bits[8 * n:]]
-            if kind == "first_ply_failure":
+            assert record.first is not None or record.ladder is not None
+            if record.first is not None:
                 assert not failed
                 mult, sr = first_ply_failure(state, load)
-                assert exact((value[0], tuple(value[1].tolist()))) == \
-                    exact((mult, tuple(sr.tolist()))), (kind, state.angles)
-            else:
-                assert exact(value) == exact(
+                got, ratios = record.first
+                assert exact((got, tuple(ratios.tolist()))) == \
+                    exact((mult, tuple(sr.tolist()))), state.angles
+            if record.ladder is not None:
+                assert exact(record.ladder) == exact(
                     masked_ladder(state, load, failed)), \
-                    (kind, state.angles, failed)
+                    (state.angles, failed)
 
     @pytest.mark.parametrize("stack", range(3))
     def test_criterion5_stack(self, graphite_epoxy, stack):
@@ -894,8 +904,9 @@ class TestMemoSoundness:
 
 
 class TestSearchStates:
-    """A laminate keeps each state its searches evaluated: the rotated
-    copy, built once, and the critical set, reused on every revisit."""
+    """A laminate's memo record of each state its searches evaluated
+    keeps the rotated copy, built once, and the critical set, reused on
+    every revisit."""
 
     FORCE = LoadCase((1000.0, 0.0, 0.0))
     BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
@@ -914,7 +925,7 @@ class TestSearchStates:
             return built[-1]
 
         def kernel(state, load, memo=None):
-            key = memo_key("first_ply_failure", state._angle_bits, load)
+            key = memo_key(state._angle_bits, load)
             calls.append((state, key, key == fail))
             if key == fail:
                 raise NoLoadedPlyError("no loaded ply: injected")
@@ -928,14 +939,20 @@ class TestSearchStates:
                 outcome(attack_type, lam, spec)
         return built, calls
 
+    @staticmethod
+    def searched(lam) -> dict:
+        """The memo records of ``lam`` that hold a search's copy."""
+        return {key: record for key, record in lam.memo.items()
+                if record.copy is not None}
+
     def assert_states_reused(self, monkeypatch, make, design_sf, loads,
                              fail=None) -> Laminate:
-        """Check the table the searches leave on a laminate from
+        """Check the records the searches leave on a laminate from
         ``make()`` against the calls they made; returns the laminate."""
         lam = make()
         built, calls = self.traced_searches(monkeypatch, lam, design_sf,
                                             loads, fail)
-        table = lam._search_states
+        table = self.searched(lam)
         trials = [call for call in calls if call[0] is not lam]
         raised = [key for _, key, failed in trials if failed]
         assert bool(raised) == (fail is not None)
@@ -944,12 +961,14 @@ class TestSearchStates:
         # the state was passed that one object.
         assert len(built) == len(table) + len(raised)
         for state, key, failed in trials:
-            assert failed or state is table[key][0], state.angles
+            assert failed or state is table[key].copy, state.angles
         assert len(trials) - len(raised) > 2 * len(table)
-        assert table.keys() <= lam.memo.keys()
+        assert all(record.first is not None and record.critical is not None
+                   for record in table.values())
         fresh, n = make(), lam.n_plies
         by_bits = {load._bits: load for load in loads}
-        for (_, bits), (copy, critical) in table.items():
+        for bits, record in table.items():
+            copy, critical = record.copy, record.critical
             assert copy._angle_bits == bits[:8 * n]
             state = fresh.with_angles(struct.unpack(f"{n}d", bits[:8 * n]))
             mult, sr = first_ply_failure(state, by_bits[bits[8 * n:]])
@@ -989,8 +1008,9 @@ class TestSearchStates:
         for spec, attack_type in searches:
             outcome(attack_type, lam, spec)
         by_angles = {}
-        for (_, bits), (_, critical) in lam._search_states.items():
-            by_angles.setdefault(bits[:8 * lam.n_plies], []).append(critical)
+        for bits, record in self.searched(lam).items():
+            by_angles.setdefault(bits[:8 * lam.n_plies], []).append(
+                record.critical)
         assert any(len(sets) == 2 and sets[0] != sets[1]
                    for sets in by_angles.values())
 
@@ -1009,16 +1029,69 @@ class TestSearchStates:
         _, calls = self.traced_searches(monkeypatch, lam, 1.5,
                                         [self.FORCE, self.BENDING])
         under_m = [key for state, key, _ in calls if state is not lam
-                   and key[1].endswith(self.BENDING._bits)]
+                   and key.endswith(self.BENDING._bits)]
         fail = next(key for key in under_m if under_m.count(key) > 1)
         lam = self.assert_states_reused(monkeypatch, make, 1.5,
                                         [self.FORCE, self.BENDING], fail)
         searches = TestSharedMemo.searches(
             1.5, [(self.FORCE, None), (self.BENDING, None)])
         results = [outcome(t, lam, spec) for spec, t in searches]
-        assert fail in lam._search_states
+        assert lam.memo[fail].copy is not None
         assert results == [outcome(t, make(), spec) for spec, t in searches]
         assert any(r[0] != "AttackResult" for r in results)
+
+
+class StoreLog(dict):
+    """A memo that logs each record stored under a key, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, record):
+        self.stored.append((key, record))
+        super().__setitem__(key, record)
+
+    def setdefault(self, key, record):
+        if key not in self:
+            self.stored.append((key, record))
+        return super().setdefault(key, record)
+
+
+class TestOneRecordPerState:
+    """The spar's six searches under its load and under a moment-only
+    one leave one record per state in the laminate's memo: each stored
+    once and never replaced, none empty, and each result ladder in the
+    record of its intact state, beside that state's ``first``."""
+
+    BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+    def test_bundled_spar(self):
+        design = load_bundled_design()
+        lam = design.laminate()
+        memo = lam.__dict__["memo"] = StoreLog()
+        results = []
+        for spec, attack_type in TestSharedMemo.searches(
+                design.design_sf, [(design.load, None),
+                                   (self.BENDING, None)]):
+            try:
+                results.append(ATTACK_TYPES[attack_type](lam, spec))
+            except ArithmeticError:
+                pass
+        assert len(results) > 6
+        keys = [key for key, _ in memo.stored]
+        assert len(memo) == len(set(keys)) == len(keys)
+        assert all(memo[key] is record for key, record in memo.stored)
+        for record in memo.values():
+            first, ladder, copy, critical = record_fields(record)
+            assert first is not None or ladder is not None
+            assert (copy is None) == (critical is None)
+            assert copy is None or first is not None
+        for result in results:
+            record = memo[memo_key(struct.pack(
+                f"{lam.n_plies}d", *result.new_angles), result.spec.load)]
+            assert record.ladder is result.ladder
+            assert record.first[0] == result.achieved_multiplier
 
 
 class TestFirstFailureRule:

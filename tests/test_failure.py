@@ -324,12 +324,13 @@ class TestMemo:
             assert simulate_progressive_failure(lam, load, lam.memo) == \
                 simulate_progressive_failure(fresh, load)
         counts = memo_counts(lam.memo)
-        assert counts["first_ply_failure"] + counts["ladder"] == 4
+        assert counts["first"] == counts["ladder"] == 2
         states = {key for load in (self.LOAD, doubled)
                   for key in rung_states(angles, simulate_progressive_failure(
                       lam, load))}
         assert counts["tail"] == len(states)
         assert tail_keys(lam.memo) == states
+        assert len(lam.memo) == 2 + len(states)
 
     def test_zero_and_negative_zero_are_separate_entries(self,
                                                          graphite_epoxy):
@@ -377,8 +378,9 @@ class TestMemo:
 
     def test_ladder_takes_its_first_rung_from_the_memo(self, graphite_epoxy,
                                                        monkeypatch):
-        """With the state's first_ply_failure entry in the memo the ladder
-        solves one rung less, and its bits are a fresh ladder's."""
+        """With the state's ``first`` in its memo record the ladder
+        solves one rung less, stores itself in the same record, and its
+        bits are a fresh ladder's."""
         angles = [0.0, 45.0, -45.0, 90.0, 30.0]
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
         fresh = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
@@ -391,10 +393,12 @@ class TestMemo:
         got = simulate_progressive_failure(lam, self.LOAD, lam.memo)
         assert len(calls) == fresh_solves - 1
         assert ladder_hex(got) == ladder_hex(want)
+        record = lam.memo[memo_key(lam._angle_bits, self.LOAD)]
+        assert record.ladder is got and record.first is not None
 
     def test_first_rung_from_a_batch_row(self, graphite_epoxy, monkeypatch):
-        """The entry may come from a batched row: the ladder is still bit
-        for bit a fresh one, on every row, and solves one rung less."""
+        """The ``first`` may come from a batched row: the ladder is still
+        bit for bit a fresh one, on every row, and solves one rung less."""
         g, e = graphite_epoxy, GLASS_EPOXY
         thickness = (0.1e-3, 0.125e-3, 0.2e-3, 0.125e-3, 0.1e-3, 0.2e-3)
         base = (15.0, -0.0, 0.0, 45.0, 0.0, -60.0)
@@ -414,8 +418,8 @@ class TestMemo:
             got = simulate_progressive_failure(copy, self.LOAD, lam.memo)
             monkeypatch.undo()
             after = memo_counts(lam.memo)
-            assert after["first_ply_failure"] + after["ladder"] == \
-                counts["first_ply_failure"] + counts["ladder"] + 1
+            assert after["first"] == counts["first"]
+            assert after["ladder"] == counts["ladder"] + 1
             # It solves the rung states past its first that no earlier
             # row's ladder solved: all of them on the first row.
             new_tails = set(rung_states(row, got)) - tails
@@ -455,9 +459,8 @@ def ladder_hex(ladder):
 def is_tail(key) -> bool:
     """Whether a memo key is a ladder tail's: a rung state with a failed
     ply, whose slot holds a NaN (the load's six values never do)."""
-    kind, bits = key
-    return kind == "simulate_progressive_failure" and any(
-        math.isnan(v) for v in struct.unpack(f"{len(bits) // 8}d", bits))
+    return any(math.isnan(v)
+               for v in struct.unpack(f"{len(key) // 8}d", key))
 
 
 def tail_keys(memo) -> set:
@@ -465,14 +468,26 @@ def tail_keys(memo) -> set:
     return {key for key in memo if is_tail(key)}
 
 
+def record_fields(record) -> tuple:
+    """A memo record's fields, ``first``, ``ladder``, ``copy`` and
+    ``critical``, in that order."""
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
 def memo_counts(memo) -> dict:
-    """A memo's entries by kind: intact ``first_ply_failure`` states,
-    whole ladders and ladder tails."""
-    counts = dict.fromkeys(("first_ply_failure", "ladder", "tail"), 0)
-    for key in memo:
-        kind = key[0] if key[0] == "first_ply_failure" else (
-            "tail" if is_tail(key) else "ladder")
-        counts[kind] += 1
+    """How many intact states' records hold a ``first`` and a
+    ``ladder``, and how many records are ladder tails, which hold their
+    ``ladder`` and nothing else."""
+    counts = dict.fromkeys(("first", "ladder", "tail"), 0)
+    for key, record in memo.items():
+        if is_tail(key):
+            first, ladder, copy, critical = record_fields(record)
+            assert ladder is not None
+            assert first is copy is critical is None
+            counts["tail"] += 1
+        else:
+            counts["first"] += record.first is not None
+            counts["ladder"] += record.ladder is not None
     return counts
 
 
@@ -487,8 +502,7 @@ def rung_states(angles, ladder) -> list:
         for ply in before.failed_plies:
             slots[ply] = failure._FAILED_BITS
         if not rung.flagged:
-            keys.append(memo_key("simulate_progressive_failure",
-                                 b"".join(slots), ladder.load))
+            keys.append(memo_key(b"".join(slots), ladder.load))
     return keys
 
 
@@ -602,8 +616,7 @@ class TestLadderTails:
             [((1, 3), False), ((0, 4), False), ((2,), True)]
         states = rung_states(lam.angles, first)
         assert tail_keys(lam.memo) == set(states) and len(states) == 1
-        assert memo_key("simulate_progressive_failure",
-                        failure._FAILED_BITS * 2 + struct.pack("d", 0.0)
+        assert memo_key(failure._FAILED_BITS * 2 + struct.pack("d", 0.0)
                         + failure._FAILED_BITS * 2, self.AXIAL) \
             not in lam.memo
         calls = TestMemo.solves(monkeypatch)
@@ -626,13 +639,16 @@ class TestLadderTails:
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
         simulate_progressive_failure(lam, self.AXIAL, lam.memo)
         assert memo_counts(lam.memo)["tail"] > 0
-        before = dict(lam.memo)
+        before = {key: (record, record_fields(record))
+                  for key, record in lam.memo.items()}
         calls = TestMemo.solves(monkeypatch)
         with pytest.raises(NoLoadedPlyError):
             simulate_progressive_failure(lam, moment, lam.memo)
         assert len(calls) == 12
         assert lam.memo.keys() == before.keys()
-        assert all(lam.memo[key] is value for key, value in before.items())
+        for key, (record, fields) in before.items():
+            assert lam.memo[key] is record
+            assert all(a is b for a, b in zip(record_fields(record), fields))
 
 
 # =============================================================================
@@ -842,11 +858,12 @@ class TestBatchedKernel:
         stored, keys = [], set()
         for row in self.rows(lam, plies, angles):
             copy = lam.with_angles(row)
-            key = memo_key("first_ply_failure", copy._angle_bits, load)
+            key = memo_key(copy._angle_bits, load)
             keys.add(key)
             stored.append(key in batch)
             if stored[-1]:
-                assert not batch[key][1].flags.writeable
+                assert record_fields(batch[key])[1:] == (None,) * 3
+                assert not batch[key].first[1].flags.writeable
             entries = len(memo)
             assert outcome(first_ply_failure, copy, load, memo) == \
                 outcome(first_ply_failure, copy, load)
@@ -897,7 +914,7 @@ class TestBatchedKernel:
         assert self.assert_rows_match(lam, load, plies, angles).all()
         memo = {}
         first_ply_failure_batch(lam, load, plies, angles, memo)
-        sr = np.array([ratios for _, ratios in memo.values()])
+        sr = np.array([record.first[1] for record in memo.values()])
         assert sr.shape == (len(angles), 3)
         assert np.isinf(sr[:, 1]).all()
         assert np.isfinite(sr[:, [0, 2]]).all()
@@ -1280,7 +1297,7 @@ class TestCollapseBound:
         stored = set(memo)
         for copy, decided, want in zip(
                 copies, decisions[len(decisions) - len(rows):], wants):
-            key = memo_key("first_ply_failure", copy._angle_bits, load)
+            key = memo_key(copy._angle_bits, load)
             assert (key in stored) == (decided and isinstance(want[1],
                                                               bytes))
             assert outcome(first_ply_failure, copy, load, memo) == want
@@ -1341,8 +1358,8 @@ class TestCollapseBound:
         assert len(decisions) == len(plies) == 34 * 180
         assert all(decisions)
         assert set(memo) == {
-            memo_key("first_ply_failure", lam._angle_bits_with(k, a),
-                     design.load) for k, a in zip(plies, angles)}
+            memo_key(lam._angle_bits_with(k, a), design.load)
+            for k, a in zip(plies, angles)}
 
     @pytest.mark.parametrize("load", [TestBatchedKernel.FORCE,
                                       TestBatchedKernel.BENDING],

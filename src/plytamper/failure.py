@@ -439,9 +439,9 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
         As for :func:`first_ply_failure`, keyed by rung state: the
         survivors of the knockouts so far, at their angles (see
         :func:`memo_key`). The intact state's record holds the whole
-        ladder, beside the ``first`` its first rung reads; a later
-        state's holds the tail of rungs from it on. A stored ladder ends
-        the ladder with its rungs; a ladder that returns stores itself and
+        ladder, beside the ``first`` that rung 1 reads; a later state's
+        holds the tail of rungs from it on. A rung state with a stored
+        tail ends the ladder; a ladder that returns stores itself and
         the tail of every state it solved past the first, except a
         flagged one, whose multiplier is the rung's before it. A ladder
         that raises stores nothing. ``None`` always simulates. Everything

@@ -2,10 +2,14 @@
 
 Builds the stiffness side of the CLT chain for a laminate of
 unidirectional plies: reduced stiffness [Q] of a lamina in its fiber axes,
-rotation into laminate axes [Qbar], and A/B/D assembly over the stack,
-plus the Tsai-Wu strength parameters of each material. The mid-plane
-solve, the per-ply stress recovery and the Tsai-Wu strength ratios live
-in :mod:`plytamper.failure`, the one evaluation chain behind every report.
+rotation into laminate axes [Qbar], A/B/D assembly over the stack and the
+6x6 system [[A, B], [B, D]], plus the Tsai-Wu strength parameters of each
+material. Every per-ply array the rung kernel reads is laid out here: the
+[Qbar] stack and bound tails of :func:`stiffness_rows`, the
+:func:`system_matrix` and the Tsai-Wu coefficients of
+:attr:`PreparedStack.tsai_wu`. The mid-plane solve, the per-ply stress
+recovery and the Tsai-Wu strength ratios live in :mod:`plytamper.failure`,
+the one evaluation chain behind every report.
 
 Formulation follows the usual textbook treatment (e.g. A. K. Kaw,
 *Mechanics of Composite Materials*, 2nd ed., CRC Press, 2006).
@@ -282,6 +286,11 @@ class Laminate:
         return sum(p.thickness for p in self.plies)
 
 
+#: Scales (h1, h2, h11, h22, h66, h12) to the coefficients of the Tsai-Wu
+#: terms h1*s1, h2*s2, h11*s1**2, h22*s2**2, h66*t12**2 and 2*h12*s1*s2.
+_TERM_SCALE = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedStack:
     """Angle-independent arrays of a stack, shared by its rotated copies.
@@ -314,9 +323,10 @@ class PreparedStack:
 
     @cached_property
     def tsai_wu(self) -> np.ndarray:
-        """The plies' :attr:`MaterialProperties.tsai_wu` rows as a
-        read-only (6, n) array."""
-        rows = np.array([m.tsai_wu for m in self.materials]).T.copy()
+        """The coefficients h1, h2, h11, h22, h66, 2*h12 of each ply's
+        Tsai-Wu terms, from its :attr:`MaterialProperties.tsai_wu`, as a
+        read-only (n, 6) array."""
+        rows = np.array([m.tsai_wu for m in self.materials]) * _TERM_SCALE
         rows.setflags(write=False)
         return rows
 
@@ -473,8 +483,8 @@ def ply_stiffness_entry(mat: MaterialProperties, angle_deg: float):
     The row is a read-only (14,) array: the nine entries of the ply's
     [Qbar], then mu_min, mu_max, mu_min, mu_max and ||Qbar||_F, where
     mu_min and mu_max are the extreme eigenvalues of sym(Qbar) =
-    (Qbar + Qbar^T)/2. :func:`_split_rows` splits gathered rows into a
-    stack's [Qbar] and its :func:`ply_bounds` factors.
+    (Qbar + Qbar^T)/2. :func:`stiffness_rows` gathers and splits them
+    into a stack's [Qbar] and its :func:`ply_bounds` factors.
     """
     table = mat._qbar_by_angle
     row = table.get(angle_deg)
@@ -491,30 +501,18 @@ def ply_stiffness_entry(mat: MaterialProperties, angle_deg: float):
 # Laminate assembly
 # =============================================================================
 
+def stiffness_rows(materials, angles):
+    """The (m, 3, 3) [Qbar] stack of m plies, given their materials and
+    angles, and the (m, 5) tails that :func:`ply_bounds` takes: one
+    :func:`ply_stiffness_entry` lookup per ply. The stack is contiguous."""
+    rows = np.array([ply_stiffness_entry(mat, angle)
+                     for mat, angle in zip(materials, angles)]).reshape(-1, 14)
+    return np.ascontiguousarray(rows[:, :9].reshape(-1, 3, 3)), rows[:, 9:]
+
+
 def stiffness_stack(lam: Laminate) -> np.ndarray:
     """Per-ply [Qbar] as an (n, 3, 3) array, top to bottom."""
-    return _split_rows(_entry_rows(lam.prepared.materials, lam.angles))[0]
-
-
-def stiffness_stack_and_bounds(lam: Laminate):
-    """:func:`stiffness_stack` and the (2, n) :func:`ply_bounds` of
-    ``lam``, from one table lookup per ply."""
-    prep = lam.prepared
-    stack, tails = _split_rows(_entry_rows(prep.materials, lam.angles))
-    return stack, ply_bounds(prep.weight_spectra, tails)
-
-
-def _entry_rows(materials, angles) -> np.ndarray:
-    """The (m, 14) :func:`ply_stiffness_entry` rows of m plies, given
-    their materials and angles."""
-    return np.array([ply_stiffness_entry(mat, angle)
-                     for mat, angle in zip(materials, angles)]).reshape(-1, 14)
-
-
-def _split_rows(rows: np.ndarray):
-    """The contiguous (m, 3, 3) [Qbar] stack in (m, 14) entry rows, and
-    the (m, 5) tails that :func:`ply_bounds` takes."""
-    return np.ascontiguousarray(rows[:, :9].reshape(-1, 3, 3)), rows[:, 9:]
+    return stiffness_rows(lam.prepared.materials, lam.angles)[0]
 
 
 def assemble_abd(lam: Laminate) -> AbdMatrices:
@@ -540,6 +538,22 @@ def _stacked_abd(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
     weights, stacked as one (..., 3, 3, 3) array: one sum over the plies
     for all three blocks. Dividing by 2 is bit-equal to halving."""
     return np.einsum("...kij,pk->...pij", stack, weights) / _ABD_DIVISORS
+
+
+#: Where each entry of the 6x6 system, row by row, sits in the flattened
+#: (3, 3, 3) output of :func:`_stacked_abd`: block 0, 1 or 2, then row and
+#: column in it.
+_K6_FLAT = (9 * (np.arange(6)[:, None] // 3 + np.arange(6) // 3)
+            + 3 * (np.arange(6)[:, None] % 3) + np.arange(6) % 3).ravel()
+
+
+def system_matrix(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (..., 6, 6) laminate matrix [[A, B], [B, D]] of an
+    (..., n, 3, 3) [Qbar] stack over (3, n) z weights."""
+    abd = _stacked_abd(stack, weights)
+    batch = abd.shape[:-3]
+    return abd.reshape(batch + (27,)).take(_K6_FLAT, axis=-1).reshape(
+        batch + (6, 6))
 
 
 #: Reciprocal-condition threshold below which a laminate stiffness matrix
@@ -580,10 +594,10 @@ def rules_out_collapse(lower, upper, n):
     ``lower`` is L, the sum of the :func:`ply_bounds` l_k over the n
     plies of the system, and ``upper`` is U, the sum of their u_k or any
     larger sum of u's. Scalars or arrays. True means that
-    :func:`require_nonsingular` would not raise on the system
-    :mod:`plytamper.failure` assembles from the same plies; False
-    decides nothing. The rung kernel then runs that test, and the batch
-    kernel leaves the state to the rung kernel.
+    :func:`require_nonsingular` would not raise on the
+    :func:`system_matrix` of the same plies; False decides nothing. The
+    rung kernel of :mod:`plytamper.failure` then runs that test, and the
+    batch kernel leaves the state to the rung kernel.
 
     The rule is L > (2 * RCOND_COLLAPSED + 4 * (n + 8) * eps) * U with U
     inside :data:`_BOUND_RANGE`. Why it holds, with u = eps/2 the unit

@@ -31,13 +31,11 @@ from plytamper.clt import (
     LoadCase,
     NoLoadedPlyError,
     StrengthRatioRootError,
-    _entry_rows,
-    _split_rows,
-    _stacked_abd,
     ply_bounds,
     require_nonsingular,
     rules_out_collapse,
-    stiffness_stack_and_bounds,
+    stiffness_rows,
+    system_matrix,
     transformation_matrix,
 )
 
@@ -143,55 +141,34 @@ def classify_failure_mode(
 # One laminate state is solved and scored in two stages, each written once
 # and used with or without a leading batch axis: :func:`ply_stresses`
 # (the 6x6 system, the collapse test, the solve and the per-ply stress
-# recovery) and the Tsai-Wu ratios. The stiffness rows they start from
-# are gathered and split by :mod:`plytamper.clt`. The
-# collapse test is decided by the per-ply bound of
-# :func:`~plytamper.clt.rules_out_collapse` where it can be, and by the
+# recovery) and the Tsai-Wu ratios. Every per-ply array they read, the
+# [Qbar] stack and bound tails of one stiffness-row gather, the system
+# matrix and the Tsai-Wu term coefficients, is laid out by
+# :mod:`plytamper.clt`. The collapse test is decided by the per-ply bound
+# of :func:`~plytamper.clt.rules_out_collapse` where it can be, and by the
 # SVD only where it cannot.
 # :func:`_rung` chains them for one state, on its surviving plies only;
 # :func:`first_ply_failure_batch` chains them for many states at once,
 # the ones the bound clears.
-
-#: Where each entry of the 6x6 system, row by row, sits in the flattened
-#: (3, 3, 3) A, B, D array: block 0, 1 or 2, then row and column in it.
-_K6_FLAT = (9 * (np.arange(6)[:, None] // 3 + np.arange(6) // 3)
-            + 3 * (np.arange(6)[:, None] % 3) + np.arange(6) % 3).ravel()
 
 #: The stress factors of the Tsai-Wu terms h1*s1, h2*s2, h11*s1, h22*s2,
 #: h66*t12 and 2*h12*s1, then those of the quadratic terms' second factors.
 _FIRST_FACTORS = np.array([0, 1, 0, 1, 2, 0])
 _SECOND_FACTORS = np.array([0, 1, 2, 1])
 
-#: Scales (h1, h2, h11, h22, h66, h12) to the coefficients of the terms.
-_TERM_SCALE = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
 
-
-def _term_coefficients(tw: np.ndarray) -> np.ndarray:
-    """The (n, 6) coefficients h1, h2, h11, h22, h66, 2*h12 of (6, n)
-    Tsai-Wu rows, as :func:`_strength_ratios_and_bad` takes them."""
-    return tw.T * _TERM_SCALE
-
-
-def _system_matrix(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The (..., 6, 6) laminate matrix [[A, B], [B, D]] of a [Qbar] stack
-    over (3, n) z weights."""
-    abd = _stacked_abd(stack, weights)
-    batch = abd.shape[:-3]
-    return abd.reshape(batch + (27,)).take(_K6_FLAT, axis=-1).reshape(
-        batch + (6, 6))
-
-
-def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
+def strength_ratios(local_stress: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Tsai-Wu strength ratios of (n, 3) fiber-axis stresses.
 
-    ``tw`` is a (6, n) array with rows h1, h2, h11, h22, h66, h12. SR is
+    ``coef`` holds (n, 6) rows h1, h2, h11, h22, h66, 2*h12, as
+    :attr:`~plytamper.clt.PreparedStack.tsai_wu` stacks them. SR is
     the positive root of a*SR + b*SR**2 = 1 with a = h1*s1 + h2*s2 and
     b = h11*s1**2 + h22*s2**2 + h66*t12**2 + 2*h12*s1*s2 (some printed
     sources misprint H11 on the s2**2 term). Exactly unloaded rows get
     +inf; a loaded row without a positive root raises
     StrengthRatioRootError.
     """
-    sr, bad = _strength_ratios_and_bad(local_stress, _term_coefficients(tw))
+    sr, bad = _strength_ratios_and_bad(local_stress, coef)
     _require_roots(bad)
     return sr
 
@@ -199,7 +176,7 @@ def strength_ratios(local_stress: np.ndarray, tw: np.ndarray) -> np.ndarray:
 def _strength_ratios_and_bad(local_stress: np.ndarray, coef: np.ndarray):
     """:func:`strength_ratios` of (..., n, 3) stresses, and its root mask.
 
-    ``coef`` holds the (n, 6) :func:`_term_coefficients`. Returns the
+    ``coef`` holds the (n, 6) term coefficients. Returns the
     (..., n) ratios and a mask of the entries without a positive root
     (``None`` when no entry needs a mask). A masked entry holds a
     meaningless finite value instead of raising, and no entry emits a
@@ -250,7 +227,7 @@ def ply_stresses(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
     collapsed; ``bounded`` skips that test, for states that
     :func:`~plytamper.clt.rules_out_collapse` has decided.
     """
-    k6 = _system_matrix(stack, weights)
+    k6 = system_matrix(stack, weights)
     if not bounded:
         require_nonsingular(k6, "laminate system is numerically singular")
     solution = np.linalg.solve(k6, rhs).reshape(k6.shape[:-1])
@@ -266,10 +243,11 @@ def _kernel_inputs(lam: Laminate, load: LoadCase):
     if load.is_zero:
         raise ValueError("failure analysis needs a nonzero load")
     prep = lam.prepared
-    stack, bounds = stiffness_stack_and_bounds(lam)
+    stack, tails = stiffness_rows(prep.materials, lam.angles)
     arrays = (stack, transformation_matrix(lam.angles), prep.z_mid,
-              np.concatenate([prep.weights, bounds]),
-              _term_coefficients(prep.tsai_wu))
+              np.concatenate([prep.weights,
+                              ply_bounds(prep.weight_spectra, tails)]),
+              prep.tsai_wu)
     return arrays, load.as_vector()
 
 
@@ -388,13 +366,12 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
         raise ValueError(f"ply indices must lie in 0..{lam.n_plies - 1}")
     if not (np.abs(angles) <= 90.0).all():
         raise ValueError("angles must lie in [-90, 90]")
-    ply_list = plies.tolist()
-    qbars, tails = _split_rows(_entry_rows(
-        [lam.plies[k].material for k in ply_list], angles.tolist()))
+    prep, ply_list = lam.prepared, plies.tolist()
+    qbars, tails = stiffness_rows([prep.materials[k] for k in ply_list],
+                                  angles.tolist())
     # Each row's bound sums: lam's, with the replaced ply's terms swapped.
     lower, upper = (bounds.sum(axis=1)[:, None] - bounds[:, ply_list]
-                    + ply_bounds(lam.prepared.weight_spectra[ply_list],
-                                 tails))
+                    + ply_bounds(prep.weight_spectra[ply_list], tails))
     cleared = np.flatnonzero(
         rules_out_collapse(lower, upper, lam.n_plies)).tolist()
     ply_list = [ply_list[b] for b in cleared]

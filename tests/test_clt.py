@@ -27,11 +27,13 @@ from plytamper.clt import (
     normalize_angle,
     ply_stiffness_entry,
     reduced_stiffness,
+    stiffness_rows,
     stiffness_stack,
+    system_matrix,
     transform_stiffness,
     transformation_matrix,
 )
-from plytamper.failure import _system_matrix, ply_stresses, strength_ratios
+from plytamper.failure import ply_stresses, strength_ratios
 
 RTOL = 1e-9
 
@@ -343,6 +345,23 @@ class TestTransformedStiffness:
         with pytest.raises(ValueError):
             row[0] = 0.0
 
+    def test_gather_splits_each_entry(self, graphite_epoxy):
+        """``stiffness_rows`` gives each ply's [Qbar] and bound tail, the
+        nine leading and five trailing entries of its cached row, and an
+        empty gather gives empty arrays of the same layouts."""
+        other = MaterialProperties(**dict(_MATERIAL, e1=38.6e9, e2=8.27e9))
+        materials = [graphite_epoxy, other, graphite_epoxy]
+        angles = [30.0, -45.0, 0.0]
+        stack, tails = stiffness_rows(materials, angles)
+        assert stack.shape == (3, 3, 3) and tails.shape == (3, 5)
+        assert stack.flags.c_contiguous
+        for k, (mat, angle) in enumerate(zip(materials, angles)):
+            row = ply_stiffness_entry(mat, angle)
+            assert stack[k].tobytes() == row[:9].tobytes()
+            assert tails[k].tobytes() == row[9:].tobytes()
+        stack, tails = stiffness_rows([], [])
+        assert stack.shape == (0, 3, 3) and tails.shape == (0, 5)
+
 
 # =============================================================================
 # Laminate assembly and solution
@@ -443,7 +462,7 @@ class TestAbdAssembly:
                                     prep.weights[1]),
                     np.einsum("...kij,k->...ij", stack, prep.weights[2])
                     / 3.0)
-            k6 = _system_matrix(stack, prep.weights)
+            k6 = system_matrix(stack, prep.weights)
             assert k6.shape == batch + (6, 6)
             abd = _stacked_abd(stack, prep.weights)
             for p, block in enumerate(want):
@@ -589,7 +608,10 @@ class TestTsaiWuParams:
             row[0] = 1.0
         lam = Laminate.from_angles(graphite_epoxy, 1e-4, [0.0, 45.0, 90.0])
         stacked = lam.prepared.tsai_wu
-        assert np.array_equal(stacked, np.repeat(row[:, None], 3, axis=1))
+        h1, h2, h11, h22, h66, h12 = row.tolist()
+        coefficients = [h1, h2, h11, h22, h66, 2.0 * h12]
+        assert stacked.shape == (3, 6)
+        assert stacked.tolist() == [coefficients] * 3
         assert lam.with_angles([5.0, 45.0, 90.0]).prepared.tsai_wu is stacked
         with pytest.raises(ValueError):
             stacked[0, 0] = 1.0
@@ -643,8 +665,8 @@ class TestStrengthRatio:
                 [v.hex() for v in want]
 
     def test_corrupt_parameters_raise(self):
-        # rows h1, h2, h11, h22, h66, h12 for one ply
-        bad = np.array([[0.0], [0.0], [-1e-18], [-1e-16], [-1e-16], [0.0]])
+        # coefficients h1, h2, h11, h22, h66, 2*h12 of one ply
+        bad = np.array([[0.0, 0.0, -1e-18, -1e-16, -1e-16, 0.0]])
         with pytest.raises(StrengthRatioRootError):
             strength_ratios(np.array([[1e6, 0.0, 0.0]]), bad)
 

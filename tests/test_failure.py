@@ -27,6 +27,7 @@ from plytamper.clt import (
     RCOND_COLLAPSED,
     StrengthRatioRootError,
     stiffness_stack,
+    system_matrix,
     transformation_matrix,
 )
 from plytamper.designfile import load_bundled_design
@@ -1213,8 +1214,8 @@ def svd_collapsed(lam, plies=None):
     """``require_nonsingular``'s SVD test, written out, on the 6x6 system
     of ``lam``'s plies ``plies`` (all when None)."""
     plies = np.arange(lam.n_plies) if plies is None else np.asarray(plies)
-    k6 = failure._system_matrix(stiffness_stack(lam)[plies],
-                                lam.prepared.weights[:, plies])
+    k6 = system_matrix(stiffness_stack(lam)[plies],
+                       lam.prepared.weights[:, plies])
     sv = np.linalg.svd(k6, compute_uv=False)
     return bool(sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED)
 

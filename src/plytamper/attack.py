@@ -189,11 +189,11 @@ class _Search:
     :attr:`~Laminate.memo`, so searches on one laminate (the same design
     at several targets, or both strategies) solve each state once. Each
     counted evaluation is still one ``first_ply_failure`` call, hit or
-    miss. A trial that misses first solves the states further along its
-    line (the same ply, rotated on by the same step) in one batch, so
-    the steps after it hit; see :meth:`_prefetch`. A state evaluated
-    before on the laminate keeps its rotated copy and its critical set
-    in its memo record, so a revisit builds neither.
+    miss. A trial whose state has no ``first`` yet first solves the
+    states further along its line (the same ply, rotated on by the same
+    step) in one batch, so the steps after it hit; see
+    :meth:`_prefetch`. A state's record keeps the rotated copy and
+    critical set of its first trial, so a revisit builds neither.
     """
 
     def __init__(self, attack_type: int, lam: Laminate, spec: AttackSpec):
@@ -218,25 +218,25 @@ class _Search:
         """Evaluate the design with ``ply`` rotated ``step`` degrees further.
 
         Returns the candidate's multiplier and the state :meth:`move` takes.
-        A new state's copy and critical set are stored in its memo record
-        only once its evaluation has returned.
+        The state's record is looked up once; a copy and critical set it
+        lacks are stored only once the evaluation has returned.
         """
         delta = self.deltas[ply] + step
         angle = normalize_angle(self.original_angles[ply] + delta)
         bits = self.current._angle_bits_with(ply, angle)
         key = memo_key(bits, self.spec.load)
         record = self.memo.get(key)
-        if record is None or record.copy is None:
-            if record is None or record.first is None:
-                self._prefetch(ply, step, delta)
-            candidate = self.current._with_ply_angle(ply, angle, bits)
-            mult, sr = first_ply_failure(candidate, self.spec.load, self.memo)
-            record = self.memo[key]
-            record.copy = candidate
-            record.critical = ties_at_minimum(sr, mult, CRITICAL_REL_TOL)
-        else:
-            mult, _ = first_ply_failure(record.copy, self.spec.load, self.memo)
+        if record is None or record.first is None:
+            self._prefetch(ply, step, delta)
+        copy = None if record is None else record.copy
+        if copy is None:
+            copy = self.current._with_ply_angle(ply, angle, bits)
+        mult, sr = first_ply_failure(copy, self.spec.load, self.memo)
         self.evaluations += 1
+        record = self.memo[key]
+        if record.copy is None:
+            record.copy = copy
+            record.critical = ties_at_minimum(sr, mult, CRITICAL_REL_TOL)
         return mult, (ply, delta, record.copy, record.critical)
 
     def _prefetch(self, ply: int, step: float, delta: float) -> None:

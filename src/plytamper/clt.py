@@ -47,9 +47,9 @@ class NoLoadedPlyError(ArithmeticError):
 class StrengthRatioRootError(ArithmeticError):
     """The strength-ratio quadratic has no positive real root.
 
-    This cannot happen for valid Tsai-Wu parameters (the quadratic
-    coefficient is a positive-definite form of the stress), so it indicates
-    corrupt inputs rather than a physical state.
+    Valid Tsai-Wu parameters make the quadratic term a positive-definite
+    form of the stress, so either that term underflowed to 0 (as under a
+    1e-300 N/m load, with valid materials) or the parameters are corrupt.
     """
 
 
@@ -260,8 +260,7 @@ class Laminate:
         and :func:`~plytamper.failure.simulate_progressive_failure`, so
         every search on this object reuses the states the others solved,
         and every ladder the tail of any ladder that passed through one
-        of its rung states. It holds one record per distinct state and
-        per distinct rung state a ladder solved past its first (see
+        of its rung states. It holds one record per state (see
         :func:`~plytamper.failure.memo_key`); :meth:`with_angles` copies
         do not share it, and a fresh laminate starts empty.
         """

@@ -209,7 +209,8 @@ def _require_roots(bad, plies: np.ndarray | None = None) -> None:
     if bad is not None and bad.any():
         named = np.where(bad)[0] if plies is None else plies[bad]
         raise StrengthRatioRootError(
-            f"no positive strength-ratio root for plies {named}")
+            "no positive strength-ratio root (quadratic term not positive:"
+            f" underflow, or bad Tsai-Wu parameters) for plies {named}")
 
 
 def ply_stresses(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
@@ -281,10 +282,10 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
 
 @dataclass(slots=True, eq=False)
 class _State:
-    """A memo's record of one state, each field ``None`` until first
-    computed: the ``(mult, sr)`` that :func:`first_ply_failure` returns,
-    the state's ladder (a tail, for a rung state), and the rotated copy
-    and critical ply set a tamper search keeps."""
+    """A memo's record of one state or ladder rung state, each field
+    ``None`` until first computed: the ``(mult, sr)`` that
+    :func:`first_ply_failure` returns, the ladder from the state on, and
+    the rotated copy and critical ply set a tamper search keeps."""
 
     first: tuple | None = None
     ladder: FailureLadder | None = None
@@ -415,16 +416,16 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     memo : dict, optional
         As for :func:`first_ply_failure`, keyed by rung state: the
         survivors of the knockouts so far, at their angles (see
-        :func:`memo_key`). The intact state's record holds the whole
-        ladder, beside the ``first`` that rung 1 reads; a later state's
-        holds the tail of rungs from it on. A rung state with a stored
-        tail ends the ladder; a ladder that returns stores itself and
-        the tail of every state it solved past the first, except a
-        flagged one, whose multiplier is the rung's before it. A ladder
-        that raises stores nothing. ``None`` always simulates. Everything
-        after a rung state depends only on its survivors, their angles and
-        the load, so a tail from another ladder is bit for bit what the
-        simulation would give.
+        :func:`memo_key`), the intact state being rung state 0. Each
+        rung state is looked up once. A stored ladder ends the ladder;
+        otherwise the rung is solved, or at rung 0 read from the
+        record's ``first``. A ladder that returns stores, in the record
+        of each rung state it solved, the ladder from that state on,
+        except at a flagged rung, whose multiplier is the rung's before
+        it. A ladder that raises stores nothing. ``None`` always
+        simulates. Everything after a rung state depends only on its
+        survivors, their angles and the load, so a tail from another
+        ladder is bit for bit what the simulation would give.
 
     Returns
     -------
@@ -442,33 +443,31 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     NoLoadedPlyError
         If an iteration leaves surviving plies that carry no stress.
     """
-    first = arrays = None
+    arrays = None
     if memo is not None:
-        key = memo_key(lam._angle_bits, load)
-        record = memo.get(key) or _State()   # a lookup stores nothing
-        if record.ladder is not None:
-            return record.ladder
-        # The first rung solves the state first_ply_failure solved.
-        first = record.first
         state = bytearray(lam._angle_bits)   # the rung state's angle bits
-        solved = []   # (rung index, key) of each state solved past the first
+        solved = []   # (rung index, key) of each rung state solved
 
     plies = np.arange(lam.n_plies)   # the survivors, in order
     rungs: list[FailureRung] = []
     history: list[tuple[float, ...]] = []
 
     while plies.size:
+        first = None
+        if memo is not None:
+            key = memo_key(bytes(state), load)
+            record = memo.get(key) or _State()   # a lookup stores nothing
+            if record.ladder is not None:
+                if not rungs:
+                    return record.ladder
+                rungs += record.ladder.rungs
+                history += record.ladder.sr_history
+                break
+            solved.append((len(rungs), key))
+            first = record.first   # only the intact state can hold one
         if first is not None:
-            (low, sr), first = first, None
+            low, sr = first
         else:
-            if memo is not None and rungs:
-                state_key = memo_key(bytes(state), load)
-                tail = memo.get(state_key)
-                if tail is not None:   # a rung state's record is a tail
-                    rungs += tail.ladder.rungs
-                    history += tail.ladder.sr_history
-                    break
-                solved.append((len(rungs), state_key))
             if arrays is None:
                 arrays, load_vec = _kernel_inputs(lam, load)
             try:
@@ -502,9 +501,9 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     ladder = FailureLadder(rungs=tuple(rungs), load=load,
                            sr_history=tuple(history))
     if memo is not None:
-        memo.setdefault(key, _State()).ladder = ladder
-        for i, state_key in solved:
+        for i, key in solved:
             if not ladder.rungs[i].flagged:
-                memo[state_key] = _State(ladder=FailureLadder(
-                    ladder.rungs[i:], load, ladder.sr_history[i:]))
+                memo.setdefault(key, _State()).ladder = (
+                    ladder if i == 0 else FailureLadder(
+                        ladder.rungs[i:], load, ladder.sr_history[i:]))
     return ladder

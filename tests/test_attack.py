@@ -1094,6 +1094,69 @@ class TestOneRecordPerState:
             assert record.first[0] == result.achieved_multiplier
 
 
+class TestTargetIndependentPath:
+    """A search's path does not depend on its target: with the same load,
+    budget and strategy, the states a higher target evaluates are the
+    first states a lower target evaluates, in order. Each search runs on
+    a fresh laminate, so no memo links them; a laminate's memo serves
+    its searches at several targets because of this."""
+
+    BENDING = LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+    @staticmethod
+    def assert_paths_nest(monkeypatch, make, design_sf, load,
+                          budget=None) -> int:
+        """Check both strategies at sf 1.0, 0.9 and 0.8; returns how
+        many of the six searches raised."""
+        keys = []
+
+        def kernel(state, load, memo=None):
+            keys.append(memo_key(state._angle_bits, load))
+            return first_ply_failure(state, load, memo)
+
+        monkeypatch.setattr("plytamper.attack.first_ply_failure", kernel)
+        raised = 0
+        for attack_type in (1, 2):
+            paths = []
+            for sf in (1.0, 0.9, 0.8):
+                keys.clear()
+                spec = AttackSpec(load, sf, design_sf=design_sf,
+                                  budget=budget)
+                failed = outcome(attack_type, make(), spec)[0] \
+                    != "AttackResult"
+                paths.append((list(keys), failed))
+                raised += failed
+            for (high, high_failed), (low, low_failed) in zip(paths,
+                                                              paths[1:]):
+                assert high and low[:len(high)] == high, attack_type
+                assert low_failed or not high_failed, attack_type
+        return raised
+
+    @pytest.mark.parametrize("stack", range(5))
+    def test_criterion5_stack(self, graphite_epoxy, monkeypatch, stack):
+        angles = criterion5_stacks(stack + 1)[stack]
+        assert not self.assert_paths_nest(
+            monkeypatch,
+            lambda: Laminate.from_angles(graphite_epoxy, PLY_T, angles),
+            1.5, LoadCase((1000.0, 0.0, 0.0)))
+
+    def test_criterion5_stack_bending(self, graphite_epoxy, monkeypatch):
+        """Criterion 5's 14th stack under a moment only, where some
+        searches raise."""
+        angles = criterion5_stacks(14)[13]
+        assert self.assert_paths_nest(
+            monkeypatch,
+            lambda: Laminate.from_angles(graphite_epoxy, PLY_T, angles),
+            1.5, self.BENDING)
+
+    @pytest.mark.parametrize("budget", [None, 40])
+    def test_bundled_spar(self, monkeypatch, budget):
+        design = load_bundled_design()
+        assert not self.assert_paths_nest(monkeypatch, design.laminate,
+                                          design.design_sf, design.load,
+                                          budget)
+
+
 class TestFirstFailureRule:
     """A result's first rung is the first-failure rule of a fresh
     laminate at its new angles: the multiplier the search reports, and

@@ -581,6 +581,12 @@ PATHOLOGICAL_SPARS = [
     pytest.param(huge_axial_load, (2, 2, 2, 0),
                  "numerical failure: overflow encountered in multiply",
                  id="load-1e300-kN-per-m"),
+    # Every ply is loaded, and the squared stresses underflow: the
+    # strength-ratio quadratic term is 0 with valid materials.
+    pytest.param(set_load([1e-300, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                 (2, 2, 2, 0), "numerical failure: no positive strength-"
+                 "ratio root (quadratic term not positive: underflow,",
+                 id="load-1e-300-N-per-m"),
     # The collapse bounds overflow before the SVD; detect's A and B
     # stay finite.
     pytest.param(set_thicknesses(1e100), (2, 2, 2, 0),

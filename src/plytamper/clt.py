@@ -54,12 +54,21 @@ class StrengthRatioRootError(ArithmeticError):
 
 
 def normalize_angle(angle_deg: float) -> float:
-    """Map an angle in degrees onto the canonical [-90, 90] fiber range.
+    """Map a finite angle in degrees onto the canonical [-90, 90] fiber
+    range, exactly.
 
-    Uses round-half-to-even so that +90 and -90 are both fixed points:
-    91 -> -89, 135 -> -45, -135 -> 45, 90 -> 90, -90 -> -90.
+    The result is the IEEE remainder of the angle by 180: the angle less
+    the nearest multiple of 180, ties to the even multiple, so that +90
+    and -90 are both fixed points: 91 -> -89, 135 -> -45, -135 -> 45,
+    90 -> 90, -90 -> -90, 270 -> -90. The remainder is exact, so a huge
+    angle keeps its true direction (-1e18 -> 80). A zero result is +0.0,
+    except that a zero angle is returned as given (-0.0 stays -0.0).
     """
-    return float(angle_deg) - 180.0 * round(float(angle_deg) / 180.0)
+    angle = float(angle_deg)
+    folded = math.remainder(angle, 180.0)
+    if folded == 0.0 and angle != 0.0:
+        return 0.0
+    return folded
 
 
 # =============================================================================
@@ -594,9 +603,9 @@ def rules_out_collapse(lower, upper, n):
     plies of the system, and ``upper`` is U, the sum of their u_k or any
     larger sum of u's. Scalars or arrays. True means that
     :func:`require_nonsingular` would not raise on the
-    :func:`system_matrix` of the same plies; False decides nothing. The
-    rung kernel of :mod:`plytamper.failure` then runs that test, and the
-    batch kernel leaves the state to the rung kernel.
+    :func:`system_matrix` of the same plies; False decides nothing.
+    Where it is False, the rung kernel ``failure._rung`` runs that SVD
+    test, and the batch kernel leaves the state to the rung kernel.
 
     The rule is L > (2 * RCOND_COLLAPSED + 4 * (n + 8) * eps) * U with U
     inside :data:`_BOUND_RANGE`. Why it holds, with u = eps/2 the unit
@@ -642,8 +651,9 @@ def require_nonsingular(matrix: np.ndarray, message: str) -> None:
     its largest singular value is zero, or its reciprocal condition is
     below :data:`RCOND_COLLAPSED`. The test runs a full SVD. It is the
     only collapse test by SVD: :mod:`plytamper.detect` calls it on A, and
-    the rung kernel of :mod:`plytamper.failure` on the states
-    :func:`rules_out_collapse` cannot decide."""
+    in :mod:`plytamper.failure` only the rung kernel ``_rung`` calls it,
+    on the system of a state :func:`rules_out_collapse` cannot decide.
+    The solve stage ``failure.ply_stresses`` runs no collapse test."""
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED:
         raise LaminateSingularError(message)

@@ -411,7 +411,8 @@ def save_design(design: DesignFile, path) -> None:
 def write_text(path, text: str, newline: str | None = None) -> None:
     """Write ``text`` (UTF-8) to ``path`` as :func:`open` would, but a
     regular file (a symlink's target) is replaced in one step: the text
-    goes to a new file beside it, with the mode ``open`` gives, which an
+    goes to a new file beside it, with the mode ``open`` gives, which is
+    flushed to disk (fsync) before it replaces ``path`` and which an
     error removes, leaving ``path`` as it was. ``/dev/null``, a FIFO and
     other non-regular targets are written through, as ``open`` does.
     An error opening the target or creating the new file (a directory
@@ -431,6 +432,8 @@ def write_text(path, text: str, newline: str | None = None) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)

@@ -90,18 +90,12 @@ class FailureLadder:
         return self.rungs[-1].force_multiplier
 
 
-def _first_failure(sr: np.ndarray):
+def _first_failure(sr: np.ndarray) -> np.ndarray:
     """The first-failure multiplier of strength-ratio rows: each row's
-    smallest finite entry along the last axis, or +inf where it has none.
-    One state's (n,) row gives a float, and raises NoLoadedPlyError when
-    no entry is finite: no ply carries load."""
-    low = sr.min(axis=-1, where=np.isfinite(sr), initial=np.inf)
-    if sr.ndim > 1:
-        return low
-    if low == np.inf:
-        raise NoLoadedPlyError(
-            "no loaded ply: all strength ratios are infinite")
-    return float(low)
+    smallest finite entry along the last axis, or +inf where it has none
+    (no ply carries load), for any shape. Deciding whether that fails an
+    evaluation is :func:`_rung`'s."""
+    return sr.min(axis=-1, where=np.isfinite(sr), initial=np.inf)
 
 
 def ties_at_minimum(sr_values, low: float,
@@ -140,14 +134,14 @@ def classify_failure_mode(
 #
 # One laminate state is solved and scored in two stages, each written once
 # and used with or without a leading batch axis: :func:`ply_stresses`
-# (the 6x6 system, the collapse test, the solve and the per-ply stress
-# recovery) and the Tsai-Wu ratios. Every per-ply array they read, the
-# [Qbar] stack and bound tails of one stiffness-row gather, the system
-# matrix and the Tsai-Wu term coefficients, is laid out by
-# :mod:`plytamper.clt`. The collapse test is decided by the per-ply bound
-# of :func:`~plytamper.clt.rules_out_collapse` where it can be, and by the
-# SVD only where it cannot.
-# :func:`_rung` chains them for one state, on its surviving plies only;
+# (the 6x6 system, the solve and the per-ply stress recovery) and the
+# Tsai-Wu ratios. Every per-ply array they read, the [Qbar] stack and
+# bound tails of one stiffness-row gather, the system matrix and the
+# Tsai-Wu term coefficients, is laid out by :mod:`plytamper.clt`.
+# :func:`_rung` chains them for one state, on its surviving plies only,
+# and alone decides whether an evaluation fails: collapse (the per-ply
+# bound of :func:`~plytamper.clt.rules_out_collapse` where it can decide,
+# the SVD only where it cannot), roots and a loaded ply.
 # :func:`first_ply_failure_batch` chains them for many states at once,
 # the ones the bound clears.
 
@@ -157,32 +151,21 @@ _FIRST_FACTORS = np.array([0, 1, 0, 1, 2, 0])
 _SECOND_FACTORS = np.array([0, 1, 2, 1])
 
 
-def strength_ratios(local_stress: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Tsai-Wu strength ratios of (n, 3) fiber-axis stresses.
+def _strength_ratios_and_bad(local_stress: np.ndarray, coef: np.ndarray):
+    """Tsai-Wu strength ratios of (..., n, 3) fiber-axis stresses, and
+    their root mask.
 
     ``coef`` holds (n, 6) rows h1, h2, h11, h22, h66, 2*h12, as
     :attr:`~plytamper.clt.PreparedStack.tsai_wu` stacks them. SR is
     the positive root of a*SR + b*SR**2 = 1 with a = h1*s1 + h2*s2 and
     b = h11*s1**2 + h22*s2**2 + h66*t12**2 + 2*h12*s1*s2 (some printed
-    sources misprint H11 on the s2**2 term). Exactly unloaded rows get
-    +inf; a loaded row without a positive root raises
-    StrengthRatioRootError.
-    """
-    sr, bad = _strength_ratios_and_bad(local_stress, coef)
-    _require_roots(bad)
-    return sr
-
-
-def _strength_ratios_and_bad(local_stress: np.ndarray, coef: np.ndarray):
-    """:func:`strength_ratios` of (..., n, 3) stresses, and its root mask.
-
-    ``coef`` holds the (n, 6) term coefficients. Returns the
-    (..., n) ratios and a mask of the entries without a positive root
-    (``None`` when no entry needs a mask). A masked entry holds a
-    meaningless finite value instead of raising, and no entry emits a
-    warning. The six products of a and b are formed in one pass and the
-    quadratic ones completed in a second: the float operations of the
-    formula, in its order.
+    sources misprint H11 on the s2**2 term). Returns the (..., n) ratios,
+    +inf for an exactly unloaded entry, and a mask of the loaded entries
+    without a positive root (``None`` when no entry needs a mask). A
+    masked entry holds a meaningless finite value instead of raising,
+    and no entry emits a warning. The six products of a and b are formed
+    in one pass and the quadratic ones completed in a second: the float
+    operations of the formula, in its order.
     """
     terms = coef * local_stress.take(_FIRST_FACTORS, axis=-1)
     squares = terms[..., 2:] * local_stress.take(_SECOND_FACTORS, axis=-1)
@@ -202,19 +185,8 @@ def _strength_ratios_and_bad(local_stress: np.ndarray, coef: np.ndarray):
     return np.where(zero, np.inf, sr), bad
 
 
-def _require_roots(bad, plies: np.ndarray | None = None) -> None:
-    """Raise StrengthRatioRootError naming the plies that ``bad`` (from
-    :func:`_strength_ratios_and_bad`) marks: entries of ``plies``, or
-    their own indices when it is None."""
-    if bad is not None and bad.any():
-        named = np.where(bad)[0] if plies is None else plies[bad]
-        raise StrengthRatioRootError(
-            "no positive strength-ratio root (quadratic term not positive:"
-            f" underflow, or bad Tsai-Wu parameters) for plies {named}")
-
-
 def ply_stresses(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
-                 rhs: np.ndarray, t_stack: np.ndarray, bounded: bool = False):
+                 rhs: np.ndarray, t_stack: np.ndarray):
     """Solve the laminate and recover each ply's mid-thickness state: the
     one solve stage of every evaluation.
 
@@ -224,13 +196,10 @@ def ply_stresses(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
     (6,) load vector of one state, or (B, 6, 1) for a batch. Returns the
     (..., n, 3) global strain (eps_x, eps_y, gamma_xy), global stress and
     fiber-axis stress (sigma_1, sigma_2, tau_12), with eps(z) = eps0 + z*k.
-    Raises LaminateSingularError when one state's 6x6 system has
-    collapsed; ``bounded`` skips that test, for states that
-    :func:`~plytamper.clt.rules_out_collapse` has decided.
+    It runs no collapse test: a collapsed system gives meaningless
+    numbers, or a LinAlgError from the solve when it is exactly singular.
     """
     k6 = system_matrix(stack, weights)
-    if not bounded:
-        require_nonsingular(k6, "laminate system is numerically singular")
     solution = np.linalg.solve(k6, rhs).reshape(k6.shape[:-1])
     eps0, kappa = solution[..., None, :3], solution[..., None, 3:]
     global_strain = eps0 + z_mid[:, None] * kappa
@@ -253,8 +222,9 @@ def _kernel_inputs(lam: Laminate, load: LoadCase):
 
 
 def _rung(arrays: tuple, load_vec: np.ndarray,
-          plies: np.ndarray | None = None) -> np.ndarray:
-    """Strength ratios of one laminate state: the one rung kernel.
+          plies: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """First-failure multiplier and strength ratios of one laminate
+    state: the one rung kernel.
 
     ``arrays`` are every ply's [Qbar], [T] and mid-plane, the (5, n)
     summands of its ply sums (z weights w1, w2, w3, then collapse bounds
@@ -262,22 +232,36 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
     that one take gives a state's weights and bounds; ``plies`` lists the
     surviving plies in order (all when None). Failed plies are left out
     of the solve: with zeroed stiffness their terms of every ply sum
-    would be exact zeros, so the bits are the same. The survivors' bounds
-    decide the collapse test where they can. Returns the survivors'
-    ratios; an error names the original ply indices.
+    would be exact zeros, so the bits are the same. Returns the smallest
+    finite ratio, as a float, and the survivors' ratios. It alone raises
+    on a state: LaminateSingularError for a collapsed system (the
+    survivors' bounds decide where they can, the SVD where they cannot),
+    StrengthRatioRootError naming the original indices of loaded plies
+    without a positive root, and NoLoadedPlyError.
     """
     stack, t_stack, z_mid, summands, coef = arrays
     if plies is not None:
         stack, t_stack, z_mid, coef = (
             a.take(plies, axis=0) for a in (stack, t_stack, z_mid, coef))
         summands = summands.take(plies, axis=1)
+    weights = summands[:3]
     lower, upper = summands[3:].sum(axis=1).tolist()
-    _, _, local_stress = ply_stresses(
-        stack, summands[:3], z_mid, load_vec, t_stack,
-        rules_out_collapse(lower, upper, len(z_mid)))
+    if not rules_out_collapse(lower, upper, len(z_mid)):
+        require_nonsingular(system_matrix(stack, weights),
+                            "laminate system is numerically singular")
+    _, _, local_stress = ply_stresses(stack, weights, z_mid, load_vec,
+                                      t_stack)
     sr, bad = _strength_ratios_and_bad(local_stress, coef)
-    _require_roots(bad, plies)
-    return sr
+    if bad is not None and bad.any():
+        named = np.flatnonzero(bad) if plies is None else plies[bad]
+        raise StrengthRatioRootError(
+            "no positive strength-ratio root (quadratic term not positive:"
+            f" underflow, or bad Tsai-Wu parameters) for plies {named}")
+    low = _first_failure(sr)
+    if low == np.inf:
+        raise NoLoadedPlyError(
+            "no loaded ply: all strength ratios are infinite")
+    return float(low), sr
 
 
 @dataclass(slots=True, eq=False)
@@ -311,7 +295,8 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
     """Multiplier of the first failure plus the per-ply strength ratios.
 
     The cheap entry point for search loops that only monitor the first
-    rung: one system solve, no knockout iteration.
+    rung: one :func:`_rung` evaluation of the intact state, no knockout
+    iteration.
 
     ``memo`` (for example :attr:`Laminate.memo`) is a dict of
     :func:`memo_key` records shared by evaluations of one laminate and
@@ -319,23 +304,24 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
     without solving; a new state is solved and stored. Through a memo the
     strength-ratio array is read-only, since every hit returns the same
     one. An evaluation that raises stores nothing. Without a memo every
-    call solves and returns a fresh, writable array.
+    call solves and returns a fresh, writable array. An all-zero load
+    raises ValueError; a state raises what :func:`_rung` raises.
 
     Returns
     -------
     (float, ndarray)
         Minimum strength ratio (= first-rung force multiplier against the
-        given load) and the full per-ply strength-ratio array.
+        given load, a Python float) and the full per-ply strength-ratio
+        array.
     """
     if memo is not None:
         key = memo_key(lam._angle_bits, load)
         record = memo.get(key)
         if record is not None and record.first is not None:
             return record.first
-    sr = _rung(*_kernel_inputs(lam, load))
-    result = _first_failure(sr), sr
+    result = _rung(*_kernel_inputs(lam, load))
     if memo is not None:
-        sr.setflags(write=False)
+        result[1].setflags(write=False)
         memo.setdefault(key, _State()).first = result
     return result
 
@@ -386,7 +372,7 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     rhs = np.broadcast_to(load_vec[:, None], (count, 6, 1))
     try:
         _, _, local_stress = ply_stresses(stacks, weights, z_mid, rhs,
-                                          t_stacks, bounded=True)
+                                          t_stacks)
     except np.linalg.LinAlgError:
         return   # first_ply_failure solves the rows one by one
     sr, bad = _strength_ratios_and_bad(local_stress, coef)
@@ -440,6 +426,8 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
         For an all-zero load.
     LaminateSingularError
         If the intact laminate is already singular.
+    StrengthRatioRootError
+        If a loaded ply has no positive root; the message names it.
     NoLoadedPlyError
         If an iteration leaves surviving plies that carry no stress.
     """
@@ -471,7 +459,7 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
             if arrays is None:
                 arrays, load_vec = _kernel_inputs(lam, load)
             try:
-                sr = _rung(arrays, load_vec, plies)
+                low, sr = _rung(arrays, load_vec, plies)
             except LaminateSingularError:
                 if not rungs:
                     raise
@@ -481,7 +469,6 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
                     flagged=True,
                 ))
                 break
-            low = _first_failure(sr)
         row = np.full(lam.n_plies, np.inf)   # a failed ply's entry is inf
         row[plies] = sr
         history.append(tuple(row.tolist()))

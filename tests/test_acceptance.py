@@ -42,7 +42,10 @@ from plytamper.detect import (
     frequency_change_percent,
     frequency_ratio,
 )
-from plytamper.failure import simulate_progressive_failure, strength_ratios
+from plytamper.failure import (
+    _strength_ratios_and_bad,
+    simulate_progressive_failure,
+)
 
 import ladder_oracle
 
@@ -158,10 +161,12 @@ def test_criterion_2_strength_ratio_homogeneity(capsys):
         # The ratios come from the kernel behind every report.
         tw = Laminate.from_angles(MAT, PLY_T,
                                   [0.0] * len(states)).prepared.tsai_wu
-        srs = strength_ratios(states, tw)
+        srs, bad = _strength_ratios_and_bad(states, tw)
+        assert bad is None or not bad.any()
         h1, h2, h11, h22, h66, h12 = MAT.tsai_wu.tolist()
         for lam_scale in (0.5, 2.0, 10.0):
-            scaled = strength_ratios(states * lam_scale, tw)
+            scaled, bad = _strength_ratios_and_bad(states * lam_scale, tw)
+            assert bad is None or not bad.any()
             for sr, scaled_sr in zip(srs, scaled):
                 assert math.isclose(scaled_sr, sr / lam_scale, rel_tol=1e-9)
         for (s1, s2, t12), sr in zip(states, srs):

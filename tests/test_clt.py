@@ -7,10 +7,12 @@ instead of the closed-form quadratic).
 
 Stress recovery and strength ratios are checked on the stages of
 ``plytamper.failure`` that produce every report: ``ply_stresses`` and
-``strength_ratios``.
+``_strength_ratios_and_bad``. The rung kernel ``_rung`` chains them and
+decides which states fail.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from plytamper.clt import (
     LoadCase,
     MaterialProperties,
     Ply,
-    StrengthRatioRootError,
     _stacked_abd,
     assemble_abd,
     normalize_angle,
@@ -33,7 +34,12 @@ from plytamper.clt import (
     transform_stiffness,
     transformation_matrix,
 )
-from plytamper.failure import ply_stresses, strength_ratios
+from plytamper.failure import (
+    _kernel_inputs,
+    _rung,
+    _strength_ratios_and_bad,
+    ply_stresses,
+)
 
 RTOL = 1e-9
 
@@ -47,10 +53,13 @@ def solve(lam, load, stack=None):
 
 
 def ratios(stress, mat):
-    """Strength ratios of one or more fiber-axis stresses of ``mat``."""
+    """Strength ratios of one or more fiber-axis stresses of ``mat``,
+    every loaded one with a positive root."""
     stress = np.atleast_2d(np.asarray(stress, dtype=float))
     lam = Laminate.from_angles(mat, 1e-4, [0.0] * len(stress))
-    return strength_ratios(stress, lam.prepared.tsai_wu)
+    sr, bad = _strength_ratios_and_bad(stress, lam.prepared.tsai_wu)
+    assert bad is None or not bad.any()
+    return sr
 
 
 def tsai_wu_safe(stress, mat):
@@ -121,10 +130,16 @@ class TestNormalizeAngle:
         (-180.0, 0.0),
         (270.0, -90.0),
         (360.0, 0.0),
+        (-360.0, 0.0),
         (449.0, 89.0),
+        (-0.0, -0.0),
+        (-1e18, 80.0),
+        (1e300, 0.0),
     ])
     def test_canonical_values(self, raw, expected):
-        assert normalize_angle(raw) == pytest.approx(expected, abs=1e-12)
+        """Exact bits: huge angles keep their true direction, and a zero
+        result is +0.0 unless the angle itself is a zero."""
+        assert normalize_angle(raw).hex() == expected.hex()
 
     def test_idempotent(self):
         """Normalizing twice changes nothing."""
@@ -137,6 +152,46 @@ class TestNormalizeAngle:
         rng = np.random.default_rng(78)
         for raw in rng.uniform(-1000.0, 1000.0, size=200):
             assert -90.0 <= normalize_angle(raw) <= 90.0
+
+    def test_huge_angles_fold_exactly(self):
+        """Log-uniform magnitudes from 1e17 to 1e300 degrees, against
+        the exact rational remainder (no tie at 90 is possible there:
+        every such double is a multiple of 4)."""
+        rng = np.random.default_rng(80)
+        signs = rng.choice((-1.0, 1.0), size=2000)
+        for raw in (signs * 10.0 ** rng.uniform(17.0, 300.0, size=2000)):
+            rest = Fraction(float(raw)) % 180
+            want = float(rest - 180 if rest > 90 else rest)
+            assert normalize_angle(raw) == want
+
+    @staticmethod
+    def rounding_fold(angle):
+        """The former fold, angle - 180 * round(angle / 180): exact while
+        the quotient rounds to the right multiple, which fails for huge
+        angles (-1e18 gave 128.0)."""
+        return angle - 180.0 * round(angle / 180.0)
+
+    def test_same_bits_as_the_rounding_fold_where_it_was_in_range(self):
+        """Multiples of 90 and their neighbours up to 4 ULPs away,
+        magnitudes from 1e-3 to 1e16, integers and halves."""
+        rng = np.random.default_rng(81)
+        angles = [90.0 * m for m in range(-2000, 2001)]
+        for step in (math.inf, -math.inf):
+            near = [90.0 * m for m in range(-2000, 2001)]
+            for _ in range(4):
+                near = [math.nextafter(a, step) for a in near]
+                angles += near
+        angles += (rng.choice((-1.0, 1.0), size=20000)
+                   * 10.0 ** rng.uniform(-3.0, 16.0, size=20000)).tolist()
+        whole = rng.integers(-10 ** 6, 10 ** 6, size=5000).astype(float)
+        angles += whole.tolist() + (whole + 0.5).tolist()
+        compared = 0
+        for raw in angles:
+            old = self.rounding_fold(raw)
+            if -90.0 <= old <= 90.0:
+                assert normalize_angle(raw).hex() == old.hex(), raw
+                compared += 1
+        assert compared > 0.99 * len(angles)
 
 
 # =============================================================================
@@ -513,9 +568,17 @@ class TestSolveMidplane:
         np.testing.assert_allclose(five, 5.0 * one, rtol=1e-9)
 
     def test_collapsed_system_raises(self, graphite_epoxy):
+        """The rung kernel, which runs the collapse test, on a stack of
+        zero stiffness: its collapse bounds are zero too, so the SVD
+        decides."""
         lam = Laminate.from_angles(graphite_epoxy, 1e-4, [0, 90])
+        (stack, t_stack, z_mid, summands, coef), load_vec = _kernel_inputs(
+            lam, LoadCase(n=(1.0, 0.0, 0.0)))
+        summands = summands.copy()
+        summands[3:] = 0.0
         with pytest.raises(LaminateSingularError):
-            solve(lam, LoadCase(n=(1.0, 0.0, 0.0)), np.zeros((2, 3, 3)))
+            _rung((np.zeros_like(stack), t_stack, z_mid, summands, coef),
+                  load_vec)
 
 
 class TestPlyStressState:
@@ -665,10 +728,13 @@ class TestStrengthRatio:
                 [v.hex() for v in want]
 
     def test_corrupt_parameters_raise(self):
+        """A loaded ply without a positive root is masked; the rung
+        kernel raises StrengthRatioRootError on the mask (see
+        ``test_late_root_failure_names_the_original_ply``)."""
         # coefficients h1, h2, h11, h22, h66, 2*h12 of one ply
-        bad = np.array([[0.0, 0.0, -1e-18, -1e-16, -1e-16, 0.0]])
-        with pytest.raises(StrengthRatioRootError):
-            strength_ratios(np.array([[1e6, 0.0, 0.0]]), bad)
+        coef = np.array([[0.0, 0.0, -1e-18, -1e-16, -1e-16, 0.0]])
+        _, bad = _strength_ratios_and_bad(np.array([[1e6, 0.0, 0.0]]), coef)
+        assert bad.tolist() == [True]
 
 
 class TestTsaiWuCheck:

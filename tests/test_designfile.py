@@ -2,6 +2,7 @@
 
 import copy
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from plytamper.designfile import (
     load_design,
     parse_design,
     save_design,
+    write_text,
 )
 
 
@@ -380,6 +382,39 @@ class TestRoundTrip:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
         assert raw["schema_version"] == 1
         assert len(raw["layup"]) == 4
+
+
+class TestWriteText:
+
+    @staticmethod
+    def fsync_recorder(monkeypatch, target):
+        """Record, at each ``os.fsync``, the target's bytes and the size
+        of the file being synced."""
+        calls, real = [], os.fsync
+
+        def recorder(fd):
+            calls.append((target.read_bytes(), os.fstat(fd).st_size))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", recorder)
+        return calls
+
+    def test_new_file_is_synced_before_it_replaces_the_old(self, tmp_path,
+                                                           monkeypatch):
+        target = tmp_path / "design.yaml"
+        target.write_bytes(b"old contents\n")
+        calls = self.fsync_recorder(monkeypatch, target)
+        write_text(target, "new contents, longer\n")
+        assert calls == [(b"old contents\n", len(b"new contents, longer\n"))]
+        assert target.read_bytes() == b"new contents, longer\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["design.yaml"]
+
+    def test_device_is_written_through_without_a_sync(self, monkeypatch):
+        """fsync on a FIFO raises EINVAL; non-regular targets are written
+        through and never synced."""
+        calls = self.fsync_recorder(monkeypatch, Path(os.devnull))
+        write_text(os.devnull, "discarded\n")
+        assert calls == []
 
 
 # =============================================================================

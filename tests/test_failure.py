@@ -26,6 +26,7 @@ from plytamper.clt import (
     Ply,
     RCOND_COLLAPSED,
     StrengthRatioRootError,
+    require_nonsingular,
     stiffness_stack,
     system_matrix,
     transformation_matrix,
@@ -41,7 +42,6 @@ from plytamper.failure import (
     memo_key,
     ply_stresses,
     simulate_progressive_failure,
-    strength_ratios,
     ties_at_minimum,
 )
 
@@ -82,14 +82,21 @@ class TestTiesAtMinimum:
     def test_infinities_skipped(self):
         assert ties([math.inf, 2.0, math.inf]) == {1}
 
-    def test_all_infinite_raises(self):
+    def test_all_infinite_raises(self, graphite_epoxy):
+        """An all-infinite row's first-failure multiplier is +inf, and
+        the rung kernel raises on it before ties are taken."""
+        assert failure._first_failure(np.array([math.inf, math.inf])) \
+            == math.inf
+        lone = Laminate.from_angles(graphite_epoxy, 0.125e-3, [30.0])
         with pytest.raises(NoLoadedPlyError):
-            ties([math.inf, math.inf])
+            failure._rung(*failure._kernel_inputs(
+                lone, LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, 0.0, 0.0))))
 
     @staticmethod
     def numpy_ties(values, rel_tol):
         """The array formulation: finite entries within ``rel_tol`` of
-        the finite minimum, or "raise" when no entry is finite."""
+        the finite minimum, or "raise" when no entry is finite (the rung
+        kernel raises NoLoadedPlyError on such a row)."""
         finite = np.isfinite(values)
         low = values.min(where=finite, initial=np.inf)
         if low == np.inf:
@@ -115,11 +122,11 @@ class TestTiesAtMinimum:
             low = values[finite].min() if finite.any() else 1.0
             near = finite & (rng.random(n) < 0.4)
             values[near] = low * (1.0 + rng.choice(offsets, size=near.sum()))
-            try:
-                got = ties(values, rel_tol)
-            except NoLoadedPlyError:
-                got = "raise"
-            assert got == self.numpy_ties(values, rel_tol), values
+            want = self.numpy_ties(values, rel_tol)
+            if want == "raise":
+                assert failure._first_failure(values) == np.inf, values
+            else:
+                assert ties(values, rel_tol) == want, values
 
 
 # =============================================================================
@@ -302,6 +309,33 @@ class TestFirstPlyFailure:
         with pytest.raises(NoLoadedPlyError):
             first_ply_failure(lam, LoadCase(n=(0.0, 0.0, 0.0),
                                             m=(1.0, 0.0, 0.0)))
+
+    def test_multipliers_are_python_floats(self, graphite_epoxy):
+        """Reports serialize multipliers: ``first_ply_failure``'s on a
+        miss, on a memo hit and from a record the batch filled, and every
+        rung's, a memo ladder's and a flagged rung's included, are
+        Python floats."""
+        lam = Laminate.from_angles(graphite_epoxy, 0.125e-3,
+                                   [0.0, 45.0, -45.0, 90.0])
+        memo = {}
+        mults = [first_ply_failure(lam, AXIAL)[0],
+                 first_ply_failure(lam, AXIAL, memo)[0],
+                 first_ply_failure(lam, AXIAL, memo)[0]]
+        first_ply_failure_batch(lam, AXIAL, [1], [30.0], memo)
+        copy = lam.with_angles([0.0, 30.0, -45.0, 90.0])
+        assert memo[memo_key(copy._angle_bits, AXIAL)].first is not None
+        mults.append(first_ply_failure(copy, AXIAL, memo)[0])
+        wafer = Laminate((Ply(90.0, 0.1, graphite_epoxy),
+                          Ply(0.0, 1e-9, graphite_epoxy),
+                          Ply(90.0, 0.1, graphite_epoxy)))
+        ladders = [simulate_progressive_failure(lam, AXIAL, memo),
+                   simulate_progressive_failure(lam, AXIAL, memo),
+                   simulate_progressive_failure(copy, AXIAL),
+                   simulate_progressive_failure(wafer, AXIAL)]
+        assert ladders[-1].rungs[-1].flagged
+        mults += [rung.force_multiplier for ladder in ladders
+                  for rung in ladder.rungs]
+        assert [type(m) for m in mults] == [float] * len(mults)
 
 
 class TestMemo:
@@ -1000,8 +1034,8 @@ class TestSolveStage:
     @staticmethod
     def assert_batch_matches_states(lam, load, plies, angles):
         """The (B, n, 3, 3) stacks of B one-ply variations of ``lam``,
-        solved with the (B, 6, 1) right-hand side and ``bounded``, give
-        each state's strain, stress and fiber stress float for float."""
+        solved with the (B, 6, 1) right-hand side, give each state's
+        strain, stress and fiber stress float for float."""
         prep, load_vec = lam.prepared, load.as_vector()
         copies = [lam.with_angles(row)
                   for row in TestBatchedKernel.rows(lam, plies, angles)]
@@ -1010,7 +1044,7 @@ class TestSolveStage:
                              for copy in copies])
         rhs = np.broadcast_to(load_vec[:, None], (len(copies), 6, 1))
         batch = ply_stresses(stacks, prep.weights, prep.z_mid, rhs,
-                             t_stacks, bounded=True)
+                             t_stacks)
         for output in batch:
             assert output.shape == (len(copies), lam.n_plies, 3)
         for b in range(len(copies)):
@@ -1050,8 +1084,9 @@ class TestSolveStage:
 
 def masked_ladder(lam, load, failed=()):
     """The knockout loop with failed plies kept in the solve at zero
-    stiffness: every rung solves and scores all n plies. It starts with
-    the plies ``failed`` already failed."""
+    stiffness: every rung solves and scores all n plies, every collapse
+    test runs the SVD, and its errors carry the rung kernel's messages.
+    It starts with the plies ``failed`` already failed."""
     intact, prep = stiffness_stack(lam), lam.prepared
     t_stack = transformation_matrix(lam.angles)
     active = np.ones(lam.n_plies, dtype=bool)
@@ -1060,8 +1095,8 @@ def masked_ladder(lam, load, failed=()):
     while active.any():
         stack = np.where(active[:, None, None], intact, 0.0)
         try:
-            _, _, local = ply_stresses(stack, prep.weights, prep.z_mid,
-                                       load.as_vector(), t_stack)
+            require_nonsingular(system_matrix(stack, prep.weights),
+                                "laminate system is numerically singular")
         except LaminateSingularError:
             if not rungs:
                 raise
@@ -1069,9 +1104,20 @@ def masked_ladder(lam, load, failed=()):
                                      tuple(np.flatnonzero(active).tolist()),
                                      flagged=True))
             break
-        sr = strength_ratios(local, prep.tsai_wu)
+        _, _, local = ply_stresses(stack, prep.weights, prep.z_mid,
+                                   load.as_vector(), t_stack)
+        sr, bad = failure._strength_ratios_and_bad(local, prep.tsai_wu)
+        if bad is not None and bad.any():
+            raise StrengthRatioRootError(
+                "no positive strength-ratio root (quadratic term not"
+                " positive: underflow, or bad Tsai-Wu parameters) for plies"
+                f" {np.flatnonzero(bad)}")
+        low = failure._first_failure(sr)
+        if low == np.inf:
+            raise NoLoadedPlyError(
+                "no loaded ply: all strength ratios are infinite")
         history.append(tuple(sr.tolist()))
-        group = ties_at_minimum(sr, failure._first_failure(sr))
+        group = ties_at_minimum(sr, low)
         rungs.append(FailureRung(min(float(sr[i]) for i in group),
                                  tuple(sorted(group))))
         active[list(group)] = False

@@ -579,7 +579,8 @@ _BOUND_RANGE = (1e-200, 1e200)
 
 
 def ply_bounds(weight_spectra: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    """Per-ply collapse bounds as a (2, ..., n) array: l_k, then u_k.
+    """Per-ply collapse bounds as a (2, ..., n) array: l_k, then u_k, the
+    array :func:`rules_out_collapse` takes.
 
     ``weight_spectra`` holds (n, 5) rows of
     :attr:`PreparedStack.weight_spectra` and ``q_rows`` the (..., n, 5)
@@ -588,6 +589,8 @@ def ply_bounds(weight_spectra: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
     products of an extreme eigenvalue of M_k with one of sym(Qbar_k), is
     the smallest eigenvalue of M_k (x) sym(Qbar_k), whatever their signs;
     u_k = m_max * ||Qbar_k||_F bounds the spectral norm of M_k (x) Qbar_k.
+    A ply's bounds depend on its own weights, material and angle only, so
+    a state's are its plies' columns, however the state is reached.
     """
     products = weight_spectra * q_rows
     bounds = np.empty((2,) + products.shape[:-1])
@@ -596,12 +599,15 @@ def ply_bounds(weight_spectra: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def rules_out_collapse(lower, upper, n):
+def rules_out_collapse(bounds: np.ndarray, n: int):
     """True where a bound proves the 6x6 system not collapsed.
 
-    ``lower`` is L, the sum of the :func:`ply_bounds` l_k over the n
-    plies of the system, and ``upper`` is U, the sum of their u_k or any
-    larger sum of u's. Scalars or arrays. True means that
+    ``bounds`` holds the :func:`ply_bounds` of the n plies of a system as
+    a (2, ..., n) array: l_k, then u_k, one system per trailing row. The
+    rule sums each row itself, L = sum l_k and U = sum u_k; it is the
+    only code that sums collapse bounds, so a state gets the same
+    decision from the same bits whichever kernel reaches it. Returns a
+    bool, or an array of one per system. True means that
     :func:`require_nonsingular` would not raise on the
     :func:`system_matrix` of the same plies; False decides nothing.
     Where it is False, the rung kernel ``failure._rung`` runs that SVD
@@ -620,27 +626,28 @@ def rules_out_collapse(lower, upper, n):
       then a division by 1, 2 or 3, so |E| <= gamma_(n+1) sum_k
       |M_k| (x) |Qbar_k| entrywise and ||E||_2 <= ||E||_F <=
       sqrt(2) * gamma_(n+1) * sum_k u_k, as ||M_k||_F <= sqrt(2) m_max.
+      That is at most (1.5 * n + 1.5) * u * U.
     * The computed l_k and u_k are within c * u * u_k of their exact
       values for a small c (symmetric 2x2 and 3x3 eigenvalues and a
-      Frobenius norm, then one product), and summing them adds
-      gamma_n * U. The batch forms a row's sums from its stack's, minus
-      the replaced ply's terms plus its new ones: two more roundings, on
-      sums that may hold the old u_k. A ply's u_k changes with its angle
-      by at most a factor of 2 (||Qbar||_F is that of the Mandel-form
-      Q rotated, with its shear row and column scaled by 1/sqrt(2)), so
-      those sums are at most 3 * U. Either way the exact sum of the l_k
-      is at least L - (3 * (n + 2) + c) * u * U.
+      Frobenius norm, then one product), and |l_k| <= u_k, as M_k is a
+      Gram matrix, so m_max is its spectral norm. Summing n of them, in
+      any order, is off by at most gamma_(n-1) times the sum of their
+      magnitudes. So the exact sum of the l_k is at least
+      L - (n + c) * u * U, and U is within that relative error of the
+      exact sum of the u_k.
     * A backward-stable SVD returns each singular value within
       p * u * sigma_max of the computed matrix's, with p small.
 
     Together, the test's sv[-1] / sv[0] is at least
-    (L - (4.5 * n + 7.5 + c + p) * u * U) / (U * (1 + O(n * u))). The
+    (L - (2.5 * n + 1.5 + c + p) * u * U) / (U * (1 + O(n * u))). The
     factor 2 on RCOND_COLLAPSED absorbs the (1 + O(n * u)) factors, and
-    4 * (n + 8) * eps = (8 * n + 64) * u exceeds 4.5 * n + 7.5 + c + p
-    for any c + p up to 56. The rule is exact, not tuned: a state it
-    decides gets the decision the SVD would give. A NaN or infinite bound
-    decides nothing.
+    4 * (n + 8) * eps = (8 * n + 64) * u exceeds 2.5 * n + 1.5 + c + p
+    for any n >= 1 and any c + p up to 68. The rule is exact, not tuned:
+    a state it decides gets the decision the SVD would give. A NaN or
+    infinite bound decides nothing.
     """
+    sums = bounds.sum(axis=-1)
+    lower, upper = sums[0], sums[1]   # indexing: unpacking iterates, slower
     margin = 2.0 * RCOND_COLLAPSED + 4.0 * (n + 8) * _EPS
     low, high = _BOUND_RANGE
     return (lower > margin * upper) & (upper > low) & (upper < high)

@@ -39,6 +39,7 @@ numbers.  ``load.m`` may be omitted and defaults to zero.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import stat
@@ -413,11 +414,15 @@ def write_text(path, text: str, newline: str | None = None) -> None:
     regular file (a symlink's target) is replaced in one step: the text
     goes to a new file beside it, with the mode ``open`` gives, which is
     flushed to disk (fsync) before it replaces ``path`` and which an
-    error removes, leaving ``path`` as it was. ``/dev/null``, a FIFO and
+    error removes, leaving ``path`` as it was. Where the platform opens
+    directories (``os.O_DIRECTORY``), the directory is then fsynced too,
+    so the replacement itself is on disk; a filesystem that cannot sync
+    a directory (EINVAL) is left as it is. ``/dev/null``, a FIFO and
     other non-regular targets are written through, as ``open`` does.
-    An error opening the target or creating the new file (a directory
-    in the way, a missing directory, no permission) names ``path`` as
-    given, not its resolved or hidden temporary name."""
+    An error opening the target, creating the new file (a directory in
+    the way, a missing directory, no permission) or syncing the
+    directory names ``path`` as given, not its resolved or hidden
+    temporary name."""
     given, path = os.fspath(path), Path(os.path.realpath(path))
     mode = path.stat().st_mode if path.exists() else None
     if mode is not None and not stat.S_ISREG(mode):
@@ -440,6 +445,16 @@ def write_text(path, text: str, newline: str | None = None) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if hasattr(os, "O_DIRECTORY"):
+        try:
+            fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError as error:
+            if error.errno != errno.EINVAL:
+                raise OSError(error.errno, error.strerror, given) from None
 
 
 # =====================================================================

@@ -102,7 +102,11 @@ def ties_at_minimum(sr_values, low: float,
                     rel_tol: float = TIE_REL_TOL) -> set[int]:
     """Indices whose strength ratio ties ``low``, the row's
     :func:`_first_failure`, within ``rel_tol``: ``v - low <= rel_tol * low``.
-    inf - low and NaN - low never pass the test; -inf is excluded."""
+    inf - low and NaN - low never pass the test; -inf is excluded.
+    ``low`` must be finite (a row with no finite entry has no minimum to
+    tie): an infinite or NaN ``low`` raises ValueError."""
+    if not math.isfinite(low):
+        raise ValueError(f"low must be finite, got {low}")
     values = np.asarray(sr_values, dtype=float).tolist()
     bound = rel_tol * low
     return {i for i, v in enumerate(values)
@@ -143,7 +147,7 @@ def classify_failure_mode(
 # bound of :func:`~plytamper.clt.rules_out_collapse` where it can decide,
 # the SVD only where it cannot), roots and a loaded ply.
 # :func:`first_ply_failure_batch` chains them for many states at once,
-# the ones the bound clears.
+# the ones the same bound clears, each from its own per-ply bounds.
 
 #: The stress factors of the Tsai-Wu terms h1*s1, h2*s2, h11*s1, h22*s2,
 #: h66*t12 and 2*h12*s1, then those of the quadratic terms' second factors.
@@ -222,7 +226,7 @@ def _kernel_inputs(lam: Laminate, load: LoadCase):
 
 
 def _rung(arrays: tuple, load_vec: np.ndarray,
-          plies: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+          plies: np.ndarray) -> tuple[float, np.ndarray]:
     """First-failure multiplier and strength ratios of one laminate
     state: the one rung kernel.
 
@@ -230,33 +234,32 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
     summands of its ply sums (z weights w1, w2, w3, then collapse bounds
     l and u) and its term coefficients, from :func:`_kernel_inputs`, so
     that one take gives a state's weights and bounds; ``plies`` lists the
-    surviving plies in order (all when None). Failed plies are left out
-    of the solve: with zeroed stiffness their terms of every ply sum
-    would be exact zeros, so the bits are the same. Returns the smallest
-    finite ratio, as a float, and the survivors' ratios. It alone raises
-    on a state: LaminateSingularError for a collapsed system (the
-    survivors' bounds decide where they can, the SVD where they cannot),
+    surviving plies in order, every ply for the intact state. Failed
+    plies are left out of the solve: with zeroed stiffness their terms of
+    every ply sum would be exact zeros, so the bits are the same. Returns
+    the smallest finite ratio, as a float, and the survivors' ratios. It
+    alone raises on a state: LaminateSingularError for a collapsed system
+    (:func:`~plytamper.clt.rules_out_collapse` decides from the
+    survivors' bounds where it can, the SVD where it cannot),
     StrengthRatioRootError naming the original indices of loaded plies
     without a positive root, and NoLoadedPlyError.
     """
     stack, t_stack, z_mid, summands, coef = arrays
-    if plies is not None:
-        stack, t_stack, z_mid, coef = (
-            a.take(plies, axis=0) for a in (stack, t_stack, z_mid, coef))
-        summands = summands.take(plies, axis=1)
+    stack, t_stack, z_mid, coef = (
+        a.take(plies, axis=0) for a in (stack, t_stack, z_mid, coef))
+    summands = summands.take(plies, axis=1)
     weights = summands[:3]
-    lower, upper = summands[3:].sum(axis=1).tolist()
-    if not rules_out_collapse(lower, upper, len(z_mid)):
+    if not rules_out_collapse(summands[3:], len(plies)):
         require_nonsingular(system_matrix(stack, weights),
                             "laminate system is numerically singular")
     _, _, local_stress = ply_stresses(stack, weights, z_mid, load_vec,
                                       t_stack)
     sr, bad = _strength_ratios_and_bad(local_stress, coef)
     if bad is not None and bad.any():
-        named = np.flatnonzero(bad) if plies is None else plies[bad]
         raise StrengthRatioRootError(
             "no positive strength-ratio root (quadratic term not positive:"
-            f" underflow, or bad Tsai-Wu parameters) for plies {named}")
+            " underflow, or bad Tsai-Wu parameters) for plies"
+            f" {plies[bad]}")
     low = _first_failure(sr)
     if low == np.inf:
         raise NoLoadedPlyError(
@@ -319,7 +322,7 @@ def first_ply_failure(lam: Laminate, load: LoadCase, memo: dict | None = None):
         record = memo.get(key)
         if record is not None and record.first is not None:
             return record.first
-    result = _rung(*_kernel_inputs(lam, load))
+    result = _rung(*_kernel_inputs(lam, load), np.arange(lam.n_plies))
     if memo is not None:
         result[1].setflags(write=False)
         memo.setdefault(key, _State()).first = result
@@ -333,10 +336,11 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
 
     Row b is ``lam`` with ply ``plies[b]`` at ``angles[b]``, in [-90, 90]
     as :func:`~plytamper.clt.normalize_angle` gives it: ``lam``'s [Qbar]
-    and [T] stacks, copied with one column replaced. Each row's collapse
-    bounds are ``lam``'s with the replaced ply's terms swapped, and only
-    the rows that :func:`~plytamper.clt.rules_out_collapse` clears are
-    solved. A solved row with a loaded ply and a positive root on every
+    and [T] stacks and per-ply collapse bounds, copied with one column
+    replaced. Only the rows that :func:`~plytamper.clt.rules_out_collapse`
+    clears are solved: a row's bounds are its state's, so it is cleared
+    exactly when :func:`first_ply_failure` would clear that state without
+    the SVD. A solved row with a loaded ply and a positive root on every
     ply is stored as its record's ``first``, unless one is there, bit
     for bit what :func:`first_ply_failure` returns. Every other row is
     left to that call, which solves it or raises. Nothing is returned.
@@ -356,11 +360,11 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     prep, ply_list = lam.prepared, plies.tolist()
     qbars, tails = stiffness_rows([prep.materials[k] for k in ply_list],
                                   angles.tolist())
-    # Each row's bound sums: lam's, with the replaced ply's terms swapped.
-    lower, upper = (bounds.sum(axis=1)[:, None] - bounds[:, ply_list]
-                    + ply_bounds(prep.weight_spectra[ply_list], tails))
+    row_bounds = np.repeat(bounds[:, None], len(ply_list), axis=1)
+    row_bounds[:, np.arange(len(ply_list)), ply_list] = ply_bounds(
+        prep.weight_spectra[ply_list], tails)
     cleared = np.flatnonzero(
-        rules_out_collapse(lower, upper, lam.n_plies)).tolist()
+        rules_out_collapse(row_bounds, lam.n_plies)).tolist()
     ply_list = [ply_list[b] for b in cleared]
     angles = angles[cleared]
     count = len(ply_list)

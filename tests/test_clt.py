@@ -578,7 +578,7 @@ class TestSolveMidplane:
         summands[3:] = 0.0
         with pytest.raises(LaminateSingularError):
             _rung((np.zeros_like(stack), t_stack, z_mid, summands, coef),
-                  load_vec)
+                  load_vec, np.arange(2))
 
 
 class TestPlyStressState:

@@ -1,8 +1,10 @@
 """Tests for YAML design-file parsing, validation, and round-tripping."""
 
 import copy
+import errno
 import math
 import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -389,11 +391,16 @@ class TestWriteText:
     @staticmethod
     def fsync_recorder(monkeypatch, target):
         """Record, at each ``os.fsync``, the target's bytes and the size
-        of the file being synced."""
+        of the file being synced, or "directory" for the target's
+        directory."""
         calls, real = [], os.fsync
 
         def recorder(fd):
-            calls.append((target.read_bytes(), os.fstat(fd).st_size))
+            info = os.fstat(fd)
+            synced = ("directory"
+                      if os.path.samestat(info, os.stat(target.parent))
+                      else info.st_size)
+            calls.append((target.read_bytes(), synced))
             real(fd)
 
         monkeypatch.setattr(os, "fsync", recorder)
@@ -401,12 +408,53 @@ class TestWriteText:
 
     def test_new_file_is_synced_before_it_replaces_the_old(self, tmp_path,
                                                            monkeypatch):
+        """The new file is synced while the target holds its old bytes,
+        then, where directories can be opened, the directory is synced
+        once the target holds the new bytes."""
         target = tmp_path / "design.yaml"
         target.write_bytes(b"old contents\n")
         calls = self.fsync_recorder(monkeypatch, target)
         write_text(target, "new contents, longer\n")
-        assert calls == [(b"old contents\n", len(b"new contents, longer\n"))]
-        assert target.read_bytes() == b"new contents, longer\n"
+        new = b"new contents, longer\n"
+        want = [(b"old contents\n", len(new))]
+        if hasattr(os, "O_DIRECTORY"):
+            want.append((new, "directory"))
+        assert calls == want
+        assert target.read_bytes() == new
+        assert [p.name for p in tmp_path.iterdir()] == ["design.yaml"]
+
+    @staticmethod
+    def failing_directory_sync(monkeypatch, code):
+        """Make ``os.fsync`` raise OSError(``code``) on a directory."""
+        real = os.fsync
+
+        def sync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(code, os.strerror(code))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", sync)
+
+    @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"),
+                        reason="directories cannot be opened")
+    def test_directory_that_cannot_be_synced_is_ignored(self, tmp_path,
+                                                        monkeypatch):
+        target = tmp_path / "design.yaml"
+        self.failing_directory_sync(monkeypatch, errno.EINVAL)
+        write_text(target, "text\n")
+        assert target.read_bytes() == b"text\n"
+
+    @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"),
+                        reason="directories cannot be opened")
+    def test_directory_sync_error_names_the_given_path(self, tmp_path,
+                                                       monkeypatch):
+        target = tmp_path / "design.yaml"
+        self.failing_directory_sync(monkeypatch, errno.EIO)
+        given = str(tmp_path / "." / "design.yaml")
+        with pytest.raises(OSError) as raised:
+            write_text(given, "text\n")
+        assert (raised.value.errno, raised.value.filename) == (errno.EIO,
+                                                               given)
         assert [p.name for p in tmp_path.iterdir()] == ["design.yaml"]
 
     def test_device_is_written_through_without_a_sync(self, monkeypatch):

@@ -8,6 +8,7 @@ with the full sweep living in the acceptance suite.
 import math
 import struct
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,17 @@ class TestTiesAtMinimum:
     def test_infinities_skipped(self):
         assert ties([math.inf, 2.0, math.inf]) == {1}
 
+    @pytest.mark.parametrize("low", [math.inf, math.nan, np.inf,
+                                     np.float64(math.nan), -math.inf],
+                             ids=["inf", "nan", "np.inf", "np.nan", "-inf"])
+    def test_non_finite_low_raises(self, low):
+        """A row with no finite entry has no minimum to tie: the function
+        names ``low`` and emits no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^low must be finite"):
+                ties_at_minimum([math.inf, math.inf], low)
+
     def test_all_infinite_raises(self, graphite_epoxy):
         """An all-infinite row's first-failure multiplier is +inf, and
         the rung kernel raises on it before ties are taken."""
@@ -90,7 +102,8 @@ class TestTiesAtMinimum:
         lone = Laminate.from_angles(graphite_epoxy, 0.125e-3, [30.0])
         with pytest.raises(NoLoadedPlyError):
             failure._rung(*failure._kernel_inputs(
-                lone, LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, 0.0, 0.0))))
+                lone, LoadCase(n=(0.0, 0.0, 0.0), m=(1.0, 0.0, 0.0))),
+                np.arange(1))
 
     @staticmethod
     def numpy_ties(values, rel_tol):
@@ -1012,6 +1025,37 @@ class TestBatchedKernel:
             [0, 0], [30.0, -0.0], NoLoadedPlyError)
         assert raising.all() and not stored.any()
 
+    def test_failed_batched_solve_stores_nothing(self, monkeypatch):
+        """A LinAlgError from the batched (4-D) solve leaves the memo
+        without a new ``first``; each row's call then solves it, bit for
+        bit as a fresh solve."""
+        design = load_bundled_design()
+        lam, load = design.laminate(), design.load
+        angles = [float(a) for a in range(-90, 91, 15)]
+        plies = [k for k in (0, 3, 16) for _ in angles]
+        memo = {}
+        first_ply_failure(lam, load, memo)
+        before = {key: record_fields(record)
+                  for key, record in memo.items()}
+        solve, raised = failure.ply_stresses, []
+
+        def singular_batch(stack, *args):
+            if stack.ndim == 4:
+                raised.append(len(stack))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(stack, *args)
+
+        monkeypatch.setattr(failure, "ply_stresses", singular_batch)
+        first_ply_failure_batch(lam, load, plies, angles * 3, memo)
+        monkeypatch.undo()
+        assert raised == [len(plies)]
+        assert {key: record_fields(record)
+                for key, record in memo.items()} == before
+        for row in self.rows(lam, plies, angles * 3):
+            copy = lam.with_angles(row)
+            assert outcome(first_ply_failure, copy, load, memo) == \
+                outcome(first_ply_failure, copy, load)
+
     def test_rejects_bad_rows_and_zero_load(self, graphite_epoxy):
         """Plies out of range or not integers, angles outside [-90, 90]
         or NaN, unequal lengths and nested lists."""
@@ -1282,8 +1326,8 @@ def bound_spy(decisions):
     in the list ``decisions``."""
     rule = failure.rules_out_collapse
 
-    def spy(lower, upper, n):
-        decided = rule(lower, upper, n)
+    def spy(bounds, n):
+        decided = rule(bounds, n)
         decisions.extend(np.atleast_1d(decided).tolist())
         return decided
 
@@ -1306,9 +1350,8 @@ class TestCollapseBound:
         states, decisions = [], []
         rung = failure._rung
 
-        def spy_rung(arrays, load_vec, survivors=None):
-            states.append(np.arange(lam.n_plies) if survivors is None
-                          else survivors)
+        def spy_rung(arrays, load_vec, survivors):
+            states.append(survivors)
             return rung(arrays, load_vec, survivors)
 
         calls = ((simulate_progressive_failure, lam, load),
@@ -1325,8 +1368,8 @@ class TestCollapseBound:
         copies = [lam.with_angles(row) for row in rows]
         with monkeypatch.context() as patch:
             patch.setattr(failure, "rules_out_collapse",
-                          lambda lower, upper, n: np.zeros(np.shape(lower),
-                                                           dtype=bool))
+                          lambda bounds, n: np.zeros(bounds.shape[1:-1],
+                                                     dtype=bool))
             assert [outcome(*call) for call in calls] == got
             first_ply_failure_batch(*batch, svd_only)
             wants = [outcome(first_ply_failure, copy, load)
@@ -1458,6 +1501,72 @@ class TestCollapseBound:
         assert collapsed[angles.index(45.0)]
         assert not collapsed[angles.index(0.0)]
         assert cleared[angles.index(0.0)]
+
+    @staticmethod
+    def assert_rows_bounded_as_their_states(monkeypatch, lam, loads, plies,
+                                            angles):
+        """Run the batch under each load with ``rules_out_collapse``
+        spied on: each row's per-ply bounds are, bit for bit, those
+        ``_rung`` takes for the row's state, and each row's decision is
+        the rule's on them. Returns the decisions of the last load."""
+        calls = []
+        rule = failure.rules_out_collapse
+
+        def spy(bounds, n):
+            decided = rule(bounds, n)
+            calls.append((bounds.copy(), n, decided))
+            return decided
+
+        monkeypatch.setattr(failure, "rules_out_collapse", spy)
+        for load in loads:
+            first_ply_failure_batch(lam, load, plies, angles, {})
+        monkeypatch.undo()
+        assert len(calls) == len(loads)
+        states = {}
+        for row in TestBatchedKernel.rows(lam, plies, angles):
+            if row not in states:
+                bounds = failure._kernel_inputs(
+                    lam.with_angles(row), loads[0])[0][3][3:]
+                states[row] = (bounds.tobytes(),
+                               bool(rule(bounds, lam.n_plies)))
+        want = [states[row]
+                for row in TestBatchedKernel.rows(lam, plies, angles)]
+        for bounds, n, decided in calls:
+            assert n == lam.n_plies
+            assert bounds.shape == (2, len(plies), lam.n_plies)
+            got = [(bounds[:, b].tobytes(), d)
+                   for b, d in enumerate(decided.tolist())]
+            assert got == want
+        return decided
+
+    def test_batch_rows_carry_their_states_bounds(self, graphite_epoxy,
+                                                  monkeypatch):
+        """The spar's full 34 x 180 scan, and every ply of eight random
+        stacks of 1-129 plies (two materials, random thicknesses, both
+        zeros) at 30-degree steps under N+M and M: a batch row is
+        cleared exactly when the rung kernel would clear its state by
+        the bound."""
+        design = load_bundled_design()
+        lam = design.laminate()
+        angles = [float(a) for a in range(-89, 91)]
+        decided = self.assert_rows_bounded_as_their_states(
+            monkeypatch, lam, [design.load],
+            [k for k in range(lam.n_plies) for _ in angles],
+            angles * lam.n_plies)
+        assert decided.all()
+        g, e = graphite_epoxy, GLASS_EPOXY
+        grid = [float(a) for a in range(-90, 91, 30)] + [-0.0]
+        rng = np.random.default_rng(27)
+        for _ in range(8):
+            n = int(rng.integers(1, 130))
+            lam = Laminate(tuple(
+                Ply(float(rng.choice(grid)), float(t), (g, e)[int(k)])
+                for t, k in zip(rng.uniform(0.02e-3, 0.3e-3, size=n),
+                                rng.integers(0, 2, size=n))))
+            self.assert_rows_bounded_as_their_states(
+                monkeypatch, lam,
+                [TestBatchedKernel.FORCE, TestBatchedKernel.BENDING],
+                [k for k in range(n) for _ in grid], grid * n)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from plytamper.clt import Laminate, LoadCase, normalize_angle
+from plytamper.clt import Laminate, LoadCase, angle_bits_with, normalize_angle
 from plytamper.failure import (
     FailureLadder,
     first_ply_failure,
@@ -223,7 +223,7 @@ class _Search:
         """
         delta = self.deltas[ply] + step
         angle = normalize_angle(self.original_angles[ply] + delta)
-        bits = self.current._angle_bits_with(ply, angle)
+        bits = angle_bits_with(self.current._angle_bits, ply, angle)
         key = memo_key(bits, self.spec.load)
         record = self.memo.get(key)
         if record is None or record.first is None:

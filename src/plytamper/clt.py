@@ -71,6 +71,20 @@ def normalize_angle(angle_deg: float) -> float:
     return folded
 
 
+def angle_bits_with(bits: bytes, index: int, angle: float) -> bytes:
+    """Packed ply angles ``bits`` with ply ``index``'s 8-byte slot
+    replaced by ``angle``'s exact bits; the length is unchanged.
+
+    It is the only code that writes a slot of the key bits of a memo
+    state (see ``failure.memo_key``), for two kinds of state: a one-ply
+    variation of a laminate, with ``angle`` already normalized as
+    :func:`normalize_angle` gives it, and a ladder's rung state, where
+    each failed ply's slot holds a NaN, which no :class:`Ply` angle
+    can be.
+    """
+    return bits[:8 * index] + struct.pack("d", angle) + bits[8 * index + 8:]
+
+
 # =============================================================================
 # Domain records
 # =============================================================================
@@ -226,8 +240,9 @@ class Laminate:
         the per-ply comparison and slices :attr:`angles` instead of
         rebuilding them. The changed ply is always a new :class:`Ply`.
         ``angle`` must already be normalized, and ``angle_bits`` must be
-        ``self._angle_bits_with(index, angle)``, which the caller has
-        packed for its memo key: the copy takes them as its own.
+        ``angle_bits_with(self._angle_bits, index, angle)`` (see
+        :func:`angle_bits_with`), which the caller has packed for its
+        memo key: the copy takes them as its own.
         """
         old = self.plies[index]
         ply = Ply(angle, old.thickness, old.material)
@@ -236,13 +251,6 @@ class Laminate:
             self.plies[:index] + (ply,) + self.plies[index + 1:],
             angles=angles[:index] + (ply.angle,) + angles[index + 1:],
             _angle_bits=angle_bits)
-
-    def _angle_bits_with(self, index: int, angle: float) -> bytes:
-        """:attr:`_angle_bits` with ply ``index`` at ``angle``, which must
-        already be normalized: the memo key bits of a one-ply variation."""
-        bits = self._angle_bits
-        return (bits[:8 * index] + struct.pack("d", angle)
-                + bits[8 * index + 8:])
 
     def _copy(self, plies: tuple, **cached) -> "Laminate":
         """A laminate of ``plies`` sharing this one's :attr:`prepared`.
@@ -599,19 +607,20 @@ def ply_bounds(weight_spectra: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def rules_out_collapse(bounds: np.ndarray, n: int):
+def rules_out_collapse(bounds: np.ndarray):
     """True where a bound proves the 6x6 system not collapsed.
 
     ``bounds`` holds the :func:`ply_bounds` of the n plies of a system as
-    a (2, ..., n) array: l_k, then u_k, one system per trailing row. The
-    rule sums each row itself, L = sum l_k and U = sum u_k; it is the
-    only code that sums collapse bounds, so a state gets the same
-    decision from the same bits whichever kernel reaches it. Returns a
-    bool, or an array of one per system. True means that
-    :func:`require_nonsingular` would not raise on the
-    :func:`system_matrix` of the same plies; False decides nothing.
-    Where it is False, the rung kernel ``failure._rung`` runs that SVD
-    test, and the batch kernel leaves the state to the rung kernel.
+    a (2, ..., n) array: l_k, then u_k, one system per trailing row, so
+    n is read from its last axis. The rule sums each row itself,
+    L = sum l_k and U = sum u_k; it is the only code that sums collapse
+    bounds, so a state gets the same decision from the same bits
+    whichever kernel reaches it. Returns a bool, or an array of one per
+    system. True means that :func:`require_nonsingular` would not raise
+    on the :func:`system_matrix` of the same plies; False decides
+    nothing. Where it is False, the rung kernel ``failure._rung`` runs
+    that SVD test, and the batch kernel leaves the state to the rung
+    kernel.
 
     The rule is L > (2 * RCOND_COLLAPSED + 4 * (n + 8) * eps) * U with U
     inside :data:`_BOUND_RANGE`. Why it holds, with u = eps/2 the unit
@@ -646,6 +655,7 @@ def rules_out_collapse(bounds: np.ndarray, n: int):
     a state it decides gets the decision the SVD would give. A NaN or
     infinite bound decides nothing.
     """
+    n = bounds.shape[-1]
     sums = bounds.sum(axis=-1)
     lower, upper = sums[0], sums[1]   # indexing: unpacking iterates, slower
     margin = 2.0 * RCOND_COLLAPSED + 4.0 * (n + 8) * _EPS

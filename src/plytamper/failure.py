@@ -19,7 +19,6 @@ multiplier than the one before it.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +30,7 @@ from plytamper.clt import (
     LoadCase,
     NoLoadedPlyError,
     StrengthRatioRootError,
+    angle_bits_with,
     ply_bounds,
     require_nonsingular,
     rules_out_collapse,
@@ -45,10 +45,6 @@ TIE_REL_TOL = 1e-9
 
 #: Default ladder-gap threshold separating catastrophic from progressive.
 GAP_RATIO_THRESHOLD = 0.05
-
-#: The 8 bytes that stand for a failed ply in a rung state's angle bits:
-#: a NaN, which no :class:`~plytamper.clt.Ply` angle can be.
-_FAILED_BITS = struct.pack("d", math.nan)
 
 
 class FailureMode(Enum):
@@ -249,7 +245,7 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
         a.take(plies, axis=0) for a in (stack, t_stack, z_mid, coef))
     summands = summands.take(plies, axis=1)
     weights = summands[:3]
-    if not rules_out_collapse(summands[3:], len(plies)):
+    if not rules_out_collapse(summands[3:]):
         require_nonsingular(system_matrix(stack, weights),
                             "laminate system is numerically singular")
     _, _, local_stress = ply_stresses(stack, weights, z_mid, load_vec,
@@ -269,10 +265,12 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
 
 @dataclass(slots=True, eq=False)
 class _State:
-    """A memo's record of one state or ladder rung state, each field
-    ``None`` until first computed: the ``(mult, sr)`` that
-    :func:`first_ply_failure` returns, the ladder from the state on, and
-    the rotated copy and critical ply set a tamper search keeps."""
+    """A memo's record of one state or ladder rung state, stored under
+    its :func:`memo_key`, each field ``None`` until first computed: the
+    ``(mult, sr)`` that :func:`first_ply_failure` returns, the ladder
+    from the state on, and the rotated copy and critical ply set a
+    tamper search keeps. A rung state's record never holds ``first``,
+    since only the intact state's evaluation stores one."""
 
     first: tuple | None = None
     ladder: FailureLadder | None = None
@@ -284,12 +282,15 @@ def memo_key(angle_bits: bytes, load: LoadCase) -> bytes:
     """The memo key of a state's :class:`_State` record under ``load``.
 
     ``angle_bits`` are the state's packed ply angles (a laminate's are
-    packed once, on first use). A ladder's rung state, the survivors of
-    its earlier knockouts, packs each failed ply as
-    :data:`_FAILED_BITS`; the intact state has none. The key holds the
-    exact bits of the angles and the load, so 0.0 and -0.0 are separate
-    records. Materials and thicknesses are not part of it: a memo serves
-    one laminate and its rotated copies, which share them.
+    packed once, on first use), one 8-byte slot per ply. A one-ply
+    variation's bits, a search trial's or a batch row's, are its
+    laminate's with that ply's slot spliced by
+    :func:`~plytamper.clt.angle_bits_with`. A ladder's rung state, the
+    survivors of its earlier knockouts, is spliced the same way, with a
+    NaN in each failed ply's slot; the intact state has none. The key
+    holds the exact bits of the angles and the load, so 0.0 and -0.0 are
+    separate records. Materials and thicknesses are not part of it: a
+    memo serves one laminate and its rotated copies, which share them.
     """
     return angle_bits + load._bits
 
@@ -363,8 +364,7 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     row_bounds = np.repeat(bounds[:, None], len(ply_list), axis=1)
     row_bounds[:, np.arange(len(ply_list)), ply_list] = ply_bounds(
         prep.weight_spectra[ply_list], tails)
-    cleared = np.flatnonzero(
-        rules_out_collapse(row_bounds, lam.n_plies)).tolist()
+    cleared = np.flatnonzero(rules_out_collapse(row_bounds)).tolist()
     ply_list = [ply_list[b] for b in cleared]
     angles = angles[cleared]
     count = len(ply_list)
@@ -387,7 +387,7 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     sr.setflags(write=False)
     angle_list = angles.tolist()
     for b in np.flatnonzero(clean).tolist():
-        bits = lam._angle_bits_with(ply_list[b], angle_list[b])
+        bits = angle_bits_with(lam._angle_bits, ply_list[b], angle_list[b])
         record = memo.setdefault(memo_key(bits, load), _State())
         if record.first is None:
             record.first = float(lows[b]), sr[b]
@@ -437,7 +437,7 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     """
     arrays = None
     if memo is not None:
-        state = bytearray(lam._angle_bits)   # the rung state's angle bits
+        state = lam._angle_bits   # the rung state's angle bits
         solved = []   # (rung index, key) of each rung state solved
 
     plies = np.arange(lam.n_plies)   # the survivors, in order
@@ -447,7 +447,7 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
     while plies.size:
         first = None
         if memo is not None:
-            key = memo_key(bytes(state), load)
+            key = memo_key(state, load)
             record = memo.get(key) or _State()   # a lookup stores nothing
             if record.ladder is not None:
                 if not rungs:
@@ -487,7 +487,7 @@ def simulate_progressive_failure(lam: Laminate, load: LoadCase,
         plies = plies[keep]
         if memo is not None:
             for ply in failed:
-                state[8 * ply:8 * ply + 8] = _FAILED_BITS
+                state = angle_bits_with(state, ply, math.nan)
 
     ladder = FailureLadder(rungs=tuple(rungs), load=load,
                            sr_history=tuple(history))

@@ -12,6 +12,7 @@ decides which states fail.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from plytamper.clt import (
     MaterialProperties,
     Ply,
     _stacked_abd,
+    angle_bits_with,
     assemble_abd,
     normalize_angle,
     ply_stiffness_entry,
@@ -192,6 +194,25 @@ class TestNormalizeAngle:
                 assert normalize_angle(raw).hex() == old.hex(), raw
                 compared += 1
         assert compared > 0.99 * len(angles)
+
+
+class TestAngleBitsWith:
+    """The splice behind every memo key: one ply's 8-byte slot replaced,
+    checked against a fresh pack of the edited angles."""
+
+    ANGLES = (15.0, -45.0, 0.0, 90.0, -30.0)
+
+    @pytest.mark.parametrize("index", [0, 2, 4], ids=["first", "middle",
+                                                      "last"])
+    @pytest.mark.parametrize("angle", [0.0, -0.0, 90.0, -90.0, math.nan])
+    def test_one_slot_replaced(self, index, angle):
+        n = len(self.ANGLES)
+        bits = struct.pack(f"{n}d", *self.ANGLES)
+        edited = list(self.ANGLES)
+        edited[index] = angle
+        got = angle_bits_with(bits, index, angle)
+        assert got == struct.pack(f"{n}d", *edited)
+        assert len(got) == len(bits)
 
 
 # =============================================================================

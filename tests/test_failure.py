@@ -28,6 +28,7 @@ from plytamper.clt import (
     RCOND_COLLAPSED,
     StrengthRatioRootError,
     require_nonsingular,
+    rules_out_collapse,
     stiffness_stack,
     system_matrix,
     transformation_matrix,
@@ -542,13 +543,13 @@ def memo_counts(memo) -> dict:
 def rung_states(angles, ladder) -> list:
     """The memo keys of ``ladder``'s computed rung states past the first,
     for a ladder of a laminate at ``angles``: their bits with the slot of
-    each ply failed so far set to the failed marker. A flagged rung's
-    state has none."""
+    each ply failed so far set to a NaN. A flagged rung's state has
+    none."""
     slots = [struct.pack("d", a) for a in angles]
     keys = []
     for before, rung in zip(ladder.rungs, ladder.rungs[1:]):
         for ply in before.failed_plies:
-            slots[ply] = failure._FAILED_BITS
+            slots[ply] = struct.pack("d", math.nan)
         if not rung.flagged:
             keys.append(memo_key(b"".join(slots), ladder.load))
     return keys
@@ -664,9 +665,9 @@ class TestLadderTails:
             [((1, 3), False), ((0, 4), False), ((2,), True)]
         states = rung_states(lam.angles, first)
         assert tail_keys(lam.memo) == set(states) and len(states) == 1
-        assert memo_key(failure._FAILED_BITS * 2 + struct.pack("d", 0.0)
-                        + failure._FAILED_BITS * 2, self.AXIAL) \
-            not in lam.memo
+        failed = struct.pack("d", math.nan)
+        assert memo_key(failed * 2 + struct.pack("d", 0.0) + failed * 2,
+                        self.AXIAL) not in lam.memo
         calls = TestMemo.solves(monkeypatch)
         got = simulate_progressive_failure(copy, self.AXIAL, lam.memo)
         assert len(calls) == 1
@@ -856,10 +857,10 @@ class TestRotatedCopies:
         packed angle bits of its memo keys seeded."""
         base = lam.with_angles((0.0, 45.0, -30.0, 90.0, -0.0, 15.0, 61.0))
         for index, angle in ((4, 0.0), (0, -0.0), (6, -90.0), (2, 12.5)):
-            copy = base._with_ply_angle(
-                index, angle, base._angle_bits_with(index, angle))
             angles = list(base.angles)
             angles[index] = angle
+            copy = base._with_ply_angle(
+                index, angle, struct.pack(f"{lam.n_plies}d", *angles))
             want = base.with_angles(angles)
             assert copy == want
             assert self.signs(copy) == self.signs(want)
@@ -1326,8 +1327,8 @@ def bound_spy(decisions):
     in the list ``decisions``."""
     rule = failure.rules_out_collapse
 
-    def spy(bounds, n):
-        decided = rule(bounds, n)
+    def spy(bounds):
+        decided = rule(bounds)
         decisions.extend(np.atleast_1d(decided).tolist())
         return decided
 
@@ -1368,8 +1369,8 @@ class TestCollapseBound:
         copies = [lam.with_angles(row) for row in rows]
         with monkeypatch.context() as patch:
             patch.setattr(failure, "rules_out_collapse",
-                          lambda bounds, n: np.zeros(bounds.shape[1:-1],
-                                                     dtype=bool))
+                          lambda bounds: np.zeros(bounds.shape[1:-1],
+                                                  dtype=bool))
             assert [outcome(*call) for call in calls] == got
             first_ply_failure_batch(*batch, svd_only)
             wants = [outcome(first_ply_failure, copy, load)
@@ -1392,6 +1393,20 @@ class TestCollapseBound:
                                                               bytes))
             assert outcome(first_ply_failure, copy, load, memo) == want
         return list(zip(states, decisions))
+
+    @pytest.mark.parametrize("m", [1, 34])
+    def test_margin_follows_the_ply_count(self, m):
+        """The rule reads n from the bounds' last axis: (2, m) bounds with
+        U = m are cleared just above L = (2 * RCOND_COLLAPSED + 4 * (m + 8)
+        * eps) * U and not just below it, alone and as a batch of two."""
+        margin = 2.0 * RCOND_COLLAPSED + 4.0 * (m + 8) * np.finfo(float).eps
+        rows = []
+        for scale, cleared in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+            bounds = np.array([np.full(m, margin * scale), np.ones(m)])
+            assert bool(rules_out_collapse(bounds)) is cleared
+            rows.append(bounds)
+        assert rules_out_collapse(np.stack(rows, axis=1)).tolist() == \
+            [True, False]
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_every_rung_of_deep_stacks(self, graphite_epoxy, monkeypatch,
@@ -1448,7 +1463,8 @@ class TestCollapseBound:
         assert len(decisions) == len(plies) == 34 * 180
         assert all(decisions)
         assert set(memo) == {
-            memo_key(lam._angle_bits_with(k, a), design.load)
+            memo_key(struct.pack(f"{lam.n_plies}d", *lam.angles[:k], a,
+                                 *lam.angles[k + 1:]), design.load)
             for k, a in zip(plies, angles)}
 
     @pytest.mark.parametrize("load", [TestBatchedKernel.FORCE,
@@ -1512,9 +1528,9 @@ class TestCollapseBound:
         calls = []
         rule = failure.rules_out_collapse
 
-        def spy(bounds, n):
-            decided = rule(bounds, n)
-            calls.append((bounds.copy(), n, decided))
+        def spy(bounds):
+            decided = rule(bounds)
+            calls.append((bounds.copy(), decided))
             return decided
 
         monkeypatch.setattr(failure, "rules_out_collapse", spy)
@@ -1528,11 +1544,10 @@ class TestCollapseBound:
                 bounds = failure._kernel_inputs(
                     lam.with_angles(row), loads[0])[0][3][3:]
                 states[row] = (bounds.tobytes(),
-                               bool(rule(bounds, lam.n_plies)))
+                               bool(rule(bounds)))
         want = [states[row]
                 for row in TestBatchedKernel.rows(lam, plies, angles)]
-        for bounds, n, decided in calls:
-            assert n == lam.n_plies
+        for bounds, decided in calls:
             assert bounds.shape == (2, len(plies), lam.n_plies)
             got = [(bounds[:, b].tobytes(), d)
                    for b, d in enumerate(decided.tolist())]

@@ -5,11 +5,14 @@ unidirectional plies: reduced stiffness [Q] of a lamina in its fiber axes,
 rotation into laminate axes [Qbar], A/B/D assembly over the stack and the
 6x6 system [[A, B], [B, D]], plus the Tsai-Wu strength parameters of each
 material. Every per-ply array the rung kernel reads is laid out here: the
-[Qbar] stack and bound tails of :func:`stiffness_rows`, the
-:func:`system_matrix` and the Tsai-Wu coefficients of
-:attr:`PreparedStack.tsai_wu`. The mid-plane solve, the per-ply stress
-recovery and the Tsai-Wu strength ratios live in :mod:`plytamper.failure`,
-the one evaluation chain behind every report.
+[Qbar] stack of :func:`stiffness_rows`, the :func:`system_matrix` and the
+Tsai-Wu coefficients of :attr:`PreparedStack.tsai_wu`. So is the one
+collapse test, :func:`require_nonsingular`: the system is symmetric, so
+its singular values are the magnitudes of its eigenvalues, and one
+``eigvalsh`` gives the reciprocal condition an SVD would. The mid-plane
+solve, the per-ply stress recovery and the Tsai-Wu strength ratios live
+in :mod:`plytamper.failure`, the one evaluation chain behind every
+report.
 
 Formulation follows the usual textbook treatment (e.g. A. K. Kaw,
 *Mechanics of Composite Materials*, 2nd ed., CRC Press, 2006).
@@ -315,9 +318,8 @@ class PreparedStack:
     from -H/2 to +H/2 (ply k occupies [h_{k-1}, h_k]), ``z_mid`` the ply
     mid-planes, ``weights`` the (3, n) A, B and D weights
     h_k^p - h_{k-1}^p for p = 1, 2, 3, and ``materials`` each ply's
-    material. All arrays are read-only; :attr:`tsai_wu` and
-    :attr:`weight_spectra` are built on first use, since stiffness-only
-    callers never read them.
+    material. All arrays are read-only; :attr:`tsai_wu` is built on
+    first use, since stiffness-only callers never read it.
     """
 
     h: np.ndarray
@@ -345,21 +347,6 @@ class PreparedStack:
         rows = np.array([m.tsai_wu for m in self.materials]) * _TERM_SCALE
         rows.setflags(write=False)
         return rows
-
-    @cached_property
-    def weight_spectra(self) -> np.ndarray:
-        """The extreme eigenvalues m_min, m_max of each ply's 2x2 weight
-        matrix M_k = [[w1, w2/2], [w2/2, w3/3]], as a read-only (n, 5)
-        array of rows (m_min, m_min, m_max, m_max, m_max), the factors
-        that :func:`ply_bounds` pairs with a [Qbar] row."""
-        w1, w2, w3 = self.weights
-        m = np.empty((len(w1), 2, 2))
-        m[:, 0, 0] = w1
-        m[:, 0, 1] = m[:, 1, 0] = w2 / 2.0
-        m[:, 1, 1] = w3 / 3.0
-        spectra = np.linalg.eigvalsh(m)[:, [0, 0, 1, 1, 1]]
-        spectra.setflags(write=False)
-        return spectra
 
 
 @dataclass(frozen=True)
@@ -496,19 +483,14 @@ def ply_stiffness_entry(mat: MaterialProperties, angle_deg: float):
 
     Each material keeps its own table keyed by angle, so the table lives
     only as long as the material and a lookup never hashes the material.
-    The row is a read-only (14,) array: the nine entries of the ply's
-    [Qbar], then mu_min, mu_max, mu_min, mu_max and ||Qbar||_F, where
-    mu_min and mu_max are the extreme eigenvalues of sym(Qbar) =
-    (Qbar + Qbar^T)/2. :func:`stiffness_rows` gathers and splits them
-    into a stack's [Qbar] and its :func:`ply_bounds` factors.
+    The row is a read-only (9,) array, the entries of the ply's [Qbar]
+    row by row; :func:`stiffness_rows` gathers them into a stack.
     """
     table = mat._qbar_by_angle
     row = table.get(angle_deg)
     if row is None:
-        qbar = transform_stiffness(reduced_stiffness(mat), angle_deg)
-        mu = np.linalg.eigvalsh((qbar + qbar.T) / 2.0)
-        row = table[angle_deg] = np.concatenate(
-            [qbar.ravel(), mu[[0, 2, 0, 2]], [np.linalg.norm(qbar)]])
+        row = table[angle_deg] = transform_stiffness(
+            reduced_stiffness(mat), angle_deg).reshape(9)
         row.setflags(write=False)
     return row
 
@@ -518,17 +500,17 @@ def ply_stiffness_entry(mat: MaterialProperties, angle_deg: float):
 # =============================================================================
 
 def stiffness_rows(materials, angles):
-    """The (m, 3, 3) [Qbar] stack of m plies, given their materials and
-    angles, and the (m, 5) tails that :func:`ply_bounds` takes: one
-    :func:`ply_stiffness_entry` lookup per ply. The stack is contiguous."""
-    rows = np.array([ply_stiffness_entry(mat, angle)
-                     for mat, angle in zip(materials, angles)]).reshape(-1, 14)
-    return np.ascontiguousarray(rows[:, :9].reshape(-1, 3, 3)), rows[:, 9:]
+    """The contiguous (m, 3, 3) [Qbar] stack of m plies, given their
+    materials and angles: one :func:`ply_stiffness_entry` lookup per
+    ply."""
+    stack = np.array([ply_stiffness_entry(mat, angle)
+                      for mat, angle in zip(materials, angles)])
+    return stack.reshape(-1, 3, 3)
 
 
 def stiffness_stack(lam: Laminate) -> np.ndarray:
     """Per-ply [Qbar] as an (n, 3, 3) array, top to bottom."""
-    return stiffness_rows(lam.prepared.materials, lam.angles)[0]
+    return stiffness_rows(lam.prepared.materials, lam.angles)
 
 
 def assemble_abd(lam: Laminate) -> AbdMatrices:
@@ -577,100 +559,32 @@ def system_matrix(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
 #: anywhere near this.
 RCOND_COLLAPSED = 1e-12
 
-#: The spacing of doubles at 1, twice the unit roundoff u.
-_EPS = float(np.finfo(float).eps)
-
-#: The range of the upper bound inside which :func:`rules_out_collapse`
-#: may decide: far from overflow, and far enough from underflow that the
-#: absolute error of a subnormal result is negligible against eps * U.
-_BOUND_RANGE = (1e-200, 1e200)
-
-
-def ply_bounds(weight_spectra: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    """Per-ply collapse bounds as a (2, ..., n) array: l_k, then u_k, the
-    array :func:`rules_out_collapse` takes.
-
-    ``weight_spectra`` holds (n, 5) rows of
-    :attr:`PreparedStack.weight_spectra` and ``q_rows`` the (..., n, 5)
-    tails of :func:`ply_stiffness_entry` rows. Ply k contributes
-    M_k (x) Qbar_k to the 6x6 system. l_k, the smallest of the four
-    products of an extreme eigenvalue of M_k with one of sym(Qbar_k), is
-    the smallest eigenvalue of M_k (x) sym(Qbar_k), whatever their signs;
-    u_k = m_max * ||Qbar_k||_F bounds the spectral norm of M_k (x) Qbar_k.
-    A ply's bounds depend on its own weights, material and angle only, so
-    a state's are its plies' columns, however the state is reached.
-    """
-    products = weight_spectra * q_rows
-    bounds = np.empty((2,) + products.shape[:-1])
-    products[..., :4].min(axis=-1, out=bounds[0])
-    bounds[1] = products[..., 4]
-    return bounds
-
-
-def rules_out_collapse(bounds: np.ndarray):
-    """True where a bound proves the 6x6 system not collapsed.
-
-    ``bounds`` holds the :func:`ply_bounds` of the n plies of a system as
-    a (2, ..., n) array: l_k, then u_k, one system per trailing row, so
-    n is read from its last axis. The rule sums each row itself,
-    L = sum l_k and U = sum u_k; it is the only code that sums collapse
-    bounds, so a state gets the same decision from the same bits
-    whichever kernel reaches it. Returns a bool, or an array of one per
-    system. True means that :func:`require_nonsingular` would not raise
-    on the :func:`system_matrix` of the same plies; False decides
-    nothing. Where it is False, the rung kernel ``failure._rung`` runs
-    that SVD test, and the batch kernel leaves the state to the rung
-    kernel.
-
-    The rule is L > (2 * RCOND_COLLAPSED + 4 * (n + 8) * eps) * U with U
-    inside :data:`_BOUND_RANGE`. Why it holds, with u = eps/2 the unit
-    roundoff and gamma_m = m*u/(1 - m*u):
-
-    * Exactly, the system is K = sum_k M_k (x) Qbar_k over the stored
-      weights and [Qbar]. Since M_k is symmetric, sym(K) = sum_k
-      M_k (x) sym(Qbar_k), so by Weyl's inequality and the eigenvalues
-      of Kronecker products, sigma_min(K) >= lambda_min(sym K) >=
-      sum_k l_k; and ||K||_2 <= sum_k ||M_k||_2 ||Qbar_k||_2 <= sum_k u_k.
-    * The computed system is K + E: each entry is a sum of n products,
-      then a division by 1, 2 or 3, so |E| <= gamma_(n+1) sum_k
-      |M_k| (x) |Qbar_k| entrywise and ||E||_2 <= ||E||_F <=
-      sqrt(2) * gamma_(n+1) * sum_k u_k, as ||M_k||_F <= sqrt(2) m_max.
-      That is at most (1.5 * n + 1.5) * u * U.
-    * The computed l_k and u_k are within c * u * u_k of their exact
-      values for a small c (symmetric 2x2 and 3x3 eigenvalues and a
-      Frobenius norm, then one product), and |l_k| <= u_k, as M_k is a
-      Gram matrix, so m_max is its spectral norm. Summing n of them, in
-      any order, is off by at most gamma_(n-1) times the sum of their
-      magnitudes. So the exact sum of the l_k is at least
-      L - (n + c) * u * U, and U is within that relative error of the
-      exact sum of the u_k.
-    * A backward-stable SVD returns each singular value within
-      p * u * sigma_max of the computed matrix's, with p small.
-
-    Together, the test's sv[-1] / sv[0] is at least
-    (L - (2.5 * n + 1.5 + c + p) * u * U) / (U * (1 + O(n * u))). The
-    factor 2 on RCOND_COLLAPSED absorbs the (1 + O(n * u)) factors, and
-    4 * (n + 8) * eps = (8 * n + 64) * u exceeds 2.5 * n + 1.5 + c + p
-    for any n >= 1 and any c + p up to 68. The rule is exact, not tuned:
-    a state it decides gets the decision the SVD would give. A NaN or
-    infinite bound decides nothing.
-    """
-    n = bounds.shape[-1]
-    sums = bounds.sum(axis=-1)
-    lower, upper = sums[0], sums[1]   # indexing: unpacking iterates, slower
-    margin = 2.0 * RCOND_COLLAPSED + 4.0 * (n + 8) * _EPS
-    low, high = _BOUND_RANGE
-    return (lower > margin * upper) & (upper > low) & (upper < high)
-
 
 def require_nonsingular(matrix: np.ndarray, message: str) -> None:
-    """Raise LaminateSingularError(message) if ``matrix`` has collapsed:
-    its largest singular value is zero, or its reciprocal condition is
-    below :data:`RCOND_COLLAPSED`. The test runs a full SVD. It is the
-    only collapse test by SVD: :mod:`plytamper.detect` calls it on A, and
-    in :mod:`plytamper.failure` only the rung kernel ``_rung`` calls it,
-    on the system of a state :func:`rules_out_collapse` cannot decide.
-    The solve stage ``failure.ply_stresses`` runs no collapse test."""
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED:
+    """Raise LaminateSingularError(message) if the symmetric ``matrix``
+    has collapsed: its largest eigenvalue magnitude is zero, or its
+    smallest is below :data:`RCOND_COLLAPSED` times its largest.
+
+    The singular values of a symmetric matrix are the magnitudes of its
+    eigenvalues, so this is the reciprocal-condition test of an SVD, from
+    ``eigvalsh`` on the lower triangle. It is the one collapse test:
+    :mod:`plytamper.detect` calls it on A and the rung kernel
+    ``failure._rung`` on each state's :func:`system_matrix`, and the
+    batch ``failure.first_ply_failure_batch`` writes the same rule out
+    over its rows. Stiffness sums that are not finite (the sums of
+    :func:`_stacked_abd` overflow silently) raise FloatingPointError.
+    """
+    try:
+        values = np.linalg.eigvalsh(matrix).tolist()   # ascending
+    except np.linalg.LinAlgError:
+        values = [math.nan]
+    low, high = values[0], values[-1]
+    if (0.0 < low and RCOND_COLLAPSED * high <= low
+            and math.isfinite(sum(values))):
+        return   # positive definite: low and high are the extreme |values|
+    if not all(map(math.isfinite, values)):
+        raise FloatingPointError(
+            "the laminate stiffness sums (A, B, D) are not finite")
+    high = max(-low, high)
+    if high == 0.0 or min(map(abs, values)) < RCOND_COLLAPSED * high:
         raise LaminateSingularError(message)

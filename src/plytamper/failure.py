@@ -29,11 +29,10 @@ from plytamper.clt import (
     LaminateSingularError,
     LoadCase,
     NoLoadedPlyError,
+    RCOND_COLLAPSED,
     StrengthRatioRootError,
     angle_bits_with,
-    ply_bounds,
     require_nonsingular,
-    rules_out_collapse,
     stiffness_rows,
     system_matrix,
     transformation_matrix,
@@ -134,16 +133,17 @@ def classify_failure_mode(
 #
 # One laminate state is solved and scored in two stages, each written once
 # and used with or without a leading batch axis: :func:`ply_stresses`
-# (the 6x6 system, the solve and the per-ply stress recovery) and the
-# Tsai-Wu ratios. Every per-ply array they read, the [Qbar] stack and
-# bound tails of one stiffness-row gather, the system matrix and the
-# Tsai-Wu term coefficients, is laid out by :mod:`plytamper.clt`.
-# :func:`_rung` chains them for one state, on its surviving plies only,
-# and alone decides whether an evaluation fails: collapse (the per-ply
-# bound of :func:`~plytamper.clt.rules_out_collapse` where it can decide,
-# the SVD only where it cannot), roots and a loaded ply.
+# (the solve of the 6x6 system and the per-ply stress recovery) and the
+# Tsai-Wu ratios. Every per-ply array they read, the [Qbar] stack of one
+# stiffness-row gather, the system matrix and the Tsai-Wu term
+# coefficients, is laid out by :mod:`plytamper.clt`. :func:`_rung` chains
+# them for one state, on its surviving plies only, and alone decides
+# whether an evaluation fails: collapse, by
+# :func:`~plytamper.clt.require_nonsingular`, roots and a loaded ply.
 # :func:`first_ply_failure_batch` chains them for many states at once,
-# the ones the same bound clears, each from its own per-ply bounds.
+# with the same collapse rule over one batched ``eigvalsh``. The system
+# is symmetric, so its eigenvalue magnitudes are its singular values and
+# both decide as an SVD would.
 
 #: The stress factors of the Tsai-Wu terms h1*s1, h2*s2, h11*s1, h22*s2,
 #: h66*t12 and 2*h12*s1, then those of the quadratic terms' second factors.
@@ -185,21 +185,21 @@ def _strength_ratios_and_bad(local_stress: np.ndarray, coef: np.ndarray):
     return np.where(zero, np.inf, sr), bad
 
 
-def ply_stresses(stack: np.ndarray, weights: np.ndarray, z_mid: np.ndarray,
+def ply_stresses(k6: np.ndarray, stack: np.ndarray, z_mid: np.ndarray,
                  rhs: np.ndarray, t_stack: np.ndarray):
     """Solve the laminate and recover each ply's mid-thickness state: the
     one solve stage of every evaluation.
 
-    ``stack`` holds each ply's [Qbar] and ``t_stack`` its [T], as
-    (n, 3, 3) arrays or (B, n, 3, 3) batches of them; ``weights`` are the
-    plies' (3, n) z weights and ``z_mid`` their mid-planes. ``rhs`` is the
-    (6,) load vector of one state, or (B, 6, 1) for a batch. Returns the
-    (..., n, 3) global strain (eps_x, eps_y, gamma_xy), global stress and
-    fiber-axis stress (sigma_1, sigma_2, tau_12), with eps(z) = eps0 + z*k.
-    It runs no collapse test: a collapsed system gives meaningless
-    numbers, or a LinAlgError from the solve when it is exactly singular.
+    ``k6`` is the plies' :func:`~plytamper.clt.system_matrix`, (6, 6) or
+    (B, 6, 6) for a batch; ``stack`` holds each ply's [Qbar] and
+    ``t_stack`` its [T], as (n, 3, 3) arrays or (B, n, 3, 3) batches of
+    them, and ``z_mid`` the plies' mid-planes. ``rhs`` is the (6,) load
+    vector of one state, or (B, 6, 1) for a batch. Returns the (..., n, 3)
+    global strain (eps_x, eps_y, gamma_xy), global stress and fiber-axis
+    stress (sigma_1, sigma_2, tau_12), with eps(z) = eps0 + z*k. It runs
+    no collapse test: a collapsed system gives meaningless numbers, or a
+    LinAlgError from the solve when it is exactly singular.
     """
-    k6 = system_matrix(stack, weights)
     solution = np.linalg.solve(k6, rhs).reshape(k6.shape[:-1])
     eps0, kappa = solution[..., None, :3], solution[..., None, 3:]
     global_strain = eps0 + z_mid[:, None] * kappa
@@ -213,10 +213,8 @@ def _kernel_inputs(lam: Laminate, load: LoadCase):
     if load.is_zero:
         raise ValueError("failure analysis needs a nonzero load")
     prep = lam.prepared
-    stack, tails = stiffness_rows(prep.materials, lam.angles)
-    arrays = (stack, transformation_matrix(lam.angles), prep.z_mid,
-              np.concatenate([prep.weights,
-                              ply_bounds(prep.weight_spectra, tails)]),
+    arrays = (stiffness_rows(prep.materials, lam.angles),
+              transformation_matrix(lam.angles), prep.z_mid, prep.weights,
               prep.tsai_wu)
     return arrays, load.as_vector()
 
@@ -226,30 +224,26 @@ def _rung(arrays: tuple, load_vec: np.ndarray,
     """First-failure multiplier and strength ratios of one laminate
     state: the one rung kernel.
 
-    ``arrays`` are every ply's [Qbar], [T] and mid-plane, the (5, n)
-    summands of its ply sums (z weights w1, w2, w3, then collapse bounds
-    l and u) and its term coefficients, from :func:`_kernel_inputs`, so
-    that one take gives a state's weights and bounds; ``plies`` lists the
-    surviving plies in order, every ply for the intact state. Failed
-    plies are left out of the solve: with zeroed stiffness their terms of
-    every ply sum would be exact zeros, so the bits are the same. Returns
-    the smallest finite ratio, as a float, and the survivors' ratios. It
-    alone raises on a state: LaminateSingularError for a collapsed system
-    (:func:`~plytamper.clt.rules_out_collapse` decides from the
-    survivors' bounds where it can, the SVD where it cannot),
-    StrengthRatioRootError naming the original indices of loaded plies
-    without a positive root, and NoLoadedPlyError.
+    ``arrays`` are every ply's [Qbar], [T] and mid-plane, the (3, n) z
+    weights w1, w2, w3 of its ply sums and its term coefficients, from
+    :func:`_kernel_inputs`; ``plies`` lists the surviving plies in order,
+    every ply for the intact state. Failed plies are left out of the
+    solve: with zeroed stiffness their terms of every ply sum would be
+    exact zeros, so the bits are the same. The state's system is built
+    once, for the collapse test and the solve. Returns the smallest
+    finite ratio, as a float, and the survivors' ratios. It alone raises
+    on a state: what :func:`~plytamper.clt.require_nonsingular` raises
+    (LaminateSingularError for a collapsed system, FloatingPointError
+    for stiffness sums that are not finite), StrengthRatioRootError
+    naming the original indices of loaded plies without a positive root,
+    and NoLoadedPlyError.
     """
-    stack, t_stack, z_mid, summands, coef = arrays
+    stack, t_stack, z_mid, weights, coef = arrays
     stack, t_stack, z_mid, coef = (
         a.take(plies, axis=0) for a in (stack, t_stack, z_mid, coef))
-    summands = summands.take(plies, axis=1)
-    weights = summands[:3]
-    if not rules_out_collapse(summands[3:]):
-        require_nonsingular(system_matrix(stack, weights),
-                            "laminate system is numerically singular")
-    _, _, local_stress = ply_stresses(stack, weights, z_mid, load_vec,
-                                      t_stack)
+    k6 = system_matrix(stack, weights.take(plies, axis=1))
+    require_nonsingular(k6, "laminate system is numerically singular")
+    _, _, local_stress = ply_stresses(k6, stack, z_mid, load_vec, t_stack)
     sr, bad = _strength_ratios_and_bad(local_stress, coef)
     if bad is not None and bad.any():
         raise StrengthRatioRootError(
@@ -337,18 +331,19 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
 
     Row b is ``lam`` with ply ``plies[b]`` at ``angles[b]``, in [-90, 90]
     as :func:`~plytamper.clt.normalize_angle` gives it: ``lam``'s [Qbar]
-    and [T] stacks and per-ply collapse bounds, copied with one column
-    replaced. Only the rows that :func:`~plytamper.clt.rules_out_collapse`
-    clears are solved: a row's bounds are its state's, so it is cleared
-    exactly when :func:`first_ply_failure` would clear that state without
-    the SVD. A solved row with a loaded ply and a positive root on every
-    ply is stored as its record's ``first``, unless one is there, bit
-    for bit what :func:`first_ply_failure` returns. Every other row is
-    left to that call, which solves it or raises. Nothing is returned.
+    and [T] stacks, copied with one column replaced. One batched
+    ``eigvalsh`` of the B systems decides collapse by the rule of
+    :func:`~plytamper.clt.require_nonsingular`, written so that a NaN
+    system counts as collapsed, and only the rows that are finite and not
+    collapsed are solved. A solved row with a loaded ply and a positive
+    root on every ply is stored as its record's ``first``, unless one is
+    there, bit for bit what :func:`first_ply_failure` returns. Every
+    other row is left to that call, which solves it or raises; a
+    LinAlgError from the batch (a NaN system) leaves every row to it.
+    Nothing is returned.
     """
-    (stack, t_stack, z_mid, summands, coef), load_vec = _kernel_inputs(
+    (stack, t_stack, z_mid, weights, coef), load_vec = _kernel_inputs(
         lam, load)
-    weights, bounds = summands[:3], summands[3:]
     plies, angles = np.asarray(plies), np.asarray(angles, dtype=float)
     if plies.ndim != 1 or angles.shape != plies.shape:
         raise ValueError(f"need one angle per ply index, got shapes "
@@ -359,24 +354,26 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     if not (np.abs(angles) <= 90.0).all():
         raise ValueError("angles must lie in [-90, 90]")
     prep, ply_list = lam.prepared, plies.tolist()
-    qbars, tails = stiffness_rows([prep.materials[k] for k in ply_list],
-                                  angles.tolist())
-    row_bounds = np.repeat(bounds[:, None], len(ply_list), axis=1)
-    row_bounds[:, np.arange(len(ply_list)), ply_list] = ply_bounds(
-        prep.weight_spectra[ply_list], tails)
-    cleared = np.flatnonzero(rules_out_collapse(row_bounds)).tolist()
-    ply_list = [ply_list[b] for b in cleared]
-    angles = angles[cleared]
+    stacks = np.repeat(stack[None], len(ply_list), axis=0)
+    stacks[np.arange(len(ply_list)), ply_list] = stiffness_rows(
+        [prep.materials[k] for k in ply_list], angles.tolist())
+    k6 = system_matrix(stacks, weights)
+    try:
+        magnitudes = np.abs(np.linalg.eigvalsh(k6))
+    except np.linalg.LinAlgError:
+        return   # a NaN system: first_ply_failure takes every row
+    high = magnitudes.max(axis=-1)
+    kept = np.flatnonzero((high > 0.0) & (
+        magnitudes.min(axis=-1) >= RCOND_COLLAPSED * high)).tolist()
+    if len(kept) < len(ply_list):
+        k6, stacks, angles = k6[kept], stacks[kept], angles[kept]
+        ply_list = [ply_list[b] for b in kept]
     count = len(ply_list)
-    rows = np.arange(count)
-    stacks = np.repeat(stack[None], count, axis=0)
-    stacks[rows, ply_list] = qbars[cleared]
     t_stacks = np.repeat(t_stack[None], count, axis=0)
-    t_stacks[rows, ply_list] = transformation_matrix(angles)
+    t_stacks[np.arange(count), ply_list] = transformation_matrix(angles)
     rhs = np.broadcast_to(load_vec[:, None], (count, 6, 1))
     try:
-        _, _, local_stress = ply_stresses(stacks, weights, z_mid, rhs,
-                                          t_stacks)
+        _, _, local_stress = ply_stresses(k6, stacks, z_mid, rhs, t_stacks)
     except np.linalg.LinAlgError:
         return   # first_ply_failure solves the rows one by one
     sr, bad = _strength_ratios_and_bad(local_stress, coef)

@@ -49,8 +49,9 @@ RTOL = 1e-9
 def solve(lam, load, stack=None):
     """Per-ply global strain, global stress and fiber-axis stress."""
     prep = lam.prepared
-    return ply_stresses(stiffness_stack(lam) if stack is None else stack,
-                        prep.weights, prep.z_mid, load.as_vector(),
+    stack = stiffness_stack(lam) if stack is None else stack
+    return ply_stresses(system_matrix(stack, prep.weights), stack,
+                        prep.z_mid, load.as_vector(),
                         transformation_matrix(lam.angles))
 
 
@@ -422,21 +423,21 @@ class TestTransformedStiffness:
             row[0] = 0.0
 
     def test_gather_splits_each_entry(self, graphite_epoxy):
-        """``stiffness_rows`` gives each ply's [Qbar] and bound tail, the
-        nine leading and five trailing entries of its cached row, and an
-        empty gather gives empty arrays of the same layouts."""
+        """``stiffness_rows`` stacks each ply's cached row, the nine
+        entries of its [Qbar], and an empty gather gives an empty stack
+        of the same layout."""
         other = MaterialProperties(**dict(_MATERIAL, e1=38.6e9, e2=8.27e9))
         materials = [graphite_epoxy, other, graphite_epoxy]
         angles = [30.0, -45.0, 0.0]
-        stack, tails = stiffness_rows(materials, angles)
-        assert stack.shape == (3, 3, 3) and tails.shape == (3, 5)
+        stack = stiffness_rows(materials, angles)
+        assert stack.shape == (3, 3, 3)
         assert stack.flags.c_contiguous
         for k, (mat, angle) in enumerate(zip(materials, angles)):
             row = ply_stiffness_entry(mat, angle)
-            assert stack[k].tobytes() == row[:9].tobytes()
-            assert tails[k].tobytes() == row[9:].tobytes()
-        stack, tails = stiffness_rows([], [])
-        assert stack.shape == (0, 3, 3) and tails.shape == (0, 5)
+            assert row.shape == (9,)
+            assert stack[k].tobytes() == row.tobytes() == transform_stiffness(
+                reduced_stiffness(mat), angle).tobytes()
+        assert stiffness_rows([], []).shape == (0, 3, 3)
 
 
 # =============================================================================
@@ -590,15 +591,12 @@ class TestSolveMidplane:
 
     def test_collapsed_system_raises(self, graphite_epoxy):
         """The rung kernel, which runs the collapse test, on a stack of
-        zero stiffness: its collapse bounds are zero too, so the SVD
-        decides."""
+        zero stiffness: every eigenvalue of its system is zero."""
         lam = Laminate.from_angles(graphite_epoxy, 1e-4, [0, 90])
-        (stack, t_stack, z_mid, summands, coef), load_vec = _kernel_inputs(
+        (stack, t_stack, z_mid, weights, coef), load_vec = _kernel_inputs(
             lam, LoadCase(n=(1.0, 0.0, 0.0)))
-        summands = summands.copy()
-        summands[3:] = 0.0
         with pytest.raises(LaminateSingularError):
-            _rung((np.zeros_like(stack), t_stack, z_mid, summands, coef),
+            _rung((np.zeros_like(stack), t_stack, z_mid, weights, coef),
                   load_vec, np.arange(2))
 
 

@@ -27,8 +27,6 @@ from plytamper.clt import (
     Ply,
     RCOND_COLLAPSED,
     StrengthRatioRootError,
-    require_nonsingular,
-    rules_out_collapse,
     stiffness_stack,
     system_matrix,
     transformation_matrix,
@@ -970,11 +968,9 @@ class TestBatchedKernel:
 
     def assert_left_out_rows(self, monkeypatch, lam, load, plies, angles,
                              error):
-        """:meth:`assert_rows_match` and :meth:`TestCollapseBound.check`;
-        returns the mask of stored rows and that of the rows whose
-        sequential call raises ``error``."""
+        """:meth:`assert_rows_match`; returns the mask of stored rows and
+        that of the rows whose sequential call raises ``error``."""
         stored = self.assert_rows_match(lam, load, plies, angles)
-        TestCollapseBound.check(monkeypatch, lam, load, plies, angles)
         raising = []
         for row in self.rows(lam, plies, angles):
             try:
@@ -986,19 +982,16 @@ class TestBatchedKernel:
         return stored, np.array(raising)
 
     def test_collapsed_rows_are_not_stored(self, monkeypatch):
-        """A near-rank-one material: a third ply at the angle of one of
-        the other two leaves the system collapsed."""
-        fibre = MaterialProperties(
-            e1=1e12, e2=1e-3, g12=1e-3, nu12=0.3, sigma1t_ult=1e9,
-            sigma1c_ult=1e9, sigma2t_ult=1e7, sigma2c_ult=1e7,
-            tau12_ult=1e7)
-        lam = Laminate.from_angles(fibre, 1e-3, [0.0, 30.0, -30.0])
+        """:data:`NEAR_RANK_ONE`: a third ply at the angle of one of the
+        other two leaves the system collapsed. The batch stores every
+        other row, as each scores cleanly."""
+        lam = Laminate.from_angles(NEAR_RANK_ONE, 1e-3, [0.0, 30.0, -30.0])
         angles = [float(a) for a in range(-90, 91, 10)]
         stored, raising = self.assert_left_out_rows(
             monkeypatch, lam, LoadCase(n=(1.0, 0.0, 0.0)),
             [2] * len(angles), angles, LaminateSingularError)
         assert [a for a, r in zip(angles, raising) if r] == [0.0, 30.0]
-        assert not (stored & raising).any()
+        assert (stored == ~raising).all()
 
     def test_rows_without_a_root_are_not_stored(self, graphite_epoxy,
                                                 monkeypatch):
@@ -1026,8 +1019,22 @@ class TestBatchedKernel:
             [0, 0], [30.0, -0.0], NoLoadedPlyError)
         assert raising.all() and not stored.any()
 
+    def test_rows_with_non_finite_sums_are_not_stored(self, graphite_epoxy):
+        """Plies 1e100 m thick: the D sums overflow, so the batch stores
+        no row, and each row's sequential call raises FloatingPointError
+        naming the stiffness sums."""
+        lam = Laminate.from_angles(graphite_epoxy, 1e100, [0.0, 45.0, 90.0])
+        plies, angles = [1, 1, 0], [0.0, 30.0, -45.0]
+        memo = {}
+        first_ply_failure_batch(lam, AXIAL, plies, angles, memo)
+        assert memo == {}
+        for row in self.rows(lam, plies, angles):
+            with pytest.raises(FloatingPointError,
+                               match="^the laminate stiffness sums"):
+                first_ply_failure(lam.with_angles(row), AXIAL)
+
     def test_failed_batched_solve_stores_nothing(self, monkeypatch):
-        """A LinAlgError from the batched (4-D) solve leaves the memo
+        """A LinAlgError from the batched (3-D system) solve leaves the memo
         without a new ``first``; each row's call then solves it, bit for
         bit as a fresh solve."""
         design = load_bundled_design()
@@ -1040,11 +1047,11 @@ class TestBatchedKernel:
                   for key, record in memo.items()}
         solve, raised = failure.ply_stresses, []
 
-        def singular_batch(stack, *args):
-            if stack.ndim == 4:
-                raised.append(len(stack))
+        def singular_batch(k6, *args):
+            if k6.ndim == 3:
+                raised.append(len(k6))
                 raise np.linalg.LinAlgError("Singular matrix")
-            return solve(stack, *args)
+            return solve(k6, *args)
 
         monkeypatch.setattr(failure, "ply_stresses", singular_batch)
         first_ply_failure_batch(lam, load, plies, angles * 3, memo)
@@ -1088,12 +1095,13 @@ class TestSolveStage:
         t_stacks = np.stack([transformation_matrix(copy.angles)
                              for copy in copies])
         rhs = np.broadcast_to(load_vec[:, None], (len(copies), 6, 1))
-        batch = ply_stresses(stacks, prep.weights, prep.z_mid, rhs,
-                             t_stacks)
+        batch = ply_stresses(system_matrix(stacks, prep.weights), stacks,
+                             prep.z_mid, rhs, t_stacks)
         for output in batch:
             assert output.shape == (len(copies), lam.n_plies, 3)
         for b in range(len(copies)):
-            states = ply_stresses(stacks[b], prep.weights, prep.z_mid,
+            states = ply_stresses(system_matrix(stacks[b], prep.weights),
+                                  stacks[b], prep.z_mid,
                                   load_vec, t_stacks[b])
             for got, want in zip(batch, states):
                 assert [v.hex() for v in got[b].ravel().tolist()] == \
@@ -1127,11 +1135,28 @@ class TestSolveStage:
 # The rung kernel: failed plies leave the solve
 # =============================================================================
 
+def svd_collapsed_system(k6):
+    """``clt.require_nonsingular``'s collapse rule, by SVD and written out
+    independently of it: True when the largest singular value of ``k6``
+    is zero or the reciprocal condition is below RCOND_COLLAPSED."""
+    sv = np.linalg.svd(k6, compute_uv=False)
+    return bool(sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED)
+
+
+def svd_collapsed(lam, plies=None):
+    """:func:`svd_collapsed_system` on the 6x6 system of ``lam``'s plies
+    ``plies`` (all when None)."""
+    plies = np.arange(lam.n_plies) if plies is None else np.asarray(plies)
+    return svd_collapsed_system(system_matrix(
+        stiffness_stack(lam)[plies], lam.prepared.weights[:, plies]))
+
+
 def masked_ladder(lam, load, failed=()):
     """The knockout loop with failed plies kept in the solve at zero
     stiffness: every rung solves and scores all n plies, every collapse
-    test runs the SVD, and its errors carry the rung kernel's messages.
-    It starts with the plies ``failed`` already failed."""
+    test is :func:`svd_collapsed_system`, and its errors carry the rung
+    kernel's messages. It starts with the plies ``failed`` already
+    failed."""
     intact, prep = stiffness_stack(lam), lam.prepared
     t_stack = transformation_matrix(lam.angles)
     active = np.ones(lam.n_plies, dtype=bool)
@@ -1139,18 +1164,17 @@ def masked_ladder(lam, load, failed=()):
     rungs, history = [], []
     while active.any():
         stack = np.where(active[:, None, None], intact, 0.0)
-        try:
-            require_nonsingular(system_matrix(stack, prep.weights),
-                                "laminate system is numerically singular")
-        except LaminateSingularError:
+        k6 = system_matrix(stack, prep.weights)
+        if svd_collapsed_system(k6):
             if not rungs:
-                raise
+                raise LaminateSingularError(
+                    "laminate system is numerically singular")
             rungs.append(FailureRung(rungs[-1].force_multiplier,
                                      tuple(np.flatnonzero(active).tolist()),
                                      flagged=True))
             break
-        _, _, local = ply_stresses(stack, prep.weights, prep.z_mid,
-                                   load.as_vector(), t_stack)
+        _, _, local = ply_stresses(k6, stack, prep.z_mid, load.as_vector(),
+                                   t_stack)
         sr, bad = failure._strength_ratios_and_bad(local, prep.tsai_wu)
         if bad is not None and bad.any():
             raise StrengthRatioRootError(
@@ -1288,7 +1312,7 @@ class TestRungKernel:
 
 
 # =============================================================================
-# The collapse bound: the SVD runs only where the bound cannot decide
+# The collapse test: eigenvalues of the symmetric system, as the SVD decides
 # =============================================================================
 
 #: A material whose [Qbar] conditioning moves by a factor of four with the
@@ -1300,15 +1324,10 @@ SHEAR_STIFF = MaterialProperties(
     e1=1e9, e2=1e9, g12=2e15, nu12=0.999999, sigma1t_ult=1e7,
     sigma1c_ult=1e7, sigma2t_ult=1e7, sigma2c_ult=1e7, tau12_ult=1e7)
 
-
-def svd_collapsed(lam, plies=None):
-    """``require_nonsingular``'s SVD test, written out, on the 6x6 system
-    of ``lam``'s plies ``plies`` (all when None)."""
-    plies = np.arange(lam.n_plies) if plies is None else np.asarray(plies)
-    k6 = system_matrix(stiffness_stack(lam)[plies],
-                       lam.prepared.weights[:, plies])
-    sv = np.linalg.svd(k6, compute_uv=False)
-    return bool(sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_COLLAPSED)
+#: A near-rank-one material: each ply is stiff along its fibres only.
+NEAR_RANK_ONE = MaterialProperties(
+    e1=1e12, e2=1e-3, g12=1e-3, nu12=0.3, sigma1t_ult=1e9,
+    sigma1c_ult=1e9, sigma2t_ult=1e7, sigma2c_ult=1e7, tau12_ult=1e7)
 
 
 def outcome(function, *args):
@@ -1322,97 +1341,53 @@ def outcome(function, *args):
     return result[0].hex(), result[1].tobytes()
 
 
-def bound_spy(decisions):
-    """``failure.rules_out_collapse``, recording each decision it makes
-    in the list ``decisions``."""
-    rule = failure.rules_out_collapse
-
-    def spy(bounds):
-        decided = rule(bounds)
-        decisions.extend(np.atleast_1d(decided).tolist())
-        return decided
-
-    return spy
-
-
 class TestCollapseBound:
-    """Every state the bound of ``clt.rules_out_collapse`` decides is one
-    the SVD test calls not collapsed, every ladder and error is what the
-    SVD-only kernels give, and the batch stores exactly the rows the
-    bound clears that score cleanly, each as the SVD-only
-    ``first_ply_failure`` scores it."""
+    """The collapse bound RCOND_COLLAPSED on the reciprocal condition,
+    tested by ``clt.require_nonsingular`` in the rung kernel and by the
+    batch's own eigenvalue rule: every rung state and every batch row is
+    collapsed exactly when :func:`svd_collapsed` says so, and the batch
+    stores exactly the rows that are not collapsed and score cleanly,
+    each as ``first_ply_failure`` scores it."""
 
     @staticmethod
     def check(monkeypatch, lam, load, plies=(), angles=()):
         """Run the ladder, ``first_ply_failure`` and the one-ply batch
-        (``plies`` at ``angles``) with the bound and SVD-only; assert the
-        above. Returns the bound's decisions: one (state, decided) pair
-        per rung (state: ply indices) and per batch row (state: angles)."""
-        states, decisions = [], []
-        rung = failure._rung
+        (``plies`` at ``angles``); assert the above. Returns the collapse
+        decisions: one per rung state the two calls solve, in order, and
+        one per batch row."""
+        states, collapsed, rung = [], set(), failure._rung
 
         def spy_rung(arrays, load_vec, survivors):
             states.append(survivors)
-            return rung(arrays, load_vec, survivors)
+            try:
+                return rung(arrays, load_vec, survivors)
+            except LaminateSingularError:
+                collapsed.add(len(states) - 1)
+                raise
 
-        calls = ((simulate_progressive_failure, lam, load),
-                 (first_ply_failure, lam, load))
-        batch = (lam, load, list(plies), list(angles))
-        memo, svd_only = {}, {}
         with monkeypatch.context() as patch:
             patch.setattr(failure, "_rung", spy_rung)
-            patch.setattr(failure, "rules_out_collapse",
-                          bound_spy(decisions))
-            got = [outcome(*call) for call in calls]
-            first_ply_failure_batch(*batch, memo)
-        rows = TestBatchedKernel.rows(lam, plies, angles)
-        copies = [lam.with_angles(row) for row in rows]
-        with monkeypatch.context() as patch:
-            patch.setattr(failure, "rules_out_collapse",
-                          lambda bounds: np.zeros(bounds.shape[1:-1],
-                                                  dtype=bool))
-            assert [outcome(*call) for call in calls] == got
-            first_ply_failure_batch(*batch, svd_only)
-            wants = [outcome(first_ply_failure, copy, load)
-                     for copy in copies]
-        assert not svd_only
-        states += rows
-        assert len(states) == len(decisions)
-        for state, decided in zip(states, decisions):
-            if not decided:
-                continue
-            if isinstance(state, tuple):
-                assert not svd_collapsed(lam.with_angles(state))
-            else:
-                assert not svd_collapsed(lam, state)
-        stored = set(memo)
-        for copy, decided, want in zip(
-                copies, decisions[len(decisions) - len(rows):], wants):
-            key = memo_key(copy._angle_bits, load)
-            assert (key in stored) == (decided and isinstance(want[1],
-                                                              bytes))
+            outcome(simulate_progressive_failure, lam, load)
+            outcome(first_ply_failure, lam, load)
+        rungs = [i in collapsed for i in range(len(states))]
+        assert rungs == [svd_collapsed(lam, state) for state in states]
+        memo, rows = {}, []
+        first_ply_failure_batch(lam, load, list(plies), list(angles), memo)
+        for row in TestBatchedKernel.rows(lam, plies, angles):
+            copy = lam.with_angles(row)
+            want = outcome(first_ply_failure, copy, load)
+            rows.append(svd_collapsed(copy))
+            assert (want[0] == "LaminateSingularError") == rows[-1]
+            assert (memo_key(copy._angle_bits, load) in memo) == \
+                isinstance(want[1], bytes)
             assert outcome(first_ply_failure, copy, load, memo) == want
-        return list(zip(states, decisions))
-
-    @pytest.mark.parametrize("m", [1, 34])
-    def test_margin_follows_the_ply_count(self, m):
-        """The rule reads n from the bounds' last axis: (2, m) bounds with
-        U = m are cleared just above L = (2 * RCOND_COLLAPSED + 4 * (m + 8)
-        * eps) * U and not just below it, alone and as a batch of two."""
-        margin = 2.0 * RCOND_COLLAPSED + 4.0 * (m + 8) * np.finfo(float).eps
-        rows = []
-        for scale, cleared in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
-            bounds = np.array([np.full(m, margin * scale), np.ones(m)])
-            assert bool(rules_out_collapse(bounds)) is cleared
-            rows.append(bounds)
-        assert rules_out_collapse(np.stack(rows, axis=1)).tolist() == \
-            [True, False]
+        return rungs, rows
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_every_rung_of_deep_stacks(self, graphite_epoxy, monkeypatch,
                                        seed):
         """Every rung state of three 48-128-ply stacks per seed, built as
-        the ladder benchmark builds them."""
+        the ladder benchmark builds them: none has collapsed."""
         rng = np.random.default_rng(seed)
         grid = [float(a) for a in range(-90, 91, 5)]
         for _ in range(3):
@@ -1422,13 +1397,14 @@ class TestCollapseBound:
             load = LoadCase(tuple(rng.uniform(-1000.0, 1000.0, 3)),
                             tuple(rng.uniform(-1.0, 1.0, 3) * moment))
             lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
-            decided = [d for _, d in self.check(monkeypatch, lam, load)]
-            assert len(decided) > n // 2 and all(decided)
+            rungs, _ = self.check(monkeypatch, lam, load)
+            assert len(rungs) > n // 2 and not any(rungs)
 
     def test_one_ply_scans_of_criterion_5_stacks(self, graphite_epoxy,
                                                  monkeypatch):
         """Every ply of criterion 5's stacks at 30-degree steps and both
-        zeros, under its axial load and a pure moment."""
+        zeros, under its axial load and a pure moment: no row has
+        collapsed, so none falls back to a sequential solve."""
         rng = np.random.default_rng(55)
         grid = [float(a) for a in range(-20, 21, 5)]
         scan = [float(a) for a in range(-90, 91, 30)] + [-0.0]
@@ -1439,33 +1415,10 @@ class TestCollapseBound:
                 [float(rng.choice(grid)) for _ in range(n)])
             for load in (LoadCase((1000.0, 0.0, 0.0)),
                          LoadCase((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))):
-                decisions = self.check(
-                    monkeypatch, lam, load,
-                    [k for k in range(n) for _ in scan], scan * n)
-                # The bound clears every row: none falls back to a
-                # sequential solve.
-                assert all(d for _, d in decisions[-n * len(scan):])
-
-    def test_bound_clears_the_spars_full_scan(self, monkeypatch):
-        """Every ply of the bundled spar at every whole degree, the scan a
-        fewest-plies search runs: the bound clears all 34 x 180 rows, and
-        the batch stores every one."""
-        design = load_bundled_design()
-        lam = design.laminate()
-        angles = [float(a) for a in range(-89, 91)]
-        plies = [k for k in range(lam.n_plies) for _ in angles]
-        angles = angles * lam.n_plies
-        decisions = []
-        monkeypatch.setattr(failure, "rules_out_collapse",
-                            bound_spy(decisions))
-        memo = {}
-        first_ply_failure_batch(lam, design.load, plies, angles, memo)
-        assert len(decisions) == len(plies) == 34 * 180
-        assert all(decisions)
-        assert set(memo) == {
-            memo_key(struct.pack(f"{lam.n_plies}d", *lam.angles[:k], a,
-                                 *lam.angles[k + 1:]), design.load)
-            for k, a in zip(plies, angles)}
+                _, rows = self.check(monkeypatch, lam, load,
+                                     [k for k in range(n) for _ in scan],
+                                     scan * n)
+                assert not any(rows)
 
     @pytest.mark.parametrize("load", [TestBatchedKernel.FORCE,
                                       TestBatchedKernel.BENDING],
@@ -1486,102 +1439,42 @@ class TestCollapseBound:
     def test_wafer_thin_survivor(self, graphite_epoxy, monkeypatch):
         """A thick 90 ply over a thin 0 ply under Nx: the 90 fails
         first, and the thin ply's thickness is swept so that its lone
-        system's SVD reciprocal condition crosses 1e-12."""
+        system's reciprocal condition crosses 1e-12."""
         flagged, lone = [], []
         for t in np.geomspace(5e-6, 5e-5, 150).tolist():
             lam = Laminate((Ply(90.0, 0.125e-3, graphite_epoxy),
                             Ply(0.0, t, graphite_epoxy)))
-            decisions = self.check(monkeypatch, lam, AXIAL, [1, 1],
-                                   [0.0, 45.0])
+            rungs, _ = self.check(monkeypatch, lam, AXIAL, [1, 1],
+                                  [0.0, 45.0])
             ladder = simulate_progressive_failure(lam, AXIAL)
             assert ladder.rungs[0].failed_plies == (0,)
             flagged.append(ladder.rungs[-1].flagged)
-            lone.append(decisions[1][1])
+            lone.append(rungs[1])
         assert True in flagged and False in flagged
-        # The lone thin ply is decided by the bound in the thick half of
-        # the sweep and by the SVD elsewhere.
-        assert True in lone and False in lone
-        assert not any(f and d for f, d in zip(flagged, lone))
+        assert flagged == lone
 
-    def test_batch_swaps_the_replaced_plys_bound(self, monkeypatch):
-        """One ply of :data:`SHEAR_STIFF` whose 0-degree state the bound
-        decides, while its system has collapsed near 45 degrees: each
-        row must be bounded with its own angle's terms."""
+    def test_shear_stiff_ply_collapses_near_45_degrees(self, monkeypatch):
+        """One ply of :data:`SHEAR_STIFF`, whose system has not collapsed
+        at 0 degrees and has at 45, in the rung kernel and in the batch:
+        each row is decided by its own angle's stiffness."""
         lam = Laminate.from_angles(SHEAR_STIFF, 0.012, [0.0])
         angles = [float(a) for a in range(-90, 91, 5)]
-        decisions = self.check(monkeypatch, lam, AXIAL,
-                               [0] * len(angles), angles)
-        assert decisions[0][1]   # the 0-degree ply alone: bounded
-        cleared = [d for _, d in decisions[-len(angles):]]
-        collapsed = [svd_collapsed(lam.with_angles([a])) for a in angles]
-        assert collapsed[angles.index(45.0)]
-        assert not collapsed[angles.index(0.0)]
-        assert cleared[angles.index(0.0)]
+        rungs, rows = self.check(monkeypatch, lam, AXIAL,
+                                 [0] * len(angles), angles)
+        assert rungs == [False, False]
+        assert rows[angles.index(45.0)] and not rows[angles.index(0.0)]
+        rungs, rows = self.check(monkeypatch, lam.with_angles([45.0]), AXIAL,
+                                 [0, 0], [45.0, 0.0])
+        assert rungs == [True, True] and rows == [True, False]
 
-    @staticmethod
-    def assert_rows_bounded_as_their_states(monkeypatch, lam, loads, plies,
-                                            angles):
-        """Run the batch under each load with ``rules_out_collapse``
-        spied on: each row's per-ply bounds are, bit for bit, those
-        ``_rung`` takes for the row's state, and each row's decision is
-        the rule's on them. Returns the decisions of the last load."""
-        calls = []
-        rule = failure.rules_out_collapse
-
-        def spy(bounds):
-            decided = rule(bounds)
-            calls.append((bounds.copy(), decided))
-            return decided
-
-        monkeypatch.setattr(failure, "rules_out_collapse", spy)
-        for load in loads:
-            first_ply_failure_batch(lam, load, plies, angles, {})
-        monkeypatch.undo()
-        assert len(calls) == len(loads)
-        states = {}
-        for row in TestBatchedKernel.rows(lam, plies, angles):
-            if row not in states:
-                bounds = failure._kernel_inputs(
-                    lam.with_angles(row), loads[0])[0][3][3:]
-                states[row] = (bounds.tobytes(),
-                               bool(rule(bounds)))
-        want = [states[row]
-                for row in TestBatchedKernel.rows(lam, plies, angles)]
-        for bounds, decided in calls:
-            assert bounds.shape == (2, len(plies), lam.n_plies)
-            got = [(bounds[:, b].tobytes(), d)
-                   for b, d in enumerate(decided.tolist())]
-            assert got == want
-        return decided
-
-    def test_batch_rows_carry_their_states_bounds(self, graphite_epoxy,
-                                                  monkeypatch):
-        """The spar's full 34 x 180 scan, and every ply of eight random
-        stacks of 1-129 plies (two materials, random thicknesses, both
-        zeros) at 30-degree steps under N+M and M: a batch row is
-        cleared exactly when the rung kernel would clear its state by
-        the bound."""
-        design = load_bundled_design()
-        lam = design.laminate()
-        angles = [float(a) for a in range(-89, 91)]
-        decided = self.assert_rows_bounded_as_their_states(
-            monkeypatch, lam, [design.load],
-            [k for k in range(lam.n_plies) for _ in angles],
-            angles * lam.n_plies)
-        assert decided.all()
-        g, e = graphite_epoxy, GLASS_EPOXY
-        grid = [float(a) for a in range(-90, 91, 30)] + [-0.0]
-        rng = np.random.default_rng(27)
-        for _ in range(8):
-            n = int(rng.integers(1, 130))
-            lam = Laminate(tuple(
-                Ply(float(rng.choice(grid)), float(t), (g, e)[int(k)])
-                for t, k in zip(rng.uniform(0.02e-3, 0.3e-3, size=n),
-                                rng.integers(0, 2, size=n))))
-            self.assert_rows_bounded_as_their_states(
-                monkeypatch, lam,
-                [TestBatchedKernel.FORCE, TestBatchedKernel.BENDING],
-                [k for k in range(n) for _ in grid], grid * n)
+    def test_near_rank_one_rows(self, monkeypatch):
+        """:data:`NEAR_RANK_ONE`: a third ply at the angle of one of the
+        other two leaves the system collapsed."""
+        lam = Laminate.from_angles(NEAR_RANK_ONE, 1e-3, [0.0, 30.0, -30.0])
+        angles = [float(a) for a in range(-90, 91, 10)]
+        _, rows = self.check(monkeypatch, lam, AXIAL, [2] * len(angles),
+                             angles)
+        assert [a for a, c in zip(angles, rows) if c] == [0.0, 30.0]
 
 
 if __name__ == "__main__":

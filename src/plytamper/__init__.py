@@ -25,14 +25,12 @@ from plytamper.attack import (
     target_force,
 )
 from plytamper.clt import (
-    AbdMatrices,
     Laminate,
     LaminateSingularError,
     LoadCase,
     MaterialProperties,
     Ply,
     StrengthRatioRootError,
-    assemble_abd,
     normalize_angle,
     reduced_stiffness,
     transform_stiffness,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATTACK_TYPES",
-    "AbdMatrices",
     "AttackResult",
     "AttackSpec",
     "AttackStatus",
@@ -87,7 +84,6 @@ __all__ = [
     "Ply",
     "PlyRecord",
     "StrengthRatioRootError",
-    "assemble_abd",
     "bundled_design_path",
     "classify_failure_mode",
     "design_to_mapping",

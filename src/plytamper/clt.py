@@ -2,9 +2,9 @@
 
 Builds the stiffness side of the CLT chain for a laminate of
 unidirectional plies: reduced stiffness [Q] of a lamina in its fiber axes,
-rotation into laminate axes [Qbar], A/B/D assembly over the stack and the
-6x6 system [[A, B], [B, D]], plus the Tsai-Wu strength parameters of each
-material. Every per-ply array the rung kernel reads is laid out here: the
+rotation into laminate axes [Qbar], the one assembly of the 6x6 system
+[[A, B], [B, D]] over the stack, and the Tsai-Wu strength parameters of
+each material. Every per-ply array the rung kernel reads is laid out here: the
 [Qbar] stack of :func:`stiffness_rows`, the :func:`system_matrix` and the
 Tsai-Wu coefficients of :attr:`PreparedStack.tsai_wu`. So is the one
 collapse test, :func:`require_nonsingular`: the system is symmetric, so
@@ -400,15 +400,6 @@ class LoadCase:
         return struct.pack("6d", *self.n, *self.m)
 
 
-@dataclass(frozen=True)
-class AbdMatrices:
-    """Extensional (A), coupling (B) and bending (D) stiffness matrices."""
-
-    a: np.ndarray   # 3x3, N/m
-    b: np.ndarray   # 3x3, N
-    d: np.ndarray   # 3x3, N*m
-
-
 # =============================================================================
 # Lamina constants and rotation
 # =============================================================================
@@ -513,42 +504,28 @@ def stiffness_stack(lam: Laminate) -> np.ndarray:
     return stiffness_rows(lam.prepared.materials, lam.angles)
 
 
-def assemble_abd(lam: Laminate) -> AbdMatrices:
-    """Assemble the A, B, D stiffness matrices of a laminate.
-
-    Returns
-    -------
-    AbdMatrices
-        A = sum Qbar_k (h_k - h_{k-1}),
-        B = 1/2 sum Qbar_k (h_k^2 - h_{k-1}^2),
-        D = 1/3 sum Qbar_k (h_k^3 - h_{k-1}^3).
-    """
-    return AbdMatrices(*_stacked_abd(stiffness_stack(lam),
-                                     lam.prepared.weights))
-
-
 #: The 1, 1/2 and 1/3 of A, B and D, as divisors of the weighted sums.
 _ABD_DIVISORS = np.array([1.0, 2.0, 3.0])[:, None, None]
 
-
-def _stacked_abd(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """A, B and D of an (..., n, 3, 3) [Qbar] stack over (3, n) z
-    weights, stacked as one (..., 3, 3, 3) array: one sum over the plies
-    for all three blocks. Dividing by 2 is bit-equal to halving."""
-    return np.einsum("...kij,pk->...pij", stack, weights) / _ABD_DIVISORS
-
-
 #: Where each entry of the 6x6 system, row by row, sits in the flattened
-#: (3, 3, 3) output of :func:`_stacked_abd`: block 0, 1 or 2, then row and
-#: column in it.
+#: (3, 3, 3) stack of A, B and D: block 0, 1 or 2, then row and column in
+#: it.
 _K6_FLAT = (9 * (np.arange(6)[:, None] // 3 + np.arange(6) // 3)
             + 3 * (np.arange(6)[:, None] % 3) + np.arange(6) % 3).ravel()
 
 
 def system_matrix(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The (..., 6, 6) laminate matrix [[A, B], [B, D]] of an
-    (..., n, 3, 3) [Qbar] stack over (3, n) z weights."""
-    abd = _stacked_abd(stack, weights)
+    (..., n, 3, 3) [Qbar] stack over (3, n) z weights: the one assembly
+    of a laminate's stiffness.
+
+    Its [:3, :3], [:3, 3:] and [3:, 3:] blocks are
+    A = sum Qbar_k (h_k - h_{k-1}),
+    B = 1/2 sum Qbar_k (h_k^2 - h_{k-1}^2) and
+    D = 1/3 sum Qbar_k (h_k^3 - h_{k-1}^3), from one sum over the plies
+    for all three. Dividing by 2 is bit-equal to halving.
+    """
+    abd = np.einsum("...kij,pk->...pij", stack, weights) / _ABD_DIVISORS
     batch = abd.shape[:-3]
     return abd.reshape(batch + (27,)).take(_K6_FLAT, axis=-1).reshape(
         batch + (6, 6))
@@ -568,11 +545,11 @@ def require_nonsingular(matrix: np.ndarray, message: str) -> None:
     The singular values of a symmetric matrix are the magnitudes of its
     eigenvalues, so this is the reciprocal-condition test of an SVD, from
     ``eigvalsh`` on the lower triangle. It is the one collapse test:
-    :mod:`plytamper.detect` calls it on A and the rung kernel
+    :mod:`plytamper.detect` calls it on the A block and the rung kernel
     ``failure._rung`` on each state's :func:`system_matrix`, and the
     batch ``failure.first_ply_failure_batch`` writes the same rule out
     over its rows. Stiffness sums that are not finite (the sums of
-    :func:`_stacked_abd` overflow silently) raise FloatingPointError.
+    :func:`system_matrix` overflow silently) raise FloatingPointError.
     """
     try:
         values = np.linalg.eigvalsh(matrix).tolist()   # ascending

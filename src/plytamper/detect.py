@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plytamper.clt import Laminate, assemble_abd, require_nonsingular
+from plytamper.clt import (
+    Laminate,
+    require_nonsingular,
+    stiffness_stack,
+    system_matrix,
+)
 
 #: Relative size below which the coupling block counts as zero.
 COUPLING_REL_TOL = 1e-9
@@ -65,7 +70,9 @@ class DetectabilityReport:
 def engineering_constants(lam: Laminate) -> EngineeringConstants:
     """Effective moduli from the inverse of the extensional stiffness.
 
-    With ``a* = inv(A)`` and total thickness H:
+    A and B are the [:3, :3] and [:3, 3:] blocks of the laminate's
+    :func:`~plytamper.clt.system_matrix`. With ``a* = inv(A)`` and total
+    thickness H:
     Exx = 1/(H a*11), Eyy = 1/(H a*22), Gxy = 1/(H a*66),
     nu_yx = -a*12/a*22.
 
@@ -74,13 +81,13 @@ def engineering_constants(lam: Laminate) -> EngineeringConstants:
     LaminateSingularError
         If A is numerically singular (degenerate laminate).
     """
-    abd = assemble_abd(lam)
+    k6 = system_matrix(stiffness_stack(lam), lam.prepared.weights)
+    a, b = k6[:3, :3], k6[:3, 3:]
     require_nonsingular(
-        abd.a, "degenerate laminate: extensional stiffness is singular")
-    a_star = np.linalg.inv(abd.a)
+        a, "degenerate laminate: extensional stiffness is singular")
+    a_star = np.linalg.inv(a)
     h = lam.total_thickness
-    b_scale = np.abs(abd.b).max()
-    coupled = b_scale > COUPLING_REL_TOL * np.abs(abd.a).max() * h
+    coupled = np.abs(b).max() > COUPLING_REL_TOL * np.abs(a).max() * h
     return EngineeringConstants(
         exx=1.0 / (h * a_star[0, 0]),
         eyy=1.0 / (h * a_star[1, 1]),

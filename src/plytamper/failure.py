@@ -34,6 +34,7 @@ from plytamper.clt import (
     angle_bits_with,
     require_nonsingular,
     stiffness_rows,
+    stiffness_stack,
     system_matrix,
     transformation_matrix,
 )
@@ -213,9 +214,8 @@ def _kernel_inputs(lam: Laminate, load: LoadCase):
     if load.is_zero:
         raise ValueError("failure analysis needs a nonzero load")
     prep = lam.prepared
-    arrays = (stiffness_rows(prep.materials, lam.angles),
-              transformation_matrix(lam.angles), prep.z_mid, prep.weights,
-              prep.tsai_wu)
+    arrays = (stiffness_stack(lam), transformation_matrix(lam.angles),
+              prep.z_mid, prep.weights, prep.tsai_wu)
     return arrays, load.as_vector()
 
 

@@ -14,11 +14,11 @@ from plytamper.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = [
-    "ATTACK_TYPES", "AbdMatrices", "AttackResult", "AttackSpec",
-    "AttackStatus", "DesignError", "DesignFile", "DetectabilityReport",
+    "ATTACK_TYPES", "AttackResult", "AttackSpec", "AttackStatus",
+    "DesignError", "DesignFile", "DetectabilityReport",
     "EngineeringConstants", "FailureLadder", "FailureMode", "FailureRung",
     "Laminate", "LaminateSingularError", "LoadCase", "MaterialProperties",
-    "Ply", "PlyRecord", "StrengthRatioRootError", "assemble_abd",
+    "Ply", "PlyRecord", "StrengthRatioRootError",
     "bundled_design_path", "classify_failure_mode", "design_to_mapping",
     "detectability_report", "effective_modulus", "engineering_constants",
     "first_ply_failure", "focused_attack", "frequency_ratio",
@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(plytamper.__all__) == sorted(PUBLIC_NAMES + ["__version__"])
     for name in plytamper.__all__:
         assert getattr(plytamper, name) is not None, name

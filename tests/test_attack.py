@@ -17,6 +17,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import ladder_oracle
+from test_acceptance import gap_of
 from test_failure import (
     masked_ladder,
     memo_counts,
@@ -25,7 +26,13 @@ from test_failure import (
     tail_keys,
 )
 
-from plytamper.clt import Laminate, LoadCase, MaterialProperties, Ply
+from plytamper.clt import (
+    Laminate,
+    LoadCase,
+    MaterialProperties,
+    Ply,
+    angle_bits_with,
+)
 from plytamper.attack import (
     ATTACK_TYPES,
     AttackResult,
@@ -1194,6 +1201,174 @@ class TestFirstFailureRule:
         design = load_bundled_design()
         self.assert_first_rung_is_the_rule(
             design.laminate(), design.design_sf, [design.load])
+
+
+def searched(attack_type, lam, design, target_sf):
+    """One search of the bundled design at ``target_sf``."""
+    return ATTACK_TYPES[attack_type](
+        lam, AttackSpec(design.load, target_sf, design_sf=design.design_sf))
+
+
+class TestBundledLadders:
+    """The quick start's ladders, in multiples of the design file's
+    100 kN/m reference load. The service load is first failure over
+    design_sf, 23.73 times the reference."""
+
+    def test_original_ladder(self):
+        design = load_bundled_design()
+        lam = design.laminate()
+        ladder = simulate_progressive_failure(lam, design.load)
+        assert [(r.force_multiplier, len(r.failed_plies))
+                for r in ladder.rungs] == [
+            (pytest.approx(30.849017055, rel=1e-9), 8),
+            (pytest.approx(48.75, rel=1e-9), 26)]
+        service = target_force(ladder.first_multiplier, design.design_sf,
+                               1.0)
+        assert service == pytest.approx(23.730013120, rel=1e-9)
+        assert service * design.load.n[0] == pytest.approx(
+            2373001.312, rel=1e-9)
+        assert ladder.first_multiplier / service == pytest.approx(1.3)
+        assert ladder.last_multiplier / ladder.first_multiplier \
+            == pytest.approx(1.58, abs=0.005)
+
+    def test_type2_ladder_at_sf1(self):
+        """The tampered part first fails at 23.09x; under a rising load
+        its last plies let go at rung 7, 45.60x, and every later rung is
+        lower, down to a last rung of one ply at 1.875x."""
+        design = load_bundled_design()
+        result = searched(2, design.laminate(), design, 1.0)
+        rungs = result.ladder.rungs
+        mults = [r.force_multiplier for r in rungs]
+        assert len(rungs) == 34
+        assert mults[0] == pytest.approx(23.089923942, rel=1e-9)
+        assert max(mults) == mults[7] == pytest.approx(45.601685217,
+                                                       rel=1e-9)
+        assert all(m < mults[7] for m in mults[8:])
+        assert mults[7] / mults[0] == pytest.approx(1.97, abs=0.005)
+        assert len(rungs[-1].failed_plies) == 1
+        assert mults[-1] == pytest.approx(1.875, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def spar_one_ply_scan():
+    """Every whole-degree one-ply variation of the bundled design, each
+    ply at -89..90 except its own angle, solved one by one on a
+    ``with_angles`` copy without a memo: {(ply, angle): (mult, sr)}."""
+    design = load_bundled_design()
+    lam = design.laminate()
+    scan = {}
+    for k, own in enumerate(lam.angles):
+        for angle in range(-89, 91):
+            if angle != own:
+                angles = list(lam.angles)
+                angles[k] = float(angle)
+                scan[k, float(angle)] = first_ply_failure(
+                    lam.with_angles(angles), design.load)
+    return design, lam, scan
+
+
+class TestOnePlyFloor:
+    """The lowest first failure one whole-degree ply change can give
+    the bundled design: a 0 deg core ply next to the faces turned to 90.
+    """
+
+    FLOOR = 22.329013955
+
+    def test_floor(self, spar_one_ply_scan):
+        design, lam, scan = spar_one_ply_scan
+        assert len(scan) == 6086
+        ranked = sorted(scan, key=lambda row: scan[row][0])
+        # plies 4 and 29 mirror each other and tie to round-off, so the
+        # order of the two is not part of the result
+        assert set(ranked[:2]) == {(4, 90.0), (29, 90.0)}
+        low, second = (scan[row][0] for row in ranked[:2])
+        assert low == pytest.approx(self.FLOOR, rel=1e-9)
+        assert second == pytest.approx(low, rel=1e-12)
+
+    def test_floor_against_the_targets(self, spar_one_ply_scan):
+        """One ply meets sf 1.0, where the focused search alters two;
+        no single whole-degree change reaches sf 0.9."""
+        design, lam, scan = spar_one_ply_scan
+        original = first_ply_failure(lam, design.load)[0]
+        low = min(mult for mult, _ in scan.values())
+        assert low < target_force(original, design.design_sf, 1.0)
+        assert low > target_force(original, design.design_sf, 0.9)
+
+    def test_batch_stores_every_row_as_the_sequential_call(
+            self, spar_one_ply_scan):
+        design, lam, scan = spar_one_ply_scan
+        rows = list(scan)
+        memo = {}
+        first_ply_failure_batch(lam, design.load, [k for k, _ in rows],
+                                [a for _, a in rows], memo)
+        for k, angle in rows:
+            record = memo[memo_key(angle_bits_with(lam._angle_bits, k, angle),
+                                   design.load)]
+            mult, sr = record.first
+            want_mult, want_sr = scan[k, angle]
+            assert (mult.hex(), sr.tobytes()) == (want_mult.hex(),
+                                                  want_sr.tobytes())
+
+
+class TestKnownLimitation:
+    """The README's "Known limitation" section on the bundled design,
+    number for number, at each of the design file's targets."""
+
+    def test_spread_search(self):
+        design = load_bundled_design()
+        lam = design.laminate()
+        original = simulate_progressive_failure(lam, design.load)
+        assert gap_of(original) == pytest.approx(0.580, abs=5e-4)
+        for target_sf in (1.0, 0.9, 0.8):
+            result = searched(1, lam, design, target_sf)
+            assert result.status is AttackStatus.BUDGET_EXHAUSTED
+            assert result.sweeps == 90
+            assert result.achieved_multiplier == pytest.approx(
+                24.737281385, rel=1e-9)
+            assert [(i, d) for i, d in enumerate(result.deltas) if d] \
+                == [(3, -47.0)]
+            assert result.new_angles[3] == 88.0
+            drop = 1.0 - (result.achieved_multiplier
+                          / result.original_multiplier)
+            assert round(100.0 * drop) == 20
+            assert len(result.ladder.rungs) == 9
+            assert gap_of(result.ladder) == pytest.approx(0.971,
+                                                             abs=5e-4)
+
+    def test_focused_search(self):
+        design = load_bundled_design()
+        lam = design.laminate()
+        for target_sf, status in ((1.0, AttackStatus.SUCCESS),
+                                  (0.9, AttackStatus.NO_SOLUTION),
+                                  (0.8, AttackStatus.NO_SOLUTION)):
+            result = searched(2, lam, design, target_sf)
+            assert result.status is status
+            assert result.achieved_multiplier == pytest.approx(
+                23.089923942, rel=1e-9)
+            assert {i for i, d in enumerate(result.deltas) if d} == {3, 33}
+
+    def test_neither_search_moves_the_cheapest_ply(self, spar_one_ply_scan):
+        """Both searches move only plies of the first-failure group, the
+        eight +-45 face plies; the cheapest single lever is core ply 4 or
+        29, and ply 3 alone gets no lower than 24.74x, at 88 deg."""
+        design, lam, scan = spar_one_ply_scan
+        original = simulate_progressive_failure(lam, design.load)
+        face = set(original.rungs[0].failed_plies)
+        assert face == {0, 1, 2, 3, 30, 31, 32, 33}
+        assert {abs(lam.angles[k]) for k in face} == {45.0}
+        moved = set()
+        for attack_type in (1, 2):
+            for target_sf in design.target_sf:
+                result = searched(attack_type, lam, design, target_sf)
+                moved |= {i for i, d in enumerate(result.deltas) if d}
+        assert moved <= face
+        low = min(scan, key=lambda row: scan[row][0])
+        assert low[0] in (4, 29) and lam.angles[low[0]] == 0.0
+        assert not {4, 29} & moved
+        ply3 = min((scan[row][0], row[1]) for row in scan if row[0] == 3)
+        assert ply3 == (pytest.approx(24.737281385, rel=1e-9), 88.0)
+        assert ply3[0] > target_force(original.first_multiplier,
+                                      design.design_sf, 1.0)
 
 
 def render_attack_text(result):

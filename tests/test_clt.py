@@ -24,9 +24,7 @@ from plytamper.clt import (
     LoadCase,
     MaterialProperties,
     Ply,
-    _stacked_abd,
     angle_bits_with,
-    assemble_abd,
     normalize_angle,
     ply_stiffness_entry,
     reduced_stiffness,
@@ -53,6 +51,21 @@ def solve(lam, load, stack=None):
     return ply_stresses(system_matrix(stack, prep.weights), stack,
                         prep.z_mid, load.as_vector(),
                         transformation_matrix(lam.angles))
+
+
+def abd_blocks(lam):
+    """A, B and D of ``lam``: the [:3, :3], [:3, 3:] and [3:, 3:]
+    blocks of its system matrix."""
+    k6 = system_matrix(stiffness_stack(lam), lam.prepared.weights)
+    return k6[:3, :3], k6[:3, 3:], k6[3:, 3:]
+
+
+def separate_sums(stack, weights):
+    """A, B and D of a [Qbar] stack as three separate sums over the
+    plies, B halved and D divided by 3."""
+    return (np.einsum("...kij,k->...ij", stack, weights[0]),
+            0.5 * np.einsum("...kij,k->...ij", stack, weights[1]),
+            np.einsum("...kij,k->...ij", stack, weights[2]) / 3.0)
 
 
 def ratios(stress, mat):
@@ -470,11 +483,11 @@ class TestAbdAssembly:
         t = 0.125e-3
         lam = Laminate.from_angles(graphite_epoxy, t, [30])
         qbar = transform_stiffness(reduced_stiffness(graphite_epoxy), 30.0)
-        abd = assemble_abd(lam)
-        np.testing.assert_allclose(abd.a, qbar * t, rtol=RTOL)
-        np.testing.assert_allclose(abd.b, np.zeros((3, 3)),
-                                   atol=RTOL * np.abs(abd.a).max() * t)
-        np.testing.assert_allclose(abd.d, qbar * t ** 3 / 12.0, rtol=RTOL)
+        a, b, d = abd_blocks(lam)
+        np.testing.assert_allclose(a, qbar * t, rtol=RTOL)
+        np.testing.assert_allclose(b, np.zeros((3, 3)),
+                                   atol=RTOL * np.abs(a).max() * t)
+        np.testing.assert_allclose(d, qbar * t ** 3 / 12.0, rtol=RTOL)
 
     def test_symmetric_layup_decouples(self, graphite_epoxy):
         rng = np.random.default_rng(21)
@@ -482,39 +495,39 @@ class TestAbdAssembly:
             half = list(rng.uniform(-90.0, 90.0, size=rng.integers(1, 5)))
             lam = Laminate.from_angles(graphite_epoxy, 0.125e-3,
                                        half + half[::-1])
-            abd = assemble_abd(lam)
-            scale = np.abs(abd.a).max() * lam.total_thickness
-            np.testing.assert_allclose(abd.b, np.zeros((3, 3)),
+            a, b, _ = abd_blocks(lam)
+            scale = np.abs(a).max() * lam.total_thickness
+            np.testing.assert_allclose(b, np.zeros((3, 3)),
                                        atol=RTOL * scale)
 
     def test_stack_reversal_flips_coupling(self, graphite_epoxy):
         """Reversing the stacking order keeps A and D, negates B."""
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, [0, 30, 90])
         rev = Laminate.from_angles(graphite_epoxy, 0.125e-3, [90, 30, 0])
-        abd, abd_rev = assemble_abd(lam), assemble_abd(rev)
-        np.testing.assert_allclose(abd_rev.a, abd.a, rtol=RTOL)
-        np.testing.assert_allclose(abd_rev.d, abd.d, rtol=RTOL)
-        np.testing.assert_allclose(abd_rev.b, -abd.b, rtol=RTOL)
+        (a, b, d), (a_rev, b_rev, d_rev) = abd_blocks(lam), abd_blocks(rev)
+        np.testing.assert_allclose(a_rev, a, rtol=RTOL)
+        np.testing.assert_allclose(d_rev, d, rtol=RTOL)
+        np.testing.assert_allclose(b_rev, -b, rtol=RTOL)
 
     def test_a_is_permutation_invariant(self, graphite_epoxy):
         """A only sums Qbar*t, so shuffling plies cannot change it."""
         rng = np.random.default_rng(22)
         angles = list(rng.uniform(-90.0, 90.0, size=6))
         lam = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
-        ref = assemble_abd(lam).a
+        ref = abd_blocks(lam)[0]
         for _ in range(10):
             rng.shuffle(angles)
             shuffled = Laminate.from_angles(graphite_epoxy, 0.125e-3, angles)
-            np.testing.assert_allclose(assemble_abd(shuffled).a, ref,
+            np.testing.assert_allclose(abd_blocks(shuffled)[0], ref,
                                        rtol=RTOL)
 
     def test_inactive_ply_contributes_nothing(self, graphite_epoxy):
         """A failed ply keeps its z band but adds zero stiffness."""
         lam = Laminate.from_angles(graphite_epoxy, 1e-4, [0, 45, 90])
         active = np.array([True, False, True])
-        a = _stacked_abd(
+        a = system_matrix(
             np.where(active[:, None, None], stiffness_stack(lam), 0.0),
-            lam.prepared.weights)[0]
+            lam.prepared.weights)[:3, :3]
         h = lam.prepared.h
         q = reduced_stiffness(graphite_epoxy)
         q0, q90 = transform_stiffness(q, 0.0), transform_stiffness(q, 90.0)
@@ -524,9 +537,9 @@ class TestAbdAssembly:
     @pytest.mark.parametrize("batch", [(), (1,), (5,), (2, 3)])
     def test_one_sum_equals_the_three_block_sums(self, graphite_epoxy,
                                                  batch):
-        """A, B and D from one einsum over the stacked weights, divided
-        by (1, 2, 3), and the 6x6 system gathered from them are bit for
-        bit the three separate sums, B halved and D divided by 3."""
+        """The blocks of the 6x6 system, from one einsum over the stacked
+        weights divided by (1, 2, 3), are bit for bit the three separate
+        sums, B halved and D divided by 3."""
         rng = np.random.default_rng(41)
         for n in (1, 2, 7, 34, 97):
             thickness = rng.uniform(0.05e-3, 0.3e-3, size=n)
@@ -534,16 +547,9 @@ class TestAbdAssembly:
                                  for t in thickness))
             prep = lam.prepared
             stack = rng.normal(size=batch + (n, 3, 3)) * 1e10
-            want = (np.einsum("...kij,k->...ij", stack, prep.weights[0]),
-                    0.5 * np.einsum("...kij,k->...ij", stack,
-                                    prep.weights[1]),
-                    np.einsum("...kij,k->...ij", stack, prep.weights[2])
-                    / 3.0)
+            want = separate_sums(stack, prep.weights)
             k6 = system_matrix(stack, prep.weights)
             assert k6.shape == batch + (6, 6)
-            abd = _stacked_abd(stack, prep.weights)
-            for p, block in enumerate(want):
-                assert abd[..., p, :, :].tobytes() == block.tobytes()
             for (rows, cols), block in zip(
                     (((0, 3), (0, 3)), ((0, 3), (3, 6)), ((3, 6), (0, 3)),
                      ((3, 6), (3, 6))), (want[0], want[1], want[1], want[2])):
@@ -621,8 +627,8 @@ class TestPlyStressState:
         lam = Laminate.from_angles(graphite_epoxy, 1e-4, [0, 45, 90, -45])
         load = LoadCase(n=(10.0, 0.0, 0.0))
         strain, _, _ = solve(lam, load)
-        abd = assemble_abd(lam)
-        state = np.linalg.solve(np.block([[abd.a, abd.b], [abd.b, abd.d]]),
+        a, b, d = separate_sums(stiffness_stack(lam), lam.prepared.weights)
+        state = np.linalg.solve(np.block([[a, b], [b, d]]),
                                 load.as_vector())
         h = lam.prepared.h
         for k in range(lam.n_plies):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plytamper.clt import Laminate, LaminateSingularError, MaterialProperties
+from plytamper.designfile import load_bundled_design
 from plytamper.detect import (
     DetectabilityReport,
     EngineeringConstants,
@@ -15,6 +16,8 @@ from plytamper.detect import (
     frequency_change_percent,
     frequency_ratio,
 )
+from plytamper.failure import first_ply_failure
+from test_clt import abd_blocks
 
 
 # =============================================================================
@@ -243,6 +246,59 @@ class TestDetectabilityReport:
         detectability_report(lam, lam.with_angles([0, 50, -45, 90]))
         assert "tsai_wu" not in vars(lam.prepared)
         assert "tsai_wu" not in vars(mat)
+
+
+# =============================================================================
+# Blind spot: ply order
+# =============================================================================
+
+def swapped(lam, i, j):
+    """``lam`` with the angles of plies i and j swapped."""
+    angles = list(lam.angles)
+    angles[i], angles[j] = angles[j], angles[i]
+    return lam.with_angles(angles)
+
+
+class TestPlyOrderBlindSpot:
+    """Swapping two plies' angles keeps A, the only block ``detect``
+    reads, so it reports no change while first failure drops and B
+    appears. Pinned as an open gap: a flexural or coupling fingerprint
+    has to close it."""
+
+    def test_face_core_swap(self):
+        """Spar plies 3 and 29 (-45 and 0 deg, same material and
+        thickness): A moves by round-off only, not bit for bit."""
+        design = load_bundled_design()
+        lam = design.laminate()
+        assert (lam.angles[3], lam.angles[29]) == (-45.0, 0.0)
+        swap = swapped(lam, 3, 29)
+        (a, b, _), (a_swap, b_swap, _) = abd_blocks(lam), abd_blocks(swap)
+        change = np.abs(a_swap - a).max() / np.abs(a).max()
+        assert 0.0 < change <= 1e-15
+        report = detectability_report(lam, swap)
+        assert abs(report.frequency_change_percent) < 1e-12
+        assert first_ply_failure(lam, design.load)[0] == pytest.approx(
+            30.849017055, rel=1e-9)
+        assert first_ply_failure(swap, design.load)[0] == pytest.approx(
+            25.028014644, rel=1e-9)
+        assert np.abs(b).max() < 1e-9
+        assert np.abs(b_swap).max() == pytest.approx(5.08e4, rel=1e-3)
+        assert report.attacked.has_coupling
+        assert not report.original.has_coupling
+
+    def test_face_core_swap_with_bit_equal_a(self):
+        """Spar plies 0 and 16 (45 and 0 deg): A is bit-equal, so the
+        report reads exactly no change."""
+        design = load_bundled_design()
+        lam = design.laminate()
+        assert (lam.angles[0], lam.angles[16]) == (45.0, 0.0)
+        swap = swapped(lam, 0, 16)
+        a, a_swap = abd_blocks(lam)[0], abd_blocks(swap)[0]
+        assert a_swap.tobytes() == a.tobytes()
+        report = detectability_report(lam, swap)
+        assert report.frequency_change_percent == 0.0
+        assert first_ply_failure(swap, design.load)[0] == pytest.approx(
+            27.182665772, rel=1e-9)
 
 
 if __name__ == "__main__":

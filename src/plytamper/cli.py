@@ -40,6 +40,7 @@ from plytamper.designfile import (
     DesignFile,
     design_to_mapping,
     load_design,
+    require_file_path,
     save_design,
 )
 from plytamper.detect import detectability_report
@@ -172,6 +173,8 @@ def _cmd_attack(args) -> int:
         raise DesignError("no target safety factors: give --target-sf or "
                           "set safety.target_sf in the design file")
 
+    # The designs are named after the report and written before it.
+    require_file_path(args.output)
     paths = {}
     for target_sf in targets:
         path = _tampered_design_path(args.output, args.attack_type,

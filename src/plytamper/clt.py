@@ -7,8 +7,9 @@ rotation into laminate axes [Qbar], the one assembly of the 6x6 system
 each material. Every per-ply array the rung kernel reads is laid out here: the
 [Qbar] stack of :func:`stiffness_rows`, the :func:`system_matrix` and the
 Tsai-Wu coefficients of :attr:`PreparedStack.tsai_wu`. So is the one
-collapse test, :func:`require_nonsingular`: the system is symmetric, so
-its singular values are the magnitudes of its eigenvalues, and one
+collapse rule, :func:`nonsingular_rows`, over a stack of systems, and
+its one-system entry point :func:`require_nonsingular`: a symmetric
+system's singular values are the magnitudes of its eigenvalues, so one
 ``eigvalsh`` gives the reciprocal condition an SVD would. The mid-plane
 solve, the per-ply stress recovery and the Tsai-Wu strength ratios live
 in :mod:`plytamper.failure`, the one evaluation chain behind every
@@ -537,19 +538,39 @@ def system_matrix(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
 RCOND_COLLAPSED = 1e-12
 
 
+def nonsingular_rows(systems: np.ndarray) -> list[int]:
+    """The indices of the (B, m, m) symmetric ``systems`` that have not
+    collapsed: the one collapse rule.
+
+    A system is kept when its largest eigenvalue magnitude is positive
+    and its smallest is at least :data:`RCOND_COLLAPSED` times it. The
+    singular values of a symmetric matrix are the magnitudes of its
+    eigenvalues, so this is the reciprocal-condition test of an SVD,
+    from one batched ``eigvalsh`` on the lower triangles. A system whose
+    eigenvalues are NaN is not kept; when ``eigvalsh`` raises on a NaN
+    entry, no row is.
+    """
+    try:
+        magnitudes = np.abs(np.linalg.eigvalsh(systems))
+    except np.linalg.LinAlgError:
+        return []
+    high = magnitudes.max(axis=-1)
+    return np.flatnonzero((high > 0.0) & (
+        magnitudes.min(axis=-1) >= RCOND_COLLAPSED * high)).tolist()
+
+
 def require_nonsingular(matrix: np.ndarray, message: str) -> None:
     """Raise LaminateSingularError(message) if the symmetric ``matrix``
-    has collapsed: its largest eigenvalue magnitude is zero, or its
-    smallest is below :data:`RCOND_COLLAPSED` times its largest.
+    has collapsed by the rule of :func:`nonsingular_rows`.
 
-    The singular values of a symmetric matrix are the magnitudes of its
-    eigenvalues, so this is the reciprocal-condition test of an SVD, from
-    ``eigvalsh`` on the lower triangle. It is the one collapse test:
+    It is the one-system entry point of that rule:
     :mod:`plytamper.detect` calls it on the A block and the rung kernel
-    ``failure._rung`` on each state's :func:`system_matrix`, and the
-    batch ``failure.first_ply_failure_batch`` writes the same rule out
-    over its rows. Stiffness sums that are not finite (the sums of
-    :func:`system_matrix` overflow silently) raise FloatingPointError.
+    ``failure._rung`` on each state's :func:`system_matrix`. A positive
+    definite matrix within the bound returns after one ``eigvalsh``,
+    whose ascending values give the extreme magnitudes; any other is
+    decided by :func:`nonsingular_rows`. Stiffness sums that are not
+    finite (the sums of :func:`system_matrix` overflow silently) raise
+    FloatingPointError.
     """
     try:
         values = np.linalg.eigvalsh(matrix).tolist()   # ascending
@@ -562,6 +583,5 @@ def require_nonsingular(matrix: np.ndarray, message: str) -> None:
     if not all(map(math.isfinite, values)):
         raise FloatingPointError(
             "the laminate stiffness sums (A, B, D) are not finite")
-    high = max(-low, high)
-    if high == 0.0 or min(map(abs, values)) < RCOND_COLLAPSED * high:
+    if not nonsingular_rows(matrix[None]):
         raise LaminateSingularError(message)

@@ -409,6 +409,18 @@ def save_design(design: DesignFile, path) -> None:
     write_text(path, text)
 
 
+def require_file_path(path) -> None:
+    """Raise IsADirectoryError, naming ``path`` as given, unless it can
+    name a file: it must not be empty, end in a separator, ``.`` or
+    ``..``, or name an existing directory (a symlink's target
+    included)."""
+    given = os.fspath(path)
+    if (os.path.basename(given) in ("", os.curdir, os.pardir)
+            or os.path.isdir(given)):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                given)
+
+
 def write_text(path, text: str, newline: str | None = None) -> None:
     """Write ``text`` (UTF-8) to ``path`` as :func:`open` would, but a
     regular file (a symlink's target) is replaced in one step: the text
@@ -422,7 +434,10 @@ def write_text(path, text: str, newline: str | None = None) -> None:
     An error opening the target, creating the new file (a directory in
     the way, a missing directory, no permission) or syncing the
     directory names ``path`` as given, not its resolved or hidden
-    temporary name."""
+    temporary name. A path that cannot name a file (see
+    :func:`require_file_path`) raises IsADirectoryError before anything
+    is written."""
+    require_file_path(path)
     given, path = os.fspath(path), Path(os.path.realpath(path))
     mode = path.stat().st_mode if path.exists() else None
     if mode is not None and not stat.S_ISREG(mode):

@@ -29,9 +29,9 @@ from plytamper.clt import (
     LaminateSingularError,
     LoadCase,
     NoLoadedPlyError,
-    RCOND_COLLAPSED,
     StrengthRatioRootError,
     angle_bits_with,
+    nonsingular_rows,
     require_nonsingular,
     stiffness_rows,
     stiffness_stack,
@@ -142,9 +142,8 @@ def classify_failure_mode(
 # whether an evaluation fails: collapse, by
 # :func:`~plytamper.clt.require_nonsingular`, roots and a loaded ply.
 # :func:`first_ply_failure_batch` chains them for many states at once,
-# with the same collapse rule over one batched ``eigvalsh``. The system
-# is symmetric, so its eigenvalue magnitudes are its singular values and
-# both decide as an SVD would.
+# keeping the rows that :func:`~plytamper.clt.nonsingular_rows`, the
+# collapse rule behind both, keeps.
 
 #: The stress factors of the Tsai-Wu terms h1*s1, h2*s2, h11*s1, h22*s2,
 #: h66*t12 and 2*h12*s1, then those of the quadratic terms' second factors.
@@ -331,16 +330,14 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
 
     Row b is ``lam`` with ply ``plies[b]`` at ``angles[b]``, in [-90, 90]
     as :func:`~plytamper.clt.normalize_angle` gives it: ``lam``'s [Qbar]
-    and [T] stacks, copied with one column replaced. One batched
-    ``eigvalsh`` of the B systems decides collapse by the rule of
-    :func:`~plytamper.clt.require_nonsingular`, written so that a NaN
-    system counts as collapsed, and only the rows that are finite and not
-    collapsed are solved. A solved row with a loaded ply and a positive
-    root on every ply is stored as its record's ``first``, unless one is
-    there, bit for bit what :func:`first_ply_failure` returns. Every
-    other row is left to that call, which solves it or raises; a
-    LinAlgError from the batch (a NaN system) leaves every row to it.
-    Nothing is returned.
+    and [T] stacks, copied with one column replaced. One call of the
+    collapse rule, :func:`~plytamper.clt.nonsingular_rows`, on the B
+    systems keeps the rows to solve. A solved row with a loaded ply and
+    a positive root on every ply is stored as its record's ``first``,
+    unless one is there, bit for bit what :func:`first_ply_failure`
+    returns. Every other row is left to that call, which solves it or
+    raises; a NaN system that makes the rule keep no row leaves every
+    row to it. Nothing is returned.
     """
     (stack, t_stack, z_mid, weights, coef), load_vec = _kernel_inputs(
         lam, load)
@@ -358,13 +355,7 @@ def first_ply_failure_batch(lam: Laminate, load: LoadCase, plies, angles,
     stacks[np.arange(len(ply_list)), ply_list] = stiffness_rows(
         [prep.materials[k] for k in ply_list], angles.tolist())
     k6 = system_matrix(stacks, weights)
-    try:
-        magnitudes = np.abs(np.linalg.eigvalsh(k6))
-    except np.linalg.LinAlgError:
-        return   # a NaN system: first_ply_failure takes every row
-    high = magnitudes.max(axis=-1)
-    kept = np.flatnonzero((high > 0.0) & (
-        magnitudes.min(axis=-1) >= RCOND_COLLAPSED * high)).tolist()
+    kept = nonsingular_rows(k6)
     if len(kept) < len(ply_list):
         k6, stacks, angles = k6[kept], stacks[kept], angles[kept]
         ply_list = [ply_list[b] for b in kept]

@@ -38,7 +38,15 @@ The records are:
   fails the two 90 plies, then the outer pair, and ends in a flagged
   rung on the lone wafer, the same rung state in all three. The one-ply
   variations above never reach a lone wafer twice, so only these show
-  whether a tail is stored at a flagged rung.
+  whether a tail is stored at a flagged rung;
+* one-ply scans of five stacks under N = (1000, 0, 0) and under
+  M = (1, 0, 0): a 12 mm ply of a shear-stiff material alone and as
+  (0, 30, -60), 1 mm plies of a near-rank-one material as (0, 90) and
+  as (0, 45, 90), and the (90, 0, 90) wafer with a 1 nm middle ply.
+  Each scan is one ``first_ply_failure_batch`` of every ply at the 361
+  angles of ``linspace(-90, 90, 361)`` into a fresh memo, and each row
+  is recorded as stored, or by what ``first_ply_failure`` gives it, so
+  every collapse decision of the batch is in the digest.
 
 pytest does not collect this file, and it writes no files.
 """
@@ -55,6 +63,13 @@ MAT = dict(e1=181e9, e2=10.3e9, g12=7.17e9, nu12=0.28,
 GLASS = dict(e1=38.6e9, e2=8.27e9, g12=4.14e9, nu12=0.26,
              sigma1t_ult=1062e6, sigma1c_ult=610e6,
              sigma2t_ult=31e6, sigma2c_ult=118e6, tau12_ult=72e6)
+#: The collapse test materials of ``tests/test_failure.py``.
+SHEAR_STIFF = dict(e1=1e9, e2=1e9, g12=2e15, nu12=0.999999,
+                   sigma1t_ult=1e7, sigma1c_ult=1e7, sigma2t_ult=1e7,
+                   sigma2c_ult=1e7, tau12_ult=1e7)
+NEAR_RANK_ONE = dict(e1=1e12, e2=1e-3, g12=1e-3, nu12=0.3,
+                     sigma1t_ult=1e9, sigma1c_ult=1e9, sigma2t_ult=1e7,
+                     sigma2c_ult=1e7, tau12_ult=1e7)
 PLY_T = 0.125e-3
 SEEDS = (55, 7, 101)
 TARGETS = (1.0, 0.9, 0.8)
@@ -75,6 +90,10 @@ def result_record(result):
             hexes(result.deltas), result.original_multiplier.hex(),
             result.achieved_multiplier.hex(), result.evaluations,
             result.sweeps, ladder_record(result.ladder))
+
+
+def first_record(first):
+    return first[0].hex(), first[1].tobytes()
 
 
 def attempt(label, run, record):
@@ -170,6 +189,38 @@ def records(pkg):
             lambda: pkg.failure.simulate_progressive_failure(
                 state, axial, core.memo),
             ladder_record)
+
+    shear = pkg.clt.MaterialProperties(**SHEAR_STIFF)
+    rank_one = pkg.clt.MaterialProperties(**NEAR_RANK_ONE)
+    scans = [(name, Laminate.from_angles(material, thickness, angles))
+             for name, material, thickness, angles in (
+                 ("shear stiff", shear, 0.012, [0.0]),
+                 ("shear stiff", shear, 0.012, [0.0, 30.0, -60.0]),
+                 ("near rank one", rank_one, 1e-3, [0.0, 90.0]),
+                 ("near rank one", rank_one, 1e-3, [0.0, 45.0, 90.0]))]
+    scans.append(("wafer", Laminate((
+        Ply(90.0, 0.1, mat), Ply(0.0, 1e-9, mat), Ply(90.0, 0.1, mat)))))
+    angles = np.linspace(-90.0, 90.0, 361).tolist()
+    for name, load, _ in conditions[:2]:
+        for kind, lam in scans:
+            plies = [k for k in range(lam.n_plies) for _ in angles]
+            memo = {}
+            pkg.failure.first_ply_failure_batch(
+                lam, load, plies, angles * lam.n_plies, memo)
+            for ply, angle in zip(plies, angles * lam.n_plies):
+                row = list(lam.angles)
+                row[ply] = angle
+                state = lam.with_angles(row)
+                label = ("scan", kind, lam.angles, name, ply, angle.hex())
+                record = memo.get(pkg.failure.memo_key(state._angle_bits,
+                                                       load))
+                if record is not None:
+                    yield label, "stored", first_record(record.first)
+                else:
+                    yield attempt(
+                        label,
+                        lambda: pkg.failure.first_ply_failure(state, load),
+                        first_record)
 
 
 def main(argv) -> int:

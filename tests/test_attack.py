@@ -1310,6 +1310,72 @@ class TestOnePlyFloor:
                                                   want_sr.tobytes())
 
 
+class TestGreedyFewestPlies:
+    """Two more greedy steps from the one-ply floor: each step scans
+    every whole-degree angle of every unaltered ply in one batch and
+    takes the lowest first failure. Three plies reach sf 0.8."""
+
+    #: (ply, mirror ply, angle, first failure) of steps 2 and 3.
+    STEPS = ((28, 5, 58.0, 19.681688288), (27, 6, 58.0, 17.261030116))
+
+    @staticmethod
+    def step(lam, load, altered):
+        """One greedy step: every row sorted by its stored first
+        failure, as (mult, ply, angle, sr)."""
+        rows = [(k, float(a)) for k in range(lam.n_plies)
+                if k not in altered for a in range(-89, 91)
+                if a != lam.angles[k]]
+        assert len(rows) == 179 * (lam.n_plies - len(altered))
+        memo = {}
+        first_ply_failure_batch(lam, load, [k for k, _ in rows],
+                                [a for _, a in rows], memo)
+        assert len(memo) == len(rows)
+        scored = []
+        for k, angle in rows:
+            mult, sr = memo[memo_key(
+                angle_bits_with(lam._angle_bits, k, angle), load)].first
+            scored.append((mult, k, angle, sr))
+        return sorted(scored, key=lambda row: row[:3])
+
+    def test_two_more_steps_reach_the_lower_targets(self):
+        design = load_bundled_design()
+        load = design.load
+        original = first_ply_failure(design.laminate(), load)[0]
+        targets = [target_force(original, design.design_sf, sf)
+                   for sf in (0.9, 0.8)]
+        assert targets == pytest.approx([21.357011808, 18.984010496],
+                                        rel=1e-9)
+        branches = []
+        for start, column in ((29, 0), (4, 1)):
+            angles = list(design.angles())
+            angles[start] = 90.0
+            lam = design.laminate().with_angles(angles)
+            assert first_ply_failure(lam, load)[0] == pytest.approx(
+                TestOnePlyFloor.FLOOR, rel=1e-9)
+            altered, mults = {start}, []
+            for step, target in zip(self.STEPS, targets):
+                ranked = self.step(lam, load, altered)
+                mult, ply, angle, _ = ranked[0]
+                assert (ply, angle) == (step[column], step[2])
+                assert mult == pytest.approx(step[3], rel=1e-9)
+                assert mult < target
+                assert ranked[1][0] > mult * (1.0 + 1e-6)
+                for row_mult, k, row_angle, sr in ranked[:4]:
+                    row = list(lam.angles)
+                    row[k] = row_angle
+                    want_mult, want_sr = first_ply_failure(
+                        lam.with_angles(row), load)
+                    assert (row_mult.hex(), sr.tobytes()) == (
+                        want_mult.hex(), want_sr.tobytes())
+                angles = list(lam.angles)
+                angles[ply] = angle
+                lam = lam.with_angles(angles)
+                altered.add(ply)
+                mults.append(mult)
+            branches.append(mults)
+        assert branches[1] == pytest.approx(branches[0], rel=1e-12)
+
+
 class TestKnownLimitation:
     """The README's "Known limitation" section on the bundled design,
     number for number, at each of the design file's targets."""

@@ -645,6 +645,34 @@ class TestExitCodes:
         assert ".tmp" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, output", [
+        (["attack", "--type", "2"], "out"),
+        (["attack", "--type", "2"], "newdir/"),
+        (["attack", "--type", "2"], "out/"),
+        (["attack", "--type", "2"], "/"),
+        (["attack", "--type", "2"], ""),
+        (["analyze"], "newdir/"),
+        (["analyze"], "out"),
+    ], ids=["attack-dir", "attack-trailing-sep", "attack-dir-sep",
+            "attack-root", "attack-empty", "analyze-trailing-sep",
+            "analyze-dir"])
+    def test_output_path_naming_a_directory(self, tmp_path, capsys,
+                                            monkeypatch, command, output):
+        """A report path that is an existing directory, ends in a
+        separator or has no file name exits 3 naming it as given, and
+        nothing is written: ``attack`` checks it before any search, so
+        no tampered design is left beside it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        code = main([command[0], str(bundled_design_path()), *command[1:],
+                     "-o", output])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("i/o error: ")
+        assert f"Is a directory: {output!r}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_invalid_design_file(self, tmp_path, capsys):
         doc = crossply_doc()
         doc["schema_version"] = 99

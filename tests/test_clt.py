@@ -24,10 +24,13 @@ from plytamper.clt import (
     LoadCase,
     MaterialProperties,
     Ply,
+    RCOND_COLLAPSED,
     angle_bits_with,
+    nonsingular_rows,
     normalize_angle,
     ply_stiffness_entry,
     reduced_stiffness,
+    require_nonsingular,
     stiffness_rows,
     stiffness_stack,
     system_matrix,
@@ -555,6 +558,99 @@ class TestAbdAssembly:
                      ((3, 6), (3, 6))), (want[0], want[1], want[1], want[2])):
                 got = k6[..., slice(*rows), slice(*cols)]
                 assert np.ascontiguousarray(got).tobytes() == block.tobytes()
+
+
+def rotated(eigenvalues, seed):
+    """A dense symmetric matrix with ``eigenvalues``: Q diag(values) Q^T
+    for an orthogonal Q drawn at ``seed``."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(
+        size=(len(eigenvalues), len(eigenvalues))))
+    return (q * np.asarray(eigenvalues, dtype=float)) @ q.T
+
+
+def finite_systems(m):
+    """Crafted symmetric m x m systems and whether the collapse rule
+    keeps each."""
+    above, below = (RCOND_COLLAPSED * (1.0 + 1e-6),
+                    RCOND_COLLAPSED * (1.0 - 1e-6))
+    x = np.random.default_rng(m).normal(size=(m, m - 1))
+    ones = [1.0] * (m - 2)
+    return {
+        "scaled identity": (3e9 * np.eye(m), True),
+        "zero": (np.zeros((m, m)), False),
+        "rank deficient": (x @ x.T, False),
+        "indefinite": (rotated(np.linspace(-3.0, 5.0, m), m), True),
+        "ratio above the bound": (np.diag([2.0] + ones + [2.0 * above]),
+                                  True),
+        "ratio below the bound": (np.diag([2.0] + ones + [2.0 * below]),
+                                  False),
+        "indefinite ratio above the bound": (
+            np.diag([-2.0] + ones + [2.0 * above]), True),
+        "indefinite ratio below the bound": (
+            np.diag([-2.0] + ones + [-2.0 * below]), False),
+    }
+
+
+def non_finite_systems(m):
+    """Dense positive definite m x m systems with one NaN or infinite
+    entry (mirrored), as an overflowed stiffness sum leaves them."""
+    base = rotated(np.linspace(1.0, 4.0, m), m + 1)
+    systems = {}
+    for name, value, (i, j) in (("NaN", math.nan, (1, 0)),
+                                ("NaN diagonal", math.nan, (m - 1, m - 1)),
+                                ("+inf", math.inf, (0, 0)),
+                                ("-inf", -math.inf, (m - 1, m - 2))):
+        system = base.copy()
+        system[i, j] = system[j, i] = value
+        systems[name] = system
+    return systems
+
+
+class TestCollapseRule:
+    """The one collapse rule, ``nonsingular_rows``, and its one-system
+    entry point ``require_nonsingular``, on crafted 6x6 systems and on
+    the 3x3 blocks ``detect`` passes."""
+
+    @pytest.mark.parametrize("m", [6, 3])
+    def test_both_entry_points_decide_alike(self, m):
+        for name, (system, kept) in finite_systems(m).items():
+            assert nonsingular_rows(system[None]) == ([0] if kept else []), \
+                name
+            try:
+                require_nonsingular(system, "collapsed")
+            except LaminateSingularError as error:
+                assert not kept and str(error) == "collapsed", name
+            else:
+                assert kept, name
+
+    @pytest.mark.parametrize("m", [6, 3])
+    def test_non_finite_systems(self, m):
+        for name, system in non_finite_systems(m).items():
+            assert nonsingular_rows(system[None]) == [], name
+            with pytest.raises(FloatingPointError,
+                               match="^the laminate stiffness sums"):
+                require_nonsingular(system, "collapsed")
+
+    @pytest.mark.parametrize("m", [6, 3])
+    def test_stack_keeps_the_rows_kept_one_at_a_time(self, m):
+        systems = finite_systems(m).values()
+        one_by_one = [b for b, (system, _) in enumerate(systems)
+                      if nonsingular_rows(system[None])]
+        assert nonsingular_rows(np.stack([system for system, _ in systems])) \
+            == one_by_one
+        assert one_by_one == [b for b, (_, kept) in enumerate(systems)
+                              if kept]
+        assert nonsingular_rows(np.zeros((0, m, m))) == []
+
+    def test_no_row_is_kept_when_eigvalsh_raises(self, monkeypatch):
+        """As ``eigvalsh`` does on a NaN entry: the rule keeps no row of
+        the stack, the well-conditioned ones included."""
+        def did_not_converge(systems):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", did_not_converge)
+        assert nonsingular_rows(np.stack([np.eye(6), 2.0 * np.eye(6)])) \
+            == []
 
 
 class TestSolveMidplane:

@@ -457,6 +457,22 @@ class TestWriteText:
                                                                given)
         assert [p.name for p in tmp_path.iterdir()] == ["design.yaml"]
 
+    @pytest.mark.parametrize("given", ["newdir/", "out", "out/", "out/.",
+                                       "out/..", "", "/"])
+    def test_path_naming_a_directory_writes_nothing(self, tmp_path,
+                                                    monkeypatch, given):
+        """``open(given, "w")`` raises IsADirectoryError for a path that
+        ends in a separator, and so does write_text, naming it as given,
+        for it and for every other path that cannot name a file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            write_text(given, "text\n")
+        assert (raised.value.errno, raised.value.filename) == (errno.EISDIR,
+                                                               given)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_device_is_written_through_without_a_sync(self, monkeypatch):
         """fsync on a FIFO raises EINVAL; non-regular targets are written
         through and never synced."""

@@ -1136,7 +1136,7 @@ class TestSolveStage:
 # =============================================================================
 
 def svd_collapsed_system(k6):
-    """``clt.require_nonsingular``'s collapse rule, by SVD and written out
+    """``clt.nonsingular_rows``'s collapse rule, by SVD and written out
     independently of it: True when the largest singular value of ``k6``
     is zero or the reciprocal condition is below RCOND_COLLAPSED."""
     sv = np.linalg.svd(k6, compute_uv=False)
@@ -1343,11 +1343,11 @@ def outcome(function, *args):
 
 class TestCollapseBound:
     """The collapse bound RCOND_COLLAPSED on the reciprocal condition,
-    tested by ``clt.require_nonsingular`` in the rung kernel and by the
-    batch's own eigenvalue rule: every rung state and every batch row is
-    collapsed exactly when :func:`svd_collapsed` says so, and the batch
-    stores exactly the rows that are not collapsed and score cleanly,
-    each as ``first_ply_failure`` scores it."""
+    tested by ``clt.nonsingular_rows``, through ``clt.require_nonsingular``
+    in the rung kernel and directly in the batch: every rung state and
+    every batch row is collapsed exactly when :func:`svd_collapsed` says
+    so, and the batch stores exactly the rows that are not collapsed and
+    score cleanly, each as ``first_ply_failure`` scores it."""
 
     @staticmethod
     def check(monkeypatch, lam, load, plies=(), angles=()):
